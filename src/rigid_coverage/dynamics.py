@@ -9,6 +9,7 @@ terminal ingredients computed at the origin transfer to any setpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,6 +46,9 @@ class SecondOrderModel:
     dim: int
     v_max: float
     u_max: float
+    # True when jacobians(x, u) is the same at every (x, u): the MPC then
+    # computes its equality Jacobian once per template instead of per iterate
+    constant_jacobians: ClassVar[bool] = False
 
     @property
     def n_x(self) -> int:
@@ -79,6 +83,8 @@ class SecondOrderModel:
 @dataclass(frozen=True)
 class DoubleIntegrator(SecondOrderModel):
     """p' = p + h v,  v' = v + h u."""
+
+    constant_jacobians: ClassVar[bool] = True
 
     h: float = 0.1
     u_max: float = 1.0

@@ -9,12 +9,25 @@ neighbor anchor points.  Hard dynamics are kept as equality constraints of
 a Gauss-Newton SQP with an l1-penalty line search; box constraints, the
 setpoint polygon and the terminal ellipsoid enter as squared-hinge
 penalties that are escalated until a strict feasibility check passes.
+
+The matrices of a problem come in two parts.  A *template* (`_Template`)
+holds everything fixed by the model, horizon, weights, terminal set,
+setpoint polygon and steady margin: the layout of the decision vector z,
+the inequality rows G z <= h, the structural rows of the cost residual,
+the terminal Hessian, the regularisation identity and, for a model whose
+Jacobians do not depend on the state, the equality Jacobian.  Templates
+are cached by value, a bounded number at a time, and shared read-only by
+every problem with the same key.  An *instance* (`_Workspace`) adds what
+x0, r_ref and the bearings set; the warm-start check and the solve of one
+`OcpProblem` share it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,8 +139,12 @@ class OcpProblem:
             bearings.append((int(j), g))
         bearings.sort(key=lambda item: item[0])
         object.__setattr__(self, "desired_bearings", tuple(bearings))
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "r_ref", r_ref)
+        # own copies: the solver's instance of a problem is reused between
+        # calls, so a caller's later write to its array must not reach it
+        for name, value in (("x0", x0), ("r_ref", r_ref)):
+            value = value.copy()
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -160,24 +177,46 @@ class OcpSolution:
     penalty: float = math.nan
 
 
-class _Workspace:
-    """Index bookkeeping and cached matrices for one problem instance."""
+class _Template:
+    """The part of an OCP fixed by its model, horizon, weights, terminal set,
+    setpoint polygon and steady margin.
+
+    Holds the layout of the decision vector, the linear inequality rows
+    G z <= h, the structural rows of the cost residual, the terminal
+    Hessian, the regularisation identity and, for a model with constant
+    Jacobians, the equality Jacobian.  One template is shared by every
+    problem with the same key, across solver threads, so its arrays are
+    read-only.
+    """
 
     def __init__(self, problem: OcpProblem):
-        self.problem = problem
         model = problem.model
         N = problem.horizon
+        self.model = model
         self.N = N
         self.nx = model.n_x
         self.nu = model.n_u
+        self.d = model.dim
         self.nz = N * self.nu + N * self.nx + self.nx + self.nu
         self.n_eq = (N + 1) * self.nx
-        self._build_cost()
-        self._build_linear_ineq()
-        P = problem.terminal.P
-        self.P_term = P
+        base = N * self.nu + N * self.nx
+        self.iu_all = slice(0, N * self.nu)
+        self.ix_all = slice(N * self.nu, base)
+        self.ixb = slice(base, base + self.nx)
+        self.iub = slice(base + self.nx, self.nz)
+        self.ixN = self.ix(N)
+        self.C = model.C
+        self._build_cost(problem)
+        self._build_linear_ineq(problem)
+        self.P_term = np.array(problem.terminal.P, dtype=float)
         self.zeta = problem.terminal.zeta
         self.zeta_scale = max(self.zeta, 1e-12)
+        self._build_terminal_hessian()
+        self.eye = np.eye(self.nz)
+        self._build_eq_structure()
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     # --- layout -----------------------------------------------------------
     def iu(self, l: int) -> slice:
@@ -187,51 +226,28 @@ class _Workspace:
         base = self.N * self.nu
         return slice(base + (l - 1) * self.nx, base + l * self.nx)
 
-    @property
-    def ixb(self) -> slice:
-        base = self.N * self.nu + self.N * self.nx
-        return slice(base, base + self.nx)
-
-    @property
-    def iub(self) -> slice:
-        base = self.N * self.nu + self.N * self.nx + self.nx
-        return slice(base, base + self.nu)
-
     def pack(self, u_seq, x_seq, xbar, ubar) -> np.ndarray:
         z = np.empty(self.nz)
-        for l in range(self.N):
-            z[self.iu(l)] = u_seq[l]
-        for l in range(1, self.N + 1):
-            z[self.ix(l)] = x_seq[l]
+        z[self.iu_all] = np.reshape(u_seq[: self.N], -1)
+        z[self.ix_all] = np.reshape(x_seq[1 : self.N + 1], -1)
         z[self.ixb] = xbar
         z[self.iub] = ubar
         return z
 
-    def unpack(self, z: np.ndarray):
-        u_seq = np.stack([z[self.iu(l)] for l in range(self.N)])
-        x_seq = np.vstack([self.problem.x0[None, :]] + [z[self.ix(l)][None, :] for l in range(1, self.N + 1)])
-        return u_seq, x_seq, z[self.ixb].copy(), z[self.iub].copy()
-
-    # --- cost as affine residuals ------------------------------------------
-    def _build_cost(self):
-        pr = self.problem
-        w = pr.weights
-        model = pr.model
-        N, nx, nu = self.N, self.nx, self.nu
-        d = model.dim
+    # --- cost: structural rows of the affine residual -----------------------
+    def _build_cost(self, problem: OcpProblem):
+        """Rows of M that x0, r_ref and the bearings leave alone; the
+        instance fills their offsets and appends the bearing rows."""
+        w = problem.weights
+        N, nx, nu, d = self.N, self.nx, self.nu, self.d
         L_Q = _psd_sqrt(w.Q)
         L_R = _psd_sqrt(w.R)
-        L_P = _psd_sqrt(pr.terminal.P)
+        L_P = _psd_sqrt(problem.terminal.P)
         L_S = _psd_sqrt(w.S_r)
-        C = model.C
-        n_bear = len(pr.desired_bearings)
-        rows = N * nx + N * nu + nx + d + n_bear * d
-        M = np.zeros((rows, self.nz))
-        f0 = np.zeros(rows)
+        M = np.zeros((N * nx + N * nu + nx + d, self.nz))
         r = 0
         # stage state terms (x_l - xbar), l = 0 uses the parameter x0
         M[r : r + nx, self.ixb] = -L_Q
-        f0[r : r + nx] = L_Q @ pr.x0
         r += nx
         for l in range(1, N):
             M[r : r + nx, self.ix(l)] = L_Q
@@ -243,25 +259,184 @@ class _Workspace:
             M[r : r + nu, self.iub] = -L_R
             r += nu
         # terminal term (x_N - xbar)
-        M[r : r + nx, self.ix(N)] = L_P
+        M[r : r + nx, self.ixN] = L_P
         M[r : r + nx, self.ixb] = -L_P
         r += nx
         # reference offset term sqrt(mu) * (C xbar - r_ref)
-        s_ref = math.sqrt(w.mu)
-        M[r : r + d, self.ixb] = s_ref * (L_S @ C)
-        f0[r : r + d] = -s_ref * (L_S @ pr.r_ref)
-        r += d
-        # bearing terms sqrt((1-mu) w_b) * P_g (C xbar - anchor_j)
-        s_b = math.sqrt(max(1.0 - w.mu, 0.0) * w.w_b)
-        for j, g in pr.desired_bearings:
+        self.s_ref = math.sqrt(w.mu)
+        M[r : r + d, self.ixb] = self.s_ref * (L_S @ self.C)
+        self.M_struct = M
+        self.L_Q = L_Q
+        self.L_S = L_S
+        # scale of the bearing terms sqrt((1-mu) w_b) * P_g (C xbar - anchor_j)
+        self.s_b = math.sqrt(max(1.0 - w.mu, 0.0) * w.w_b)
+
+    # --- inequalities -------------------------------------------------------
+    def _build_linear_ineq(self, problem: OcpProblem):
+        """Box rows, scaled unit selections of z, then the setpoint polygon.
+
+        Per column of z in order, the upper face comes before the lower one
+        and an infinite face gives no row.  The steady pair is kept strictly
+        inside the box by the margin.
+        """
+        N = self.N
+        sb, ib = self.model.state_bounds, self.model.input_bounds
+        upper = np.concatenate([np.tile(ib.upper, N), np.tile(sb.upper, N), sb.upper, ib.upper])
+        lower = np.concatenate([np.tile(ib.lower, N), np.tile(sb.lower, N), sb.lower, ib.lower])
+        margin = np.zeros(self.nz)
+        margin[self.ixb.start :] = problem.steady_margin
+        # (upper, lower) face of each column, flattened column by column
+        bound = np.stack([upper, -lower], axis=1).ravel()
+        sign = np.tile([1.0, -1.0], self.nz)
+        keep = np.isfinite(bound)
+        cols = np.repeat(np.arange(self.nz), 2)[keep]
+        bound, sign = bound[keep], sign[keep]
+        scale = np.maximum(1.0, np.abs(bound))
+        n_box = len(cols)
+        h_box = (bound - margin[cols]) / scale
+        if problem.setpoint_region is not None:
+            A, b = problem.setpoint_region.half_planes()
+            AC = A @ self.C
+            region_scale = np.maximum(1.0, np.abs(b))
+        else:
+            AC, b, region_scale = np.zeros((0, self.nx)), np.zeros(0), np.ones(0)
+        G = np.zeros((n_box + len(b), self.nz))
+        G[np.arange(n_box), cols] = sign / scale
+        G[n_box:, self.ixb] = AC / region_scale[:, None]
+        self.G = G
+        self.h = np.concatenate([h_box, b / region_scale])
+
+    def _build_terminal_hessian(self):
+        """Curvature of the terminal-ellipsoid inequality in the z layout."""
+        H = np.zeros((self.nz, self.nz))
+        blk = 2.0 * self.P_term / self.zeta_scale
+        H[self.ixN, self.ixN] = blk
+        H[self.ixb, self.ixb] = blk
+        H[self.ixN, self.ixb] = -blk
+        H[self.ixb, self.ixN] = -blk
+        self.H_term = H
+
+    def ineq_values(self, z: np.ndarray) -> np.ndarray:
+        """All inequality values g(z) <= 0, terminal ellipsoid last."""
+        lin = self.G @ z - self.h
+        e = z[self.ixN] - z[self.ixb]
+        term = (float(e @ self.P_term @ e) - self.zeta) / self.zeta_scale
+        return np.append(lin, term)
+
+    def ineq_jacobian_row_terminal(self, z: np.ndarray) -> np.ndarray:
+        e = z[self.ixN] - z[self.ixb]
+        row = np.zeros(self.nz)
+        grad = 2.0 * (self.P_term @ e) / self.zeta_scale
+        row[self.ixN] = grad
+        row[self.ixb] = -grad
+        return row
+
+    # --- equalities ----------------------------------------------------------
+    def _build_eq_structure(self):
+        """Identity blocks of the equality Jacobian; the whole Jacobian when
+        the model's Jacobians do not depend on the state."""
+        J = np.zeros((self.n_eq, self.nz))
+        for l in range(self.N):
+            J[l * self.nx : (l + 1) * self.nx, self.ix(l + 1)] = np.eye(self.nx)
+        self.eq_struct = J
+        self.eq_jac = None
+        if getattr(self.model, "constant_jacobians", False):
+            self.eq_jac = self.eq_jacobian_at(
+                np.zeros((self.N, self.nu)), np.zeros((self.N + 1, self.nx)),
+                np.zeros(self.nx), np.zeros(self.nu),
+            )
+
+    def eq_jacobian_at(self, u_seq, x_seq, xbar, ubar) -> np.ndarray:
+        """Equality Jacobian from the model linearized along the trajectory."""
+        J = self.eq_struct.copy()
+        nx = self.nx
+        for l in range(self.N):
+            A, B = linearize(self.model, x_seq[l], u_seq[l])
+            r = slice(l * nx, (l + 1) * nx)
+            if l >= 1:
+                J[r, self.ix(l)] = -A
+            J[r, self.iu(l)] = -B
+        A, B = linearize(self.model, xbar, ubar)
+        r = slice(self.N * nx, self.n_eq)
+        J[r, self.ixb] = np.eye(nx) - A
+        J[r, self.iub] = -B
+        return J
+
+
+TEMPLATE_CACHE_SIZE = 8
+_templates: OrderedDict = OrderedDict()
+_templates_lock = threading.Lock()
+
+
+def _array_key(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _template_key(problem: OcpProblem) -> tuple:
+    """Everything a template depends on, by value."""
+    w, region = problem.weights, problem.setpoint_region
+    return (
+        problem.model,
+        problem.horizon,
+        _array_key(w.Q), _array_key(w.R), _array_key(w.S_r), w.w_b, w.mu,
+        _array_key(problem.terminal.P), problem.terminal.zeta,
+        None if region is None else _array_key(region.vertices),
+        problem.steady_margin,
+    )
+
+
+def _template(problem: OcpProblem) -> _Template:
+    """The problem's template, built on first use; the cache keeps the
+    TEMPLATE_CACHE_SIZE most recently used."""
+    key = _template_key(problem)
+    with _templates_lock:
+        template = _templates.get(key)
+        if template is None:
+            template = _templates[key] = _Template(problem)
+            if len(_templates) > TEMPLATE_CACHE_SIZE:
+                _templates.popitem(last=False)
+        else:
+            _templates.move_to_end(key)
+        return template
+
+
+class _Workspace:
+    """One problem's instance of its cached template.
+
+    Adds what x0, r_ref and the bearings set: the residual offset f0, the
+    bearing rows of M and the cost Hessian H_cost = 2 M'M.  Obtained through
+    `_workspace`, so that a warm-start check and the solve that follows it
+    share one.
+    """
+
+    def __init__(self, problem: OcpProblem):
+        tpl = _template(problem)
+        self.x0 = problem.x0
+        self.tpl = tpl
+        d, nx = tpl.d, tpl.nx
+        n_struct = len(tpl.M_struct)
+        M = np.zeros((n_struct + len(problem.desired_bearings) * d, tpl.nz))
+        M[:n_struct] = tpl.M_struct
+        f0 = np.zeros(len(M))
+        f0[:nx] = tpl.L_Q @ problem.x0
+        f0[n_struct - d : n_struct] = -tpl.s_ref * (tpl.L_S @ problem.r_ref)
+        r = n_struct
+        for j, g in problem.desired_bearings:
             Pg = bearing_projector(g)
-            anchor = np.asarray(pr.neighbor_anchors[j], dtype=float)
-            M[r : r + d, self.ixb] = s_b * (Pg @ C)
-            f0[r : r + d] = -s_b * (Pg @ anchor)
+            anchor = np.asarray(problem.neighbor_anchors[j], dtype=float)
+            M[r : r + d, tpl.ixb] = tpl.s_b * (Pg @ tpl.C)
+            f0[r : r + d] = -tpl.s_b * (Pg @ anchor)
             r += d
         self.M = M
         self.f0 = f0
         self.H_cost = 2.0 * M.T @ M
+
+    def unpack(self, z: np.ndarray):
+        tpl = self.tpl
+        u_seq = z[tpl.iu_all].reshape(tpl.N, tpl.nu).copy()
+        x_seq = np.vstack([self.x0, z[tpl.ix_all].reshape(tpl.N, tpl.nx)])
+        return u_seq, x_seq, z[tpl.ixb].copy(), z[tpl.iub].copy()
 
     def cost(self, z: np.ndarray) -> float:
         res = self.M @ z + self.f0
@@ -270,93 +445,37 @@ class _Workspace:
     def cost_grad(self, z: np.ndarray) -> np.ndarray:
         return 2.0 * self.M.T @ (self.M @ z + self.f0)
 
-    # --- inequalities -------------------------------------------------------
-    def _append_box_rows(self, rows, offs, idx, bounds, margin=0.0):
-        for k, (lo, hi) in enumerate(zip(bounds.lower, bounds.upper)):
-            col = idx.start + k
-            if np.isfinite(hi):
-                scale = max(1.0, abs(hi))
-                row = np.zeros(self.nz)
-                row[col] = 1.0 / scale
-                rows.append(row)
-                offs.append((hi - margin) / scale)
-            if np.isfinite(lo):
-                scale = max(1.0, abs(lo))
-                row = np.zeros(self.nz)
-                row[col] = -1.0 / scale
-                rows.append(row)
-                offs.append((-lo - margin) / scale)
-
-    def _build_linear_ineq(self):
-        pr = self.problem
-        model = pr.model
-        rows: list[np.ndarray] = []
-        offs: list[float] = []
-        for l in range(self.N):
-            self._append_box_rows(rows, offs, self.iu(l), model.input_bounds)
-        for l in range(1, self.N + 1):
-            self._append_box_rows(rows, offs, self.ix(l), model.state_bounds)
-        # steady pair kept strictly inside the box by the margin
-        self._append_box_rows(rows, offs, self.ixb, model.state_bounds, margin=pr.steady_margin)
-        self._append_box_rows(rows, offs, self.iub, model.input_bounds, margin=pr.steady_margin)
-        if pr.setpoint_region is not None:
-            A, b = pr.setpoint_region.half_planes()
-            AC = A @ model.C
-            for a_row, b_val in zip(AC, b):
-                scale = max(1.0, abs(b_val))
-                row = np.zeros(self.nz)
-                row[self.ixb] = a_row / scale
-                rows.append(row)
-                offs.append(b_val / scale)
-        self.G = np.vstack(rows) if rows else np.zeros((0, self.nz))
-        self.h = np.asarray(offs)
-
-    def ineq_values(self, z: np.ndarray) -> np.ndarray:
-        """All inequality values g(z) <= 0, terminal ellipsoid last."""
-        lin = self.G @ z - self.h
-        e = z[self.ix(self.N)] - z[self.ixb]
-        term = (float(e @ self.P_term @ e) - self.zeta) / self.zeta_scale
-        return np.append(lin, term)
-
-    def ineq_jacobian_row_terminal(self, z: np.ndarray) -> np.ndarray:
-        e = z[self.ix(self.N)] - z[self.ixb]
-        row = np.zeros(self.nz)
-        grad = 2.0 * (self.P_term @ e) / self.zeta_scale
-        row[self.ix(self.N)] = grad
-        row[self.ixb] = -grad
-        return row
-
-    # --- equalities ----------------------------------------------------------
     def eq_constraints(self, z: np.ndarray) -> np.ndarray:
-        pr = self.problem
-        u_seq, x_seq, xbar, ubar = self.unpack(z)
-        c = np.empty(self.n_eq)
-        for l in range(self.N):
-            c[l * self.nx : (l + 1) * self.nx] = x_seq[l + 1] - pr.model.step(x_seq[l], u_seq[l])
-        c[self.N * self.nx :] = xbar - pr.model.step(xbar, ubar)
-        return c
+        """Shooting gaps x_{l+1} - f(x_l, u_l), then the steady gap xbar - f(xbar, ubar)."""
+        tpl = self.tpl
+        shape = (tpl.N + 1, -1)
+        x_to = z[tpl.ix_all.start : tpl.ixb.stop]  # x_1 .. x_N, xbar
+        x_from = np.concatenate([self.x0, x_to[: -2 * tpl.nx], z[tpl.ixb]])
+        u = np.concatenate([z[tpl.iu_all], z[tpl.iub]])
+        return (x_to.reshape(shape) - tpl.model.step(x_from.reshape(shape), u.reshape(shape))).reshape(-1)
 
     def eq_jacobian(self, z: np.ndarray) -> np.ndarray:
-        pr = self.problem
-        u_seq, x_seq, xbar, ubar = self.unpack(z)
-        J = np.zeros((self.n_eq, self.nz))
-        eye = np.eye(self.nx)
-        for l in range(self.N):
-            A, B = linearize(pr.model, x_seq[l], u_seq[l])
-            r = slice(l * self.nx, (l + 1) * self.nx)
-            J[r, self.ix(l + 1)] = eye
-            if l >= 1:
-                J[r, self.ix(l)] = -A
-            J[r, self.iu(l)] = -B
-        A, B = linearize(pr.model, xbar, ubar)
-        r = slice(self.N * self.nx, self.n_eq)
-        J[r, self.ixb] = eye - A
-        J[r, self.iub] = -B
-        return J
+        if self.tpl.eq_jac is not None:
+            return self.tpl.eq_jac
+        return self.tpl.eq_jacobian_at(*self.unpack(z))
+
+
+_recent = threading.local()
+
+
+def _workspace(problem: OcpProblem) -> _Workspace:
+    """The instance of a problem.  Each thread keeps the last one it built,
+    which the solve after a warm-start check finds again; keeping one only
+    leaves memory flat when a caller holds many problems at once."""
+    if getattr(_recent, "problem", None) is not problem:
+        _recent.problem = _recent.workspace = None  # never two instances at once
+        _recent.workspace = _Workspace(problem)
+        _recent.problem = problem
+    return _recent.workspace
 
 
 def _penalty_terms(ws: _Workspace, z: np.ndarray, mu_pen: float, backoff: float):
-    g = ws.ineq_values(z)
+    g = ws.tpl.ineq_values(z)
     active = g + backoff > 0.0
     viol = np.where(active, g + backoff, 0.0)
     value = mu_pen * float(viol @ viol)
@@ -364,19 +483,7 @@ def _penalty_terms(ws: _Workspace, z: np.ndarray, mu_pen: float, backoff: float)
 
 
 def _ineq_jacobian(ws: _Workspace, z: np.ndarray) -> np.ndarray:
-    return np.vstack([ws.G, ws.ineq_jacobian_row_terminal(z)[None, :]])
-
-
-def _terminal_hessian(ws: _Workspace) -> np.ndarray:
-    """Curvature of the terminal-ellipsoid inequality in the z layout."""
-    H = np.zeros((ws.nz, ws.nz))
-    blk = 2.0 * ws.P_term / ws.zeta_scale
-    ixN, ixb = ws.ix(ws.N), ws.ixb
-    H[ixN, ixN] = blk
-    H[ixb, ixb] = blk
-    H[ixN, ixb] = -blk
-    H[ixb, ixN] = -blk
-    return H
+    return np.vstack([ws.tpl.G, ws.tpl.ineq_jacobian_row_terminal(z)[None, :]])
 
 
 def _polish(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float):
@@ -390,11 +497,11 @@ def _polish(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float):
     of the stationarity conditions at the stepped point, with multipliers
     refit there. Returns (z, kkt_residual) or None.
     """
-    nz = ws.nz
-    n_eq = ws.n_eq
-    term_idx = ws.G.shape[0]
-    H_term = _terminal_hessian(ws)
-    g = ws.ineq_values(z)
+    tpl = ws.tpl
+    nz = tpl.nz
+    n_eq = tpl.n_eq
+    term_idx = tpl.G.shape[0]
+    g = tpl.ineq_values(z)
     work = np.flatnonzero(g >= -opts.backoff - 1e-9)
     lam_term = 0.0
     best = None
@@ -403,7 +510,7 @@ def _polish(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float):
         c = ws.eq_constraints(z)
         C_J = ws.eq_jacobian(z)
         grad = ws.cost_grad(z)
-        H = ws.H_cost + reg * np.eye(nz) + lam_term * H_term
+        H = ws.H_cost + reg * tpl.eye + lam_term * tpl.H_term
         sol = lam = None
         for _drop in range(8):
             nA = len(work)
@@ -431,12 +538,12 @@ def _polish(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float):
         pos = list(work).index(term_idx) if term_idx in work else -1
         lam_term = max(float(lam[pos]), 0.0) if pos >= 0 else 0.0
         z_try = z + sol[:nz]
-        g_try = ws.ineq_values(z_try)
+        g_try = tpl.ineq_values(z_try)
         crossed = np.flatnonzero(g_try > 1e-12)
         new_rows = np.setdiff1d(crossed, work)
         if len(new_rows):
             work = np.union1d(work, new_rows)
-            g = ws.ineq_values(z)
+            g = tpl.ineq_values(z)
             continue
         # judge the stepped point on its own multipliers, not the stale ones
         grad_try = ws.cost_grad(z_try)
@@ -469,11 +576,12 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
     constraint violated at convergence.
     """
     opts = options or SqpOptions()
-    ws = _Workspace(problem)
+    ws = _workspace(problem)
+    tpl = ws.tpl
     if warm is not None:
-        z = ws.pack(warm.u_seq, warm.x_seq, warm.xbar, warm.ubar)
+        z = tpl.pack(warm.u_seq, warm.x_seq, warm.xbar, warm.ubar)
     else:
-        z = _cold_start_vector(ws)
+        z = _cold_start_vector(problem, tpl)
     mu_pen = opts.penalty_init
     sigma = 1.0
     reg_base = opts.regularization * max(1.0, float(np.max(np.abs(ws.H_cost))))
@@ -519,26 +627,27 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
         grad = ws.cost_grad(z)
         H = ws.H_cost.copy()
         if np.any(active[:-1]):
-            Ga = ws.G[active[:-1]]
+            Ga = tpl.G[active[:-1]]
             va = viol[:-1][active[:-1]]
             grad = grad + 2.0 * mu_pen * Ga.T @ va
             H += 2.0 * mu_pen * Ga.T @ Ga
         if active[-1]:
-            row = ws.ineq_jacobian_row_terminal(z)
+            row = tpl.ineq_jacobian_row_terminal(z)
             grad = grad + 2.0 * mu_pen * viol[-1] * row
             H += 2.0 * mu_pen * np.outer(row, row)
 
-        KKT = np.zeros((ws.nz + ws.n_eq, ws.nz + ws.n_eq))
-        KKT[: ws.nz, : ws.nz] = H + reg * np.eye(ws.nz)
-        KKT[: ws.nz, ws.nz :] = C_J.T
-        KKT[ws.nz :, : ws.nz] = C_J
+        nz = tpl.nz
+        KKT = np.zeros((nz + tpl.n_eq, nz + tpl.n_eq))
+        KKT[:nz, :nz] = H + reg * tpl.eye
+        KKT[:nz, nz:] = C_J.T
+        KKT[nz:, :nz] = C_J
         rhs = np.concatenate([-grad, -c])
         try:
             sol = np.linalg.solve(KKT, rhs)
         except np.linalg.LinAlgError:
             reg *= 100.0
             continue
-        delta, nu = sol[: ws.nz], sol[ws.nz :]
+        delta, nu = sol[:nz], sol[nz:]
 
         kkt = float(np.linalg.norm(grad + C_J.T @ nu, ord=np.inf))
         eq_res = float(np.linalg.norm(c, ord=np.inf))
@@ -591,7 +700,7 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
     rbar = problem.model.C @ xbar
     solution = OcpSolution(u_seq, x_seq, xbar, ubar, rbar, ws.cost(z), status, iterations, kkt, mu_pen)
     if status != "solved":
-        g = ws.ineq_values(z)
+        g = tpl.ineq_values(z)
         eq_res = float(np.linalg.norm(ws.eq_constraints(z), ord=np.inf))
         if eq_res > opts.tol_equality or np.any(g > 1e-12):
             solution.status = "infeasible"
@@ -603,28 +712,27 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
     return solution
 
 
-def _cold_start_vector(ws: _Workspace) -> np.ndarray:
+def _cold_start_vector(problem: OcpProblem, tpl: _Template) -> np.ndarray:
     """Hold at the current position: steady pair there, local controller rollout."""
-    pr = ws.problem
-    model = pr.model
-    ts = pr.terminal
-    p0 = model.C @ pr.x0
+    model = problem.model
+    ts = problem.terminal
+    p0 = model.C @ problem.x0
     steady = ts.translated_steady(model, p0)
-    u_seq = np.zeros((ws.N, ws.nu))
-    x_seq = np.zeros((ws.N + 1, ws.nx))
-    x_seq[0] = pr.x0
+    u_seq = np.zeros((tpl.N, tpl.nu))
+    x_seq = np.zeros((tpl.N + 1, tpl.nx))
+    x_seq[0] = problem.x0
     lo, hi = model.input_bounds.lower, model.input_bounds.upper
-    for l in range(ws.N):
+    for l in range(tpl.N):
         u = steady.u + ts.K @ (x_seq[l] - steady.x)
         u_seq[l] = np.clip(u, lo, hi)
         x_seq[l + 1] = model.step(x_seq[l], u_seq[l])
-    return ws.pack(u_seq, x_seq, steady.x, steady.u)
+    return tpl.pack(u_seq, x_seq, steady.x, steady.u)
 
 
 def cold_start(problem: OcpProblem) -> OcpSolution:
     """Initial guess holding position; not verified against constraints."""
-    ws = _Workspace(problem)
-    z = _cold_start_vector(ws)
+    ws = _workspace(problem)
+    z = _cold_start_vector(problem, ws.tpl)
     u_seq, x_seq, xbar, ubar = ws.unpack(z)
     return OcpSolution(u_seq, x_seq, xbar, ubar, problem.model.C @ xbar, ws.cost(z), "candidate")
 
@@ -643,8 +751,8 @@ def shift_warm_start(problem: OcpProblem, prev: OcpSolution) -> OcpSolution:
     u_seq = np.vstack([prev.u_seq[1:], kappa[None, :]])
     x_last = model.step(prev.x_seq[N], kappa)
     x_seq = np.vstack([prev.x_seq[1:], x_last[None, :]])
-    ws = _Workspace(problem)
-    z = ws.pack(u_seq, x_seq, prev.xbar, prev.ubar)
+    ws = _workspace(problem)
+    z = ws.tpl.pack(u_seq, x_seq, prev.xbar, prev.ubar)
     candidate = OcpSolution(
         u_seq, x_seq, prev.xbar.copy(), prev.ubar.copy(),
         model.C @ prev.xbar, ws.cost(z), "candidate",
@@ -657,16 +765,16 @@ def _verify_candidate(ws: _Workspace, z: np.ndarray):
     eq_res = float(np.linalg.norm(ws.eq_constraints(z), ord=np.inf))
     if eq_res > 1e-7:
         raise RecursiveFeasibilityError(f"candidate dynamics residual {eq_res:.3e}")
-    g = ws.ineq_values(z)
+    g = ws.tpl.ineq_values(z)
     if len(g) and float(np.max(g)) > 1e-9:
         raise RecursiveFeasibilityError(f"candidate constraint violation {float(np.max(g)):.3e}")
 
 
 def solution_feasibility(problem: OcpProblem, sol: OcpSolution) -> dict:
     """Residual summary used by tests and the simulation harness."""
-    ws = _Workspace(problem)
-    z = ws.pack(sol.u_seq, sol.x_seq, sol.xbar, sol.ubar)
-    g = ws.ineq_values(z)
+    ws = _workspace(problem)
+    z = ws.tpl.pack(sol.u_seq, sol.x_seq, sol.xbar, sol.ubar)
+    g = ws.tpl.ineq_values(z)
     return {
         "dynamics": float(np.linalg.norm(ws.eq_constraints(z), ord=np.inf)),
         "inequality": float(np.max(g)) if len(g) else 0.0,

@@ -177,7 +177,7 @@ def run(config: SimConfig) -> SimTrace:
             alive.pop(jf)
             states = np.delete(states, jf, axis=0)
             prev_sols.pop(jf)
-            positions = states[:, : config.models[alive[0]].dim]
+            positions = states[:, :2]
             fresh_partition, refs, errors = refresh_references(positions)
             g_des = _bearing_map(graph, refs)
             plan = build_recovery_plan(graph) if graph.n >= 2 else RecoveryPlan({})
@@ -203,7 +203,6 @@ def run(config: SimConfig) -> SimTrace:
                 fresh_partition, refs, errors = refresh_references(positions)
                 updated = True
 
-        positions = states[:, :2]
         if fresh_partition is None:
             fresh_partition = voronoi_partition(positions, region)
         H = coverage_cost(positions, fresh_partition, density, quad)
@@ -283,11 +282,12 @@ def run(config: SimConfig) -> SimTrace:
     final_bearing = _aggregate_bearing_error(g_des, graph, positions)
     if graph.n >= 2:
         fw = Framework(graph, Configuration(positions))
+        rank_info = rigidity_rank(fw)
         final_rigidity = {
             "laman": bool(laman_check(graph)),
-            "rank": int(rigidity_rank(fw).rank),
-            "max_rank": int(rigidity_rank(fw).max_rank),
-            "rigid": is_infinitesimally_bearing_rigid(fw),
+            "rank": int(rank_info.rank),
+            "max_rank": int(rank_info.max_rank),
+            "rigid": rank_info.rank == rank_info.max_rank,
         }
     else:
         final_rigidity = {"laman": None, "rank": 0, "max_rank": 0, "rigid": None}

@@ -1,8 +1,16 @@
 """Tracking OCP: cost terms, SQP solver, warm starts, offset optimum."""
+import gc
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from rigid_coverage.dynamics import steady_state_from_position
+from rigid_coverage import mpc
+from rigid_coverage.config import config_from_dict
+from rigid_coverage.dynamics import BoxBounds, DoubleIntegrator, DragDoubleIntegrator, steady_state_from_position
 from rigid_coverage.errors import InvalidInputError, OcpInfeasibleError, RecursiveFeasibilityError
 from rigid_coverage.geometry import ConvexRegion
 from rigid_coverage.mpc import (
@@ -21,7 +29,7 @@ from rigid_coverage.mpc import (
 )
 from rigid_coverage.terminal import TerminalSet
 
-from conftest import SCENARIO_Q, SCENARIO_R, SCENARIO_S
+from conftest import SCENARIO_Q, SCENARIO_R, SCENARIO_S, make_scenario
 
 
 def scenario_weights(mu=1.0, w_b=1.0):
@@ -344,3 +352,279 @@ class TestFailureModes:
         u0, sol = mpc_step(prob)
         assert np.allclose(u0, sol.u_seq[0])
         assert double_integrator.input_bounds.contains(u0)
+
+
+def _template_state(tpl):
+    """Every attribute of a template, arrays as (shape, bytes)."""
+    return {
+        name: (value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+        for name, value in vars(tpl).items()
+    }
+
+
+def _solution_bytes(sol):
+    return [np.asarray(a).tobytes() for a in (sol.u_seq, sol.x_seq, sol.xbar, sol.ubar, sol.cost, sol.kkt_residual)]
+
+
+class TestTemplateCache:
+    @pytest.fixture
+    def problem_factories(self, double_integrator, drag_model, terminal_double, terminal_drag):
+        """Problems that share a template (differing in x0, r_ref or the
+        bearings) next to problems whose keys differ only in horizon,
+        setpoint region or steady margin."""
+        bearings = ((1, np.array([0.6, 0.8])), (3, np.array([1.0, 0.0])))
+        anchors = {1: np.array([0.4, 0.7]), 3: np.array([0.8, 0.45])}
+        factories = []
+        for model, ts in ((double_integrator, terminal_double), (drag_model, terminal_drag)):
+            base = dict(region=square_region(), margin=0.02, mu=0.7)
+            factories += [
+                lambda m=model, t=ts, b=base: make_problem(m, t, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5], **b),
+                lambda m=model, t=ts, b=base: make_problem(m, t, [0.3, 0.25, 0.1, 0.0], [0.6, 0.5], **b),
+                lambda m=model, t=ts, b=base: make_problem(m, t, [0.2, 0.2, 0.0, 0.0], [0.5, 0.7], **b),
+                lambda m=model, t=ts, b=base: make_problem(
+                    m, t, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5], bearings=bearings, anchors=anchors, **b),
+                lambda m=model, t=ts, b=base: make_problem(m, t, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5], horizon=7, **b),
+                lambda m=model, t=ts: make_problem(
+                    m, t, [0.2, 0.2, 0.0, 0.0], [0.9, 0.5], region=square_region(0.15), margin=0.02, mu=0.7),
+                lambda m=model, t=ts: make_problem(
+                    m, t, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5], region=square_region(), margin=0.45, mu=0.7),
+            ]
+        return factories
+
+    def test_warm_cache_matches_cold_builds_bitwise(self, problem_factories):
+        mpc._templates.clear()
+        for make in problem_factories:  # warm the cache
+            solve_ocp(make())
+        warm = []
+        for make in problem_factories:
+            prob = make()
+            sol = solve_ocp(prob)
+            warm.append((_solution_bytes(sol), _template_state(mpc._workspace(prob).tpl)))
+        for make, (sol_bytes, tpl_state) in zip(problem_factories, warm):
+            mpc._templates.clear()
+            prob = make()
+            assert _solution_bytes(solve_ocp(prob)) == sol_bytes
+            # a key collision would hand a problem another problem's template
+            assert _template_state(mpc._workspace(prob).tpl) == tpl_state
+
+    def test_problems_differing_in_instance_data_share_a_template(self, problem_factories):
+        mpc._templates.clear()
+        probs = [make() for make in problem_factories[:7]]
+        templates = [mpc._workspace(p).tpl for p in probs]
+        assert all(t is templates[0] for t in templates[:4])
+        assert len({id(t) for t in templates}) == 4
+        assert len(mpc._templates) == 4
+
+    def test_warm_start_shares_the_instance_with_the_solve(self, double_integrator, terminal_double):
+        prob = make_problem(double_integrator, terminal_double, [0.45, 0.45, 0.0, 0.0], [0.5, 0.5])
+        sol = solve_ocp(prob)
+        nxt = make_problem(double_integrator, terminal_double,
+                           double_integrator.step(sol.x_seq[0], sol.u_seq[0]), [0.5, 0.5])
+        warm = shift_warm_start(nxt, sol)
+        ws = mpc._workspace(nxt)
+        solve_ocp(nxt, warm=warm)
+        assert mpc._workspace(nxt) is ws
+
+    def test_instances_are_not_kept_past_the_next_problem(self, double_integrator, terminal_double):
+        # a caller holding many problems, as the simulation holds a step's
+        # problems, must not hold an instance for each of them
+        probs = [make_problem(double_integrator, terminal_double, [0.2 + 0.05 * i, 0.2, 0.0, 0.0], [0.6, 0.5])
+                 for i in range(3)]
+        refs = []
+        gc.disable()
+        try:
+            for prob in probs:
+                solve_ocp(prob)
+                refs.append(weakref.ref(mpc._workspace(prob)))
+            assert [r() is None for r in refs] == [True, True, False]
+        finally:
+            gc.enable()
+
+    def test_cache_is_bounded(self, double_integrator, terminal_double):
+        mpc._templates.clear()
+        n = mpc.TEMPLATE_CACHE_SIZE + 3
+        probs = [make_problem(double_integrator, terminal_double, np.zeros(4), [0.5, 0.5], horizon=h)
+                 for h in range(1, n + 1)]
+        for p in probs:
+            mpc._workspace(p)
+            assert len(mpc._templates) <= mpc.TEMPLATE_CACHE_SIZE
+        assert len(mpc._templates) == mpc.TEMPLATE_CACHE_SIZE
+        kept = {tpl.N for tpl in mpc._templates.values()}
+        assert kept == set(range(n - mpc.TEMPLATE_CACHE_SIZE + 1, n + 1))
+
+    def test_config_builds_no_template(self):
+        mpc._templates.clear()
+        config_from_dict(make_scenario())
+        assert len(mpc._templates) == 0
+
+    def test_threads_building_one_key_share_one_template(self, double_integrator, terminal_double):
+        # without the lock, threads that miss the same key at once each build
+        # a template and all but the last inserted are lost from the cache
+        def build(horizon):
+            barrier.wait(timeout=60)
+            prob = make_problem(double_integrator, terminal_double, np.zeros(4), [0.5, 0.5], horizon=horizon)
+            return horizon, mpc._template(prob)
+
+        barrier = threading.Barrier(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(25):
+                    mpc._templates.clear()
+                    futures = [pool.submit(build, 10 + i % 2) for i in range(8)]
+                    built = [f.result(timeout=120) for f in futures]
+                    cached = {tpl.N: tpl for tpl in mpc._templates.values()}
+                    assert sorted(cached) == [10, 11]
+                    assert all(tpl is cached[h] for h, tpl in built)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_evicting_get_their_own_templates(
+        self, double_integrator, drag_model, terminal_double, terminal_drag
+    ):
+        # more keys than the cache holds, so lookups race with evictions
+        specs = [(m, t, h) for m, t in ((double_integrator, terminal_double), (drag_model, terminal_drag))
+                 for h in range(1, 7)]
+        assert len(specs) > mpc.TEMPLATE_CACHE_SIZE
+
+        def build(i):
+            model, ts, h = specs[i % len(specs)]
+            tpl = mpc._template(make_problem(model, ts, np.zeros(4), [0.5, 0.5], horizon=h))
+            return tpl.model == model and tpl.N == h and np.array_equal(tpl.P_term, ts.P)
+
+        mpc._templates.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(build, i) for i in range(600)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(results)
+        assert len(mpc._templates) == mpc.TEMPLATE_CACHE_SIZE
+
+
+def _loop_linear_ineq(problem):
+    """Row-by-row construction of G and h: per column of z, the upper face
+    then the lower one, the steady pair shrunk by the margin, then the
+    setpoint polygon."""
+    tpl = mpc._workspace(problem).tpl
+    model = problem.model
+    rows, offs = [], []
+
+    def box(idx, bounds, margin=0.0):
+        for k, (lo, hi) in enumerate(zip(bounds.lower, bounds.upper)):
+            for bound, sign in ((hi, 1.0), (-lo, -1.0)):
+                if np.isfinite(bound):
+                    scale = max(1.0, abs(bound))
+                    row = np.zeros(tpl.nz)
+                    row[idx.start + k] = sign / scale
+                    rows.append(row)
+                    offs.append((bound - margin) / scale)
+
+    for l in range(tpl.N):
+        box(tpl.iu(l), model.input_bounds)
+    for l in range(1, tpl.N + 1):
+        box(tpl.ix(l), model.state_bounds)
+    box(tpl.ixb, model.state_bounds, problem.steady_margin)
+    box(tpl.iub, model.input_bounds, problem.steady_margin)
+    if problem.setpoint_region is not None:
+        A, b = problem.setpoint_region.half_planes()
+        for a_row, b_val in zip(A @ model.C, b):
+            scale = max(1.0, abs(b_val))
+            row = np.zeros(tpl.nz)
+            row[tpl.ixb] = a_row / scale
+            rows.append(row)
+            offs.append(b_val / scale)
+    return np.vstack(rows), np.asarray(offs)
+
+
+class _SkewedBoxes(DoubleIntegrator):
+    """Asymmetric boxes with one-sided faces, so that the order and the
+    presence of each face's row show."""
+
+    @property
+    def state_bounds(self):
+        return BoxBounds(np.array([-np.inf, -2.0, -0.3, -0.5]), np.array([3.0, np.inf, 0.5, 0.4]))
+
+    @property
+    def input_bounds(self):
+        return BoxBounds(np.array([-0.6, -1.0]), np.array([1.0, 0.8]))
+
+
+class TestVectorisedLayout:
+    """The vectorised template and instance against per-stage loops."""
+
+    @pytest.fixture(params=[("linear", None, 0.0, 10), ("linear", 0.02, 0.02, 1), ("drag", 0.02, 0.02, 10),
+                            ("drag", None, 0.1, 3), ("skewed", 0.02, 0.05, 4)])
+    def problem(self, request, double_integrator, drag_model, terminal_double, terminal_drag):
+        kind, region_margin, margin, horizon = request.param
+        model, ts = {
+            "linear": (double_integrator, terminal_double),
+            "drag": (drag_model, terminal_drag),
+            "skewed": (_SkewedBoxes(), terminal_double),
+        }[kind]
+        region = None if region_margin is None else square_region(region_margin)
+        return make_problem(model, ts, [0.2, 0.3, 0.1, -0.2], [0.6, 0.5], region=region,
+                            margin=margin, horizon=horizon)
+
+    def test_inequality_rows_match_the_loop(self, problem):
+        G, h = _loop_linear_ineq(problem)
+        tpl = mpc._workspace(problem).tpl
+        assert np.array_equal(tpl.G, G)
+        assert np.array_equal(tpl.h, h)
+
+    def test_pack_unpack_and_dynamics_gaps_match_the_loop(self, problem):
+        ws = mpc._workspace(problem)
+        tpl, model, N = ws.tpl, problem.model, problem.horizon
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-0.5, 0.5, tpl.nz)
+        u_seq, x_seq, xbar, ubar = ws.unpack(z)
+        assert np.array_equal(u_seq, np.stack([z[tpl.iu(l)] for l in range(N)]))
+        assert np.array_equal(x_seq, np.vstack([problem.x0] + [z[tpl.ix(l)] for l in range(1, N + 1)]))
+        assert np.array_equal(xbar, z[tpl.ixb]) and np.array_equal(ubar, z[tpl.iub])
+        assert np.array_equal(tpl.pack(u_seq, x_seq, xbar, ubar), z)
+        gaps = [x_seq[l + 1] - model.step(x_seq[l], u_seq[l]) for l in range(N)]
+        gaps.append(xbar - model.step(xbar, ubar))
+        assert np.array_equal(ws.eq_constraints(z), np.concatenate(gaps))
+
+
+class TestConstantJacobian:
+    def test_flag_is_set_on_the_linear_model_only(self):
+        assert DoubleIntegrator.constant_jacobians
+        assert not DragDoubleIntegrator.constant_jacobians
+
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_equality_jacobian_moves_with_z_only_when_nonlinear(
+        self, linear, double_integrator, drag_model, terminal_double, terminal_drag
+    ):
+        model, ts = (double_integrator, terminal_double) if linear else (drag_model, terminal_drag)
+        prob = make_problem(model, ts, [0.2, 0.2, 0.1, -0.05], [0.6, 0.5])
+        ws = mpc._workspace(prob)
+        rng = np.random.default_rng(3)
+        z1 = rng.uniform(-0.4, 0.4, ws.tpl.nz)
+        z2 = rng.uniform(-0.4, 0.4, ws.tpl.nz)
+        J1, J2 = ws.eq_jacobian(z1), ws.eq_jacobian(z2)
+        # the Jacobian assembled from linearize at z is what either path returns
+        assert np.array_equal(J1, ws.tpl.eq_jacobian_at(*ws.unpack(z1)))
+        assert np.array_equal(J2, ws.tpl.eq_jacobian_at(*ws.unpack(z2)))
+        if linear:
+            assert J1 is J2 is ws.tpl.eq_jac
+        else:
+            assert ws.tpl.eq_jac is None
+            assert not np.array_equal(J1, J2)
+
+    def test_template_arrays_are_read_only(self, double_integrator, terminal_double):
+        prob = make_problem(double_integrator, terminal_double, np.zeros(4), [0.5, 0.5],
+                            region=square_region(), margin=0.02)
+        tpl = mpc._workspace(prob).tpl
+        arrays = {name: v for name, v in vars(tpl).items() if isinstance(v, np.ndarray)}
+        assert {"G", "h", "M_struct", "H_term", "eye", "eq_struct", "eq_jac"} <= set(arrays)
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            tpl.G[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            tpl.eq_jac += 1.0

@@ -3,7 +3,11 @@
 Cells come from clipping the workspace polygon with perpendicular-bisector
 half-planes, one pass per robot pair.  Weighted integrals over cells use a
 fan triangulation and a symmetric triangle quadrature rule, refined by
-uniform subdivision until two successive estimates agree.
+uniform subdivision until two successive estimates agree.  The cells of a
+partition are refined together: each level evaluates the integrand once on
+the rule points of every cell still open, and each cell's triangles are
+kept in the order a cell integrated alone would have, so its result is the
+same to the bit.
 """
 
 from __future__ import annotations
@@ -131,20 +135,23 @@ def _triangle_rules():
 _TRI_RULES = _triangle_rules()
 
 
-def _fan_triangles(vertices: np.ndarray) -> np.ndarray:
-    """(t, 3, 2) triangle fan from vertex 0; valid for convex polygons."""
-    v = np.asarray(vertices, dtype=float)
-    t = len(v) - 2
-    tris = np.empty((t, 3, 2))
-    for k in range(t):
-        tris[k] = (v[0], v[k + 1], v[k + 2])
-    return tris
+def _fan_triangles(polygons) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (N, 3, 2) triangle fans from vertex 0 of each convex polygon,
+    polygon by polygon, and the number of triangles of each."""
+    fans = [
+        np.stack([np.broadcast_to(v[0], (len(v) - 2, 2)), v[1:-1], v[2:]], axis=1)
+        for v in polygons
+    ]
+    return np.concatenate(fans), np.array([len(f) for f in fans])
 
 
-def _subdivide(tris: np.ndarray) -> np.ndarray:
+def _subdivide(tris: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Split every triangle into four at its edge midpoints.  Each polygon's
+    children stay together: all its a-corner children, then the b-corner,
+    c-corner and middle ones."""
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-    return np.concatenate(
+    children = np.stack(
         [
             np.stack([a, ab, ca], axis=1),
             np.stack([ab, b, bc], axis=1),
@@ -152,25 +159,78 @@ def _subdivide(tris: np.ndarray) -> np.ndarray:
             np.stack([ab, bc, ca], axis=1),
         ]
     )
+    # child q of the j-th triangle of a polygon with t triangles from s on
+    # goes to 4 s + q t + j
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    sizes = np.repeat(counts, counts)
+    dest = 3 * starts + np.arange(len(tris)) + np.arange(4)[:, None] * sizes
+    out = np.empty((4 * len(tris), 3, 2))
+    out[dest.ravel()] = children.reshape(-1, 3, 2)
+    return out
 
 
-def _integrate_triangles(tris: np.ndarray, func, order: int) -> np.ndarray:
-    if order not in _TRI_RULES:
-        raise InvalidInputError(f"unsupported quadrature order {order}; choose from {sorted(_TRI_RULES)}")
+def _integrate_triangles(tris, counts, owners, func, order: int) -> np.ndarray:
+    """(p, k) rule estimates for p polygons whose triangles are stacked
+    polygon by polygon, counts[i] of them for polygon owners[i]."""
     bary, wts = _TRI_RULES[order]
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     areas = 0.5 * np.abs(
         (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
     )
-    total = None
-    for lam, w in zip(bary, wts):
-        pts = lam[0] * a + lam[1] * b + lam[2] * c
-        vals = np.asarray(func(pts))
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        contrib = (w * areas)[:, None] * vals
-        total = contrib if total is None else total + contrib
-    return total.sum(axis=0)
+    pts = bary[:, 0, None, None] * a + bary[:, 1, None, None] * b + bary[:, 2, None, None] * c
+    vals = np.asarray(func(pts.reshape(-1, 2), np.tile(np.repeat(owners, counts), len(wts))))
+    vals = vals.reshape(len(wts), len(tris), -1)
+    total = (wts[0] * areas)[:, None] * vals[0]
+    for w, v in zip(wts[1:], vals[1:]):
+        total = total + (w * areas)[:, None] * v
+    # each polygon's (t, k) block is summed on its own, as if it were alone
+    ends = np.cumsum(counts)
+    return np.array([total[s:e].sum(axis=0) for s, e in zip(ends - counts, ends)])
+
+
+def integrate_over_polygons(
+    polygons,
+    func,
+    order: int = 5,
+    tol: float = QUAD_REFINE_TOL,
+    max_levels: int = 6,
+) -> np.ndarray:
+    """Integrate a vector-valued function over each of n convex polygons.
+
+    func(points, owner) receives (P, 2) points and the (P,) index of the
+    polygon each lies in, and returns (P,) or (P, k) values; the result is
+    (n, k).  All polygons are refined together: each level evaluates func
+    once on the rule points of every polygon still open, and a polygon
+    closes when two successive levels agree to tol in every component.  A
+    polygon's value depends only on its own triangles, so it is the same
+    whichever polygons share its batch.
+    """
+    if order not in _TRI_RULES:
+        raise InvalidInputError(f"unsupported quadrature order {order}; choose from {sorted(_TRI_RULES)}")
+    polys = [np.asarray(v, dtype=float) for v in polygons]
+    results: list = [None] * len(polys)
+    for i, v in enumerate(polys):
+        if len(v) < 3:
+            results[i] = np.zeros_like(np.asarray(func(np.zeros((1, 2)), np.array([i]))).reshape(-1))
+    live = np.flatnonzero([len(v) >= 3 for v in polys])
+    if len(live) == 0:
+        return np.array(results)
+    tris, counts = _fan_triangles([polys[i] for i in live])
+    est = _integrate_triangles(tris, counts, live, func, order)
+    for _ in range(max_levels):
+        tris, counts = _subdivide(tris, counts), 4 * counts
+        nxt = _integrate_triangles(tris, counts, live, func, order)
+        done = np.max(np.abs(nxt - est), axis=1) < tol
+        for i, value in zip(live[done], nxt[done]):
+            results[i] = value
+        keep = ~done
+        tris, counts, live, est = tris[np.repeat(keep, counts)], counts[keep], live[keep], nxt[keep]
+        if len(live) == 0:
+            return np.array(results)
+    warnings.warn("polygon quadrature did not meet tolerance; returning finest estimate")
+    for i, value in zip(live, est):
+        results[i] = value
+    return np.array(results)
 
 
 def integrate_over_polygon(
@@ -185,19 +245,7 @@ def integrate_over_polygon(
     Subdivides the fan triangulation until two successive levels agree to
     tol in every component.
     """
-    v = np.asarray(vertices, dtype=float)
-    if len(v) < 3:
-        return np.zeros_like(np.asarray(func(np.zeros((1, 2)))).reshape(-1))
-    tris = _fan_triangles(v)
-    est = _integrate_triangles(tris, func, order)
-    for _ in range(max_levels):
-        tris = _subdivide(tris)
-        nxt = _integrate_triangles(tris, func, order)
-        if np.max(np.abs(nxt - est)) < tol:
-            return nxt
-        est = nxt
-    warnings.warn("polygon quadrature did not meet tolerance; returning finest estimate")
-    return est
+    return integrate_over_polygons([vertices], lambda pts, _owner: func(pts), order, tol, max_levels)[0]
 
 
 @dataclass(frozen=True)
@@ -222,10 +270,12 @@ def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPar
         if not region.contains(sites[idx]):
             warnings.warn(f"site {idx} lies outside the region; clamping")
             sites[idx] = region.project_inside(sites[idx])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(sites[i] - sites[j]) < MIN_SITE_SEPARATION:
-                raise DegenerateSitesError(f"sites {i} and {j} closer than {MIN_SITE_SEPARATION}")
+    gaps = np.linalg.norm(sites[:, None] - sites[None], axis=2)
+    close_i, close_j = np.nonzero(np.triu(gaps < MIN_SITE_SEPARATION, k=1))
+    if len(close_i):  # nonzero lists pairs in lexicographic order
+        raise DegenerateSitesError(
+            f"sites {close_i[0]} and {close_j[0]} closer than {MIN_SITE_SEPARATION}"
+        )
     cells = []
     for i in range(n):
         poly = region.vertices
@@ -248,24 +298,28 @@ def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPar
     return VoronoiPartition(tuple(cells), region, sites)
 
 
-def centroid(cell: np.ndarray, density, quad_order: int = 5) -> np.ndarray:
-    """Density-weighted centroid of one cell.
+def centroid(cell, density, quad_order: int = 5) -> np.ndarray:
+    """Density-weighted centroid of one cell, or, given a VoronoiPartition,
+    the (n, 2) centroids of all its cells from one batched pass.
 
     The uniform case is the exact polygon centroid; otherwise the mass and
     first moment are integrated numerically.
     """
+    batch = isinstance(cell, VoronoiPartition)
+    polygons = cell.cells if batch else [cell]
     if isinstance(density, UniformDensity):
-        return polygon_centroid(cell)
+        refs = np.array([polygon_centroid(poly) for poly in polygons])
+    else:
+        def mass_and_moment(pts, _owner):
+            phi = density(pts)
+            return np.column_stack([phi, pts * phi[:, None]])
 
-    def mass_and_moment(pts):
-        phi = density(pts)
-        return np.column_stack([phi, pts * phi[:, None]])
-
-    mm = integrate_over_polygon(cell, mass_and_moment, order=quad_order)
-    mass = mm[0]
-    if mass < MASS_TOL:
-        raise DegenerateMassError(f"cell mass {mass:.3e} below tolerance")
-    return mm[1:] / mass
+        mm = integrate_over_polygons(polygons, mass_and_moment, order=quad_order)
+        light = np.flatnonzero(mm[:, 0] < MASS_TOL)
+        if len(light):
+            raise DegenerateMassError(f"cell mass {mm[light[0], 0]:.3e} below tolerance")
+        refs = mm[:, 1:] / mm[:, :1]
+    return refs if batch else refs[0]
 
 
 def coverage_cost(positions: np.ndarray, partition: VoronoiPartition, density, quad_order: int = 5) -> float:
@@ -274,13 +328,14 @@ def coverage_cost(positions: np.ndarray, partition: VoronoiPartition, density, q
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     if len(pos) != len(partition.cells):
         raise InvalidInputError("positions and partition size differ")
-    total = 0.0
-    for p, cell in zip(pos, partition.cells):
-        def weighted_sq(pts, p=p):
-            diff = pts - p
-            return (diff[:, 0] ** 2 + diff[:, 1] ** 2) * density(pts)
 
-        total += float(integrate_over_polygon(cell, weighted_sq, order=quad_order)[0])
+    def weighted_sq(pts, owner):
+        diff = pts - pos[owner]
+        return (diff[:, 0] ** 2 + diff[:, 1] ** 2) * density(pts)
+
+    total = 0.0
+    for cell_cost in integrate_over_polygons(partition.cells, weighted_sq, order=quad_order)[:, 0]:
+        total += float(cell_cost)
     return total
 
 

@@ -9,6 +9,7 @@ terminal ingredients computed at the origin transfer to any setpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -58,17 +59,22 @@ class SecondOrderModel:
     def n_u(self) -> int:
         return self.dim
 
-    @property
+    # The output map and the boxes are built on first access and kept on
+    # the (frozen) instance; they stay out of its fields, so equality and
+    # hashing are unchanged.
+    @cached_property
     def C(self) -> np.ndarray:
-        return np.hstack([np.eye(self.dim), np.zeros((self.dim, self.dim))])
+        C = np.hstack([np.eye(self.dim), np.zeros((self.dim, self.dim))])
+        C.setflags(write=False)
+        return C
 
-    @property
+    @cached_property
     def state_bounds(self) -> BoxBounds:
         d = self.dim
         hi = np.concatenate([np.full(d, np.inf), np.full(d, self.v_max)])
         return BoxBounds(-hi, hi)
 
-    @property
+    @cached_property
     def input_bounds(self) -> BoxBounds:
         hi = np.full(self.dim, self.u_max)
         return BoxBounds(-hi, hi)

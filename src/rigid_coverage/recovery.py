@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InvalidInputError,
@@ -159,12 +159,17 @@ class RecoveryPlan:
     """Per-robot repair lookup: entries[(i, j)] says what robot i does if neighbor j fails."""
 
     entries: dict[tuple[int, int], ClosingRanks]
+    # lost vertex -> the entry of its lowest-numbered surviving neighbor
+    _by_loss: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_loss: dict = {}
+        for (_, j), entry in sorted(self.entries.items()):
+            by_loss.setdefault(j, entry)
+        object.__setattr__(self, "_by_loss", by_loss)
 
     def for_loss(self, j: int) -> ClosingRanks | None:
-        for (i, jj), entry in sorted(self.entries.items()):
-            if jj == j:
-                return entry
-        return None
+        return self._by_loss.get(j)
 
 
 def build_recovery_plan(g: Graph, dim: int = 2) -> RecoveryPlan:

@@ -153,7 +153,7 @@ def run(config: SimConfig) -> SimTrace:
 
     def refresh_references(positions: np.ndarray):
         partition = voronoi_partition(positions, region)
-        new_refs = np.array([centroid(cell, density, quad) for cell in partition.cells])
+        new_refs = centroid(partition, density, quad)
         new_errors = np.linalg.norm(positions - new_refs, axis=1)
         return partition, new_refs, new_errors
 

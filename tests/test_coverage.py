@@ -1,10 +1,18 @@
 """Voronoi partitions, density integrals, locational cost."""
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import make_scenario
+from rigid_coverage import sim
+from rigid_coverage.config import config_from_dict
 from rigid_coverage.coverage import (
+    MASS_TOL,
+    QUAD_REFINE_TOL,
+    _TRI_RULES,
     GaussianComponent,
     GaussianMixtureDensity,
     GridDensity,
@@ -12,11 +20,13 @@ from rigid_coverage.coverage import (
     centroid,
     coverage_cost,
     integrate_over_polygon,
+    integrate_over_polygons,
     partition_update_due,
     voronoi_partition,
 )
-from rigid_coverage.errors import DegenerateSitesError, InvalidInputError
-from rigid_coverage.geometry import ConvexRegion, polygon_area
+from rigid_coverage.errors import DegenerateMassError, DegenerateSitesError, InvalidInputError
+from rigid_coverage.geometry import ConvexRegion, polygon_area, polygon_centroid
+from rigid_coverage.sim import StepRecord, run
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -96,6 +106,18 @@ class TestVoronoi:
         with pytest.raises(DegenerateSitesError):
             voronoi_partition(sites, unit_square)
 
+    def test_separation_error_names_the_first_close_pair(self, unit_square):
+        sites = np.array(
+            [[0.1, 0.1], [0.5, 0.5], [0.3, 0.8], [0.9, 0.2], [0.5, 0.5 + 5e-8], [0.3, 0.8 + 2e-8], [0.1 + 9e-8, 0.1]]
+        )
+        # close pairs: (0, 6), (1, 4), (2, 5); a loop over i < j meets (0, 6) first
+        with pytest.raises(DegenerateSitesError, match=r"^sites 0 and 6 closer than 1e-07$"):
+            voronoi_partition(sites, unit_square)
+        with pytest.raises(DegenerateSitesError, match=r"^sites 1 and 4 closer"):
+            voronoi_partition(sites[:6], unit_square)
+        with pytest.raises(DegenerateSitesError, match=r"^sites 0 and 3 closer"):
+            voronoi_partition(sites[[2, 1, 3, 5, 4]], unit_square)
+
     def test_outside_site_is_clamped_with_warning(self, unit_square):
         sites = np.array([[1.3, 0.5], [0.2, 0.5]])
         with pytest.warns(UserWarning):
@@ -167,3 +189,232 @@ class TestPartitionUpdateDue:
         stored = np.array([0.4])
         # error exactly equal to stored: no strict improvement, not converged
         assert not partition_update_due(pos, refs, stored)
+
+
+# --- batched quadrature against the per-cell loop it replaced ----------------
+# The oracle below is the per-cell refinement loop verbatim; the batched
+# kernel must reproduce it bit for bit, cell by cell.
+
+def _oracle_fan_triangles(vertices):
+    v = np.asarray(vertices, dtype=float)
+    t = len(v) - 2
+    tris = np.empty((t, 3, 2))
+    for k in range(t):
+        tris[k] = (v[0], v[k + 1], v[k + 2])
+    return tris
+
+
+def _oracle_subdivide(tris):
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+    return np.concatenate(
+        [
+            np.stack([a, ab, ca], axis=1),
+            np.stack([ab, b, bc], axis=1),
+            np.stack([ca, bc, c], axis=1),
+            np.stack([ab, bc, ca], axis=1),
+        ]
+    )
+
+
+def _oracle_integrate_triangles(tris, func, order):
+    bary, wts = _TRI_RULES[order]
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    areas = 0.5 * np.abs(
+        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
+    )
+    total = None
+    for lam, w in zip(bary, wts):
+        pts = lam[0] * a + lam[1] * b + lam[2] * c
+        vals = np.asarray(func(pts))
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        contrib = (w * areas)[:, None] * vals
+        total = contrib if total is None else total + contrib
+    return total.sum(axis=0)
+
+
+def _oracle_integrate(vertices, func, order=5, tol=QUAD_REFINE_TOL, max_levels=6):
+    v = np.asarray(vertices, dtype=float)
+    if len(v) < 3:
+        return np.zeros_like(np.asarray(func(np.zeros((1, 2)))).reshape(-1))
+    tris = _oracle_fan_triangles(v)
+    est = _oracle_integrate_triangles(tris, func, order)
+    for _ in range(max_levels):
+        tris = _oracle_subdivide(tris)
+        nxt = _oracle_integrate_triangles(tris, func, order)
+        if np.max(np.abs(nxt - est)) < tol:
+            return nxt
+        est = nxt
+    warnings.warn("polygon quadrature did not meet tolerance; returning finest estimate")
+    return est
+
+
+def _oracle_centroid(cell, density, quad_order=5):
+    if isinstance(density, UniformDensity):
+        return polygon_centroid(cell)
+
+    def mass_and_moment(pts):
+        phi = density(pts)
+        return np.column_stack([phi, pts * phi[:, None]])
+
+    mm = _oracle_integrate(cell, mass_and_moment, order=quad_order)
+    mass = mm[0]
+    if mass < MASS_TOL:
+        raise DegenerateMassError(f"cell mass {mass:.3e} below tolerance")
+    return mm[1:] / mass
+
+
+def _oracle_cost(positions, partition, density, quad_order=5):
+    total = 0.0
+    for p, cell in zip(np.atleast_2d(positions), partition.cells):
+        def weighted_sq(pts, p=p):
+            diff = pts - p
+            return (diff[:, 0] ** 2 + diff[:, 1] ** 2) * density(pts)
+
+        total += float(_oracle_integrate(cell, weighted_sq, order=quad_order)[0])
+    return total
+
+
+def _random_convex_polygon(rng, k):
+    """k vertices on a circle, counter-clockwise, inside the unit square."""
+    angles = np.sort(rng.uniform(0, 2 * np.pi, k))
+    radius = rng.uniform(0.05, 0.3)
+    center = rng.uniform(0.3, 0.7, 2)
+    return center + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+DENSITIES = {
+    "gaussian": GaussianMixtureDensity(
+        (
+            GaussianComponent(mean=np.array([0.7, 0.7]), cov_diag=np.array([0.04, 0.04])),
+            GaussianComponent(mean=np.array([0.2, 0.4]), cov_diag=np.array([0.01, 0.09]), weight=0.5),
+        )
+    ),
+    "grid": GridDensity(np.random.default_rng(3).uniform(0.2, 2.0, (7, 9)), lo=[0, 0], hi=[1, 1]),
+    "uniform": UniformDensity(),
+}
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBatchedQuadrature:
+    # the bilinear grid's kinks keep some cells from meeting the tolerance,
+    # which exercises the finest-estimate fallback as well
+    @pytest.mark.filterwarnings("ignore:polygon quadrature did not meet tolerance")
+    @pytest.mark.parametrize("order", [2, 5])
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_mixed_vertex_counts_match_per_cell_loop(self, name, order):
+        density = DENSITIES[name]
+        rng = np.random.default_rng(order)
+        polygons = [_random_convex_polygon(rng, k) for k in (3, 8, 4, 7, 5, 6, 3, 8, 5)]
+
+        def mass_and_moment(pts, _owner):
+            phi = density(pts)
+            return np.column_stack([phi, pts * phi[:, None]])
+
+        batched = integrate_over_polygons(polygons, mass_and_moment, order=order)
+        assert batched.shape == (len(polygons), 3)
+        for poly, row in zip(polygons, batched):
+            expected = _oracle_integrate(poly, lambda p: mass_and_moment(p, None), order=order)
+            assert _bitwise_equal(row, expected)
+
+    @pytest.mark.filterwarnings("ignore:polygon quadrature did not meet tolerance")
+    @pytest.mark.parametrize("order", [2, 5])
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_partition_centroids_and_cost_match_per_cell_loop(self, unit_square, name, order):
+        density = DENSITIES[name]
+        rng = np.random.default_rng(11 + order)
+        vertex_counts = set()
+        for n in (1, 5, 14, 30):
+            pos = 0.05 + 0.9 * rng.random((n, 2))
+            part = voronoi_partition(pos, unit_square)
+            vertex_counts |= {len(c) for c in part.cells}
+            refs = centroid(part, density, order)
+            expected = np.array([_oracle_centroid(cell, density, order) for cell in part.cells])
+            assert _bitwise_equal(refs, expected)
+            for cell, ref in zip(part.cells, refs):
+                assert _bitwise_equal(centroid(cell, density, order), ref)
+            H = coverage_cost(pos, part, density, order)
+            assert type(H) is float and H == _oracle_cost(pos, part, density, order)
+        assert vertex_counts >= {3, 4, 5, 6, 7}
+
+    def test_no_convergence_warns_and_returns_finest_estimate(self):
+        density = DENSITIES["gaussian"]
+        rng = np.random.default_rng(7)
+        polygons = [_random_convex_polygon(rng, k) for k in (3, 6, 4)]
+        with pytest.warns(UserWarning, match="did not meet tolerance"):
+            batched = integrate_over_polygons(polygons, lambda p, _o: density(p), tol=0.0, max_levels=3)
+        for poly, row in zip(polygons, batched):
+            with pytest.warns(UserWarning, match="did not meet tolerance"):
+                expected = _oracle_integrate(poly, density, tol=0.0, max_levels=3)
+            assert _bitwise_equal(row, expected)
+        with pytest.warns(UserWarning, match="did not meet tolerance"):
+            single = integrate_over_polygon(polygons[1], density, tol=0.0, max_levels=3)
+        assert _bitwise_equal(single, batched[1])
+
+    def test_far_off_mass_names_the_first_light_cell(self, unit_square):
+        # a narrow bump at one corner leaves four cells with masses below
+        # MASS_TOL, each a different one
+        density = GaussianMixtureDensity(
+            (GaussianComponent(mean=np.array([0.9, 0.9]), cov_diag=np.array([1e-3, 1e-3])),)
+        )
+        pos = np.array([[0.85, 0.85], [0.6, 0.6], [0.1, 0.1], [0.5, 0.2], [0.2, 0.6]])
+        part = voronoi_partition(pos, unit_square)
+        messages = []
+        for cell in part.cells:
+            try:
+                _oracle_centroid(cell, density)
+            except DegenerateMassError as exc:
+                messages.append(str(exc))
+        assert len(set(messages)) == 4
+        with pytest.raises(DegenerateMassError) as batched:
+            centroid(part, density)
+        assert str(batched.value) == messages[0]
+        assert _bitwise_equal(centroid(part.cells[0], density), _oracle_centroid(part.cells[0], density))
+        far = GaussianMixtureDensity(
+            (GaussianComponent(mean=np.array([40.0, 40.0]), cov_diag=np.array([0.01, 0.01])),)
+        )
+        with pytest.raises(DegenerateMassError, match="cell mass 0.000e"):
+            centroid(part, far)
+
+    def test_unsupported_order_rejected(self, unit_square):
+        part = voronoi_partition(np.array([[0.3, 0.3], [0.7, 0.6]]), unit_square)
+        with pytest.raises(InvalidInputError):
+            centroid(part, DENSITIES["gaussian"], quad_order=3)
+        with pytest.raises(InvalidInputError):
+            coverage_cost(part.sites, part, DENSITIES["gaussian"], quad_order=3)
+
+    def test_degenerate_polygon_integrates_to_zero(self):
+        batched = integrate_over_polygons(
+            [SQUARE, SQUARE[:2]], lambda p, _o: np.column_stack([p[:, 0], p[:, 1]])
+        )
+        assert np.array_equal(batched[1], [0.0, 0.0])
+        assert _bitwise_equal(batched[0], _oracle_integrate(SQUARE, lambda p: np.column_stack([p[:, 0], p[:, 1]])))
+
+    def test_run_matches_per_cell_references(self, monkeypatch):
+        cfg = make_scenario(mu=0.7, steps=10, faults=[{"at_step": 4, "robot": 2}])
+        batched = run(config_from_dict(cfg))
+
+        def per_cell_centroid(partition, density, quad_order=5):
+            return np.array([_oracle_centroid(cell, density, quad_order) for cell in partition.cells])
+
+        monkeypatch.setattr(sim, "centroid", per_cell_centroid)
+        monkeypatch.setattr(sim, "coverage_cost", _oracle_cost)
+        per_cell = run(config_from_dict(cfg))
+        assert len(batched.records) == len(per_cell.records) == 10
+        for a, b in zip(batched.records, per_cell.records):
+            for field in dataclasses.fields(StepRecord):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                if isinstance(x, dict):
+                    assert x.keys() == y.keys()
+                    assert all(_bitwise_equal(x[key], y[key]) for key in x)
+                elif isinstance(x, np.ndarray):
+                    assert _bitwise_equal(x, y), field.name
+                else:
+                    assert x == y, field.name
+        assert batched.events == per_cell.events
+        assert batched.summary == per_cell.summary

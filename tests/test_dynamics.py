@@ -1,4 +1,9 @@
 """Robot models: discrete dynamics, jacobians, steady states, bounds."""
+import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -109,6 +114,42 @@ class TestSharedStructure:
         ib = double_integrator.input_bounds
         assert ib.contains(np.array([1.0, -1.0]))
         assert not ib.contains(np.array([1.001, 0.0]))
+
+    @pytest.mark.parametrize("model", [DoubleIntegrator(), DragDoubleIntegrator(dim=3)])
+    def test_output_map_and_boxes_built_once_and_read_only(self, model):
+        fresh = type(model)(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
+        assert model.C is model.C
+        assert model.state_bounds is model.state_bounds
+        assert model.input_bounds is model.input_bounds
+        for arr in (model.C, model.state_bounds.lower, model.state_bounds.upper,
+                    model.input_bounds.lower, model.input_bounds.upper):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+        assert np.array_equal(model.C, np.hstack([np.eye(model.dim), np.zeros((model.dim, model.dim))]))
+        # the cached values stay out of equality, hashing and repr
+        assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
+
+    def test_concurrent_first_access_agrees(self):
+        # the simulator's solver threads share one model instance
+        model = DoubleIntegrator(v_max=0.7)
+        start = threading.Barrier(8)
+
+        def read(_):
+            start.wait(timeout=10)
+            return model.C, model.state_bounds, model.input_bounds
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = list(pool.map(read, range(8), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        for C, sb, ib in seen:
+            assert np.array_equal(C, model.C)
+            assert np.array_equal(sb.upper, [np.inf, np.inf, 0.7, 0.7]) and np.array_equal(ib.upper, [1.0, 1.0])
+        assert model.state_bounds is model.state_bounds
 
     def test_bad_box(self):
         with pytest.raises(InvalidInputError):

@@ -415,6 +415,17 @@ class TestTemplateCache:
         assert len({id(t) for t in templates}) == 4
         assert len(mpc._templates) == 4
 
+    def test_cached_model_attributes_leave_the_template_key_alone(self, terminal_double):
+        used, fresh = DoubleIntegrator(), DoubleIntegrator()
+        used.C, used.state_bounds, used.input_bounds  # fill one instance's cache
+        assert {"C", "state_bounds", "input_bounds"} <= vars(used).keys()
+        assert not {"C", "state_bounds", "input_bounds"} & vars(fresh).keys()
+        mpc._templates.clear()
+        probs = [make_problem(m, terminal_double, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5]) for m in (used, fresh)]
+        keys = [mpc._template_key(p) for p in probs]
+        assert keys[0] == keys[1] and hash(keys[0]) == hash(keys[1])
+        assert mpc._workspace(probs[0]).tpl is mpc._workspace(probs[1]).tpl
+
     def test_warm_start_shares_the_instance_with_the_solve(self, double_integrator, terminal_double):
         prob = make_problem(double_integrator, terminal_double, [0.45, 0.45, 0.0, 0.0], [0.5, 0.5])
         sol = solve_ocp(prob)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from rigid_coverage.errors import InvalidInputError, RecoveryInfeasibleError, UnsupportedDimensionError
 from rigid_coverage.graphs import Graph, henneberg_generate, laman_check
 from rigid_coverage.recovery import (
+    ClosingRanks,
+    RecoveryPlan,
     apply_recovery,
     build_recovery_plan,
     closing_ranks,
@@ -168,6 +170,29 @@ class TestRecoveryPlan:
         plan = build_recovery_plan(Graph(2, frozenset({(0, 1)})))
         assert plan.for_loss(0).new_edges == frozenset()
         assert plan.for_loss(1).new_edges == frozenset()
+
+    def test_for_loss_matches_scan_over_sorted_entries(self):
+        def scan(plan, j):
+            for (i, jj), entry in sorted(plan.entries.items()):
+                if jj == j:
+                    return entry
+            return None
+
+        plans = [build_recovery_plan(henneberg_generate(n, seed).graph) for n in range(2, 11) for seed in range(5)]
+        # observers that disagree: the lowest-numbered one wins
+        plans.append(
+            RecoveryPlan(
+                {
+                    (2, 0): ClosingRanks(frozenset({(1, 3)}), None),
+                    (1, 0): ClosingRanks(frozenset(), 1),
+                    (3, 0): ClosingRanks(frozenset({(1, 2)}), 3),
+                }
+            )
+        )
+        for plan in plans:
+            n = 1 + max(max(key) for key in plan.entries)
+            for j in range(-1, n + 1):
+                assert plan.for_loss(j) is scan(plan, j)
 
     def test_json_round_trip(self):
         g = henneberg_generate(6, seed=42).graph

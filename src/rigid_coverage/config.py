@@ -42,7 +42,7 @@ from .coverage import (
 from .dynamics import DoubleIntegrator, DragDoubleIntegrator
 from .errors import InvalidInputError
 from .geometry import ConvexRegion
-from .graphs import Graph, graph_from_dict, henneberg_generate
+from .graphs import Graph, graph_from_dict, henneberg_generate, laman_check
 from .mpc import CostWeights, SqpOptions
 
 MIN_INITIAL_SEPARATION = 1e-7
@@ -238,8 +238,6 @@ def config_from_dict(data: dict) -> SimConfig:
     if graph.n != n:
         raise InvalidInputError(f"graph has {graph.n} vertices but there are {n} robots")
     if n >= 2:
-        from .graphs import laman_check
-
         verdict = laman_check(graph)
         if not verdict:
             detail = ""

@@ -2,22 +2,19 @@
 
 A graph on n >= 2 vertices is minimally (bearing) rigid in the plane iff it
 is Laman: it has exactly 2n - 3 edges and no vertex subset S with |S| >= 2
-spans more than 2|S| - 3 of them.  Small graphs are checked by exhaustive
-subset enumeration; larger ones by a (2,3) pebble game.
+spans more than 2|S| - 3 of them.  Every sparsity decision is made by one
+incremental (2,3) pebble game, which runs in polynomial time at any size;
+the recovery layer reuses it to pick repair edges.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStepError
-
-# Exhaustive subset enumeration is exact and cheap up to this size.
-EXHAUSTIVE_MAX_VERTICES = 12
 
 
 def _normalize_edge(edge) -> tuple[int, int]:
@@ -93,95 +90,78 @@ class EdgeSplitting:
 HennebergStep = VertexAddition | EdgeSplitting
 
 
-def _edge_masks(edges) -> list[int]:
-    return [(1 << i) | (1 << j) for i, j in edges]
+class _PebbleGame:
+    """Incremental (2,3) pebble game (Jacobs & Hendrickson 1997).
 
+    ``add`` accepts an edge exactly when the accepted edges plus it stay
+    (2,3)-sparse, i.e. independent in the planar rigidity matroid; a
+    rejected edge leaves the accepted set unchanged.
+    """
 
-def _exhaustive_subset_check(g: Graph) -> frozenset[int] | None:
-    """Return a subset violating the Laman count condition, or None."""
-    masks = _edge_masks(g.edges)
-    for size in range(2, g.n + 1):
-        limit = 2 * size - 3
-        for combo in itertools.combinations(range(g.n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            spanned = sum(1 for em in masks if em & mask == em)
-            if spanned > limit:
-                return frozenset(combo)
-    return None
+    def __init__(self, n: int):
+        self.pebbles = [2] * n
+        self.out: list[set[int]] = [set() for _ in range(n)]
 
+    def add(self, u: int, v: int) -> bool:
+        while self.pebbles[u] + self.pebbles[v] < 4:
+            if not self._collect(u, v) and not self._collect(v, u):
+                return False
+        self.out[u].add(v)
+        self.pebbles[u] -= 1
+        return True
 
-def _pebble_reach(roots, out) -> frozenset[int]:
-    seen = set(roots)
-    stack = list(roots)
-    while stack:
-        w = stack.pop()
-        for nxt in sorted(out[w]):
-            if nxt not in seen:
+    def reach(self, u: int, v: int) -> frozenset[int]:
+        """Vertices reachable from u or v; after add(u, v) is rejected they
+        span 2|S| - 3 accepted edges, so with (u, v) too many."""
+        seen, stack = {u, v}, [u, v]
+        while stack:
+            for nxt in self.out[stack.pop()] - seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return frozenset(seen)
+        return frozenset(seen)
+
+    def _collect(self, root: int, other: int) -> bool:
+        """Move one free pebble to root by reversing a directed path; True on success."""
+        pebbles, out = self.pebbles, self.out
+        parent = {root: None}
+        stack = [root]
+        while stack:
+            w = stack.pop()
+            for nxt in sorted(out[w]):
+                if nxt in parent or nxt == other:
+                    continue
+                parent[nxt] = w
+                if pebbles[nxt] > 0:
+                    pebbles[nxt] -= 1
+                    pebbles[root] += 1
+                    node = nxt
+                    while parent[node] is not None:
+                        prev = parent[node]
+                        out[prev].discard(node)
+                        out[node].add(prev)
+                        node = prev
+                    return True
+                stack.append(nxt)
+        return False
 
 
-def _pebble_collect(root: int, other: int, pebbles, out) -> bool:
-    """Move one free pebble to root by reversing a directed path; True on success."""
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        w = stack.pop()
-        for nxt in sorted(out[w]):
-            if nxt in parent or nxt == other:
-                continue
-            parent[nxt] = w
-            if pebbles[nxt] > 0:
-                pebbles[nxt] -= 1
-                pebbles[root] += 1
-                node = nxt
-                while parent[node] is not None:
-                    prev = parent[node]
-                    out[prev].discard(node)
-                    out[node].add(prev)
-                    node = prev
-                return True
-            stack.append(nxt)
-    return False
-
-
-def _pebble_game_check(g: Graph) -> frozenset[int] | None:
-    """(2,3) pebble game; returns a violating subset or None if (2,3)-sparse."""
-    pebbles = [2] * g.n
-    out: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.sorted_edges:
-        while pebbles[u] + pebbles[v] < 4:
-            if not _pebble_collect(u, v, pebbles, out) and not _pebble_collect(
-                v, u, pebbles, out
-            ):
-                return _pebble_reach((u, v), out)
-        out[u].add(v)
-        pebbles[u] -= 1
-    return None
-
-
-def laman_check(g: Graph, method: str = "auto") -> LamanVerdict:
+def laman_check(g: Graph) -> LamanVerdict:
     """Decide whether g is Laman (minimally rigid in the plane).
 
-    The verdict carries one offending vertex subset when the edge count is
-    right but some subset spans too many edges.
+    The edge count is tested first; then one pebble game runs over the
+    sorted edges.  When the count is right but an edge is rejected, the
+    verdict carries the rejected edge's reach set, a vertex subset that
+    spans more than 2|S| - 3 edges.
     """
     if g.n < 2:
         raise InvalidInputError(f"Laman check needs at least 2 vertices, got {g.n}")
     if g.m != 2 * g.n - 3:
         return LamanVerdict(False, None)
-    if method == "auto":
-        method = "exhaustive" if g.n <= EXHAUSTIVE_MAX_VERTICES else "pebble"
-    if method == "exhaustive":
-        bad = _exhaustive_subset_check(g)
-    elif method == "pebble":
-        bad = _pebble_game_check(g)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
-    return LamanVerdict(bad is None, bad)
+    game = _PebbleGame(g.n)
+    for u, v in g.sorted_edges:
+        if not game.add(u, v):
+            return LamanVerdict(False, game.reach(u, v))
+    return LamanVerdict(True)
 
 
 def henneberg_apply(g: Graph, step: HennebergStep) -> Graph:
@@ -258,12 +238,17 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_json(text: str) -> Graph:
     try:
         data = json.loads(text)
-        return graph_from_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise InvalidInputError(f"malformed graph JSON: {exc}") from exc
+    return graph_from_dict(data)
 
 
 def graph_from_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InvalidInputError('graph JSON must carry "n" and "edges"')
-    return Graph(int(data["n"]), frozenset(_normalize_edge(e) for e in data["edges"]))
+    try:
+        n = int(data["n"])
+        edges = frozenset((int(i), int(j)) for i, j in data["edges"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed graph: {exc}") from exc
+    return Graph(n, edges)

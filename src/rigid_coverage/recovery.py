@@ -6,8 +6,8 @@ edge set can be read off an edge contraction: contracting (lost, w) onto a
 neighbor w is exactly "remove lost, then wire w to the remaining neighbors".
 Contraction candidates are filtered first by a common-neighbor count (two or
 more shared neighbors make the contraction drop too many edges), then
-verified against the Laman check; if no incident edge is contractible an
-exhaustive search over neighbor pairs runs as fallback.
+verified against the Laman check.  If no incident edge is contractible, the
+repair edges are chosen greedily by the pebble game of the graph layer.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     RecoveryInfeasibleError,
     UnsupportedDimensionError,
 )
-from .graphs import Graph, laman_check
+from .graphs import Graph, _PebbleGame, laman_check
 
 
 def _require_planar(dim: int):
@@ -89,6 +89,11 @@ def is_contractible(g: Graph, edge: tuple[int, int]) -> ContractibilityReport:
         raise InvalidInputError("contractibility is only defined on Laman graphs")
     if not g.has_edge(v, w):
         raise InvalidInputError(f"edge ({v}, {w}) not in graph")
+    return _contractible(g, v, w)
+
+
+def _contractible(g: Graph, v: int, w: int) -> ContractibilityReport:
+    """is_contractible for an edge (v, w) of a graph already known to be Laman."""
     if len(common_neighbors(g, v, w)) > 1:
         return ContractibilityReport(False, "pre-filter")
     verdict = laman_check(contract_edge(g, (v, w)))
@@ -108,7 +113,12 @@ def closing_ranks(g: Graph, lost: int, dim: int = 2) -> ClosingRanks:
 
     Tries contractions (lost, w) over neighbors w in ascending index order;
     the first contractible edge wins and w becomes the hub of the new edges.
-    Falls back to exhaustive search over pairs of former neighbors.
+    Otherwise the graph without `lost` is loaded into one pebble game, which
+    is offered the non-adjacent pairs of former neighbors in lexicographic
+    order and keeps each pair it accepts.  Its accepted sets are the
+    independent sets of the rigidity matroid, where greedy over an ordered
+    ground set yields the lexicographically first basis: the first
+    (deg - 2)-combination of pairs whose addition makes the graph Laman.
     """
     _require_planar(dim)
     if not laman_check(g):
@@ -117,32 +127,36 @@ def closing_ranks(g: Graph, lost: int, dim: int = 2) -> ClosingRanks:
         raise InvalidInputError(f"vertex {lost} out of range for n={g.n}")
     if g.n <= 2:
         raise RecoveryInfeasibleError("cannot lose a vertex from a 2-vertex graph")
+    return _closing_ranks(g, lost)
+
+
+def _closing_ranks(g: Graph, lost: int) -> ClosingRanks:
+    """closing_ranks for a vertex of a graph already known to be Laman."""
     nbrs = g.neighbors(lost)
     alpha = len(nbrs)
-    if alpha == 2:
+    if alpha <= 2:  # degree 1 only on two vertices, where one robot is left
         return ClosingRanks(frozenset(), None)
 
     for w in nbrs:
-        if is_contractible(g, (lost, w)):
+        if _contractible(g, lost, w):
             new_edges = frozenset(
                 (min(w, x), max(w, x)) for x in nbrs if x != w and not g.has_edge(w, x)
             )
             return ClosingRanks(new_edges, w)
 
     base = remove_vertex(g, lost)
-    candidates = [
-        (a, b)
-        for a, b in itertools.combinations(nbrs, 2)
-        if not g.has_edge(a, b)
-    ]
-    for combo in itertools.combinations(candidates, alpha - 2):
-        shifted = frozenset(
-            (shift_index(a, lost), shift_index(b, lost)) for a, b in combo
-        )
-        repaired = Graph(base.n, base.edges | shifted)
-        if laman_check(repaired):
-            return ClosingRanks(frozenset(combo), None)
-    raise RecoveryInfeasibleError(f"no edge set restores rigidity after losing vertex {lost}")
+    game = _PebbleGame(base.n)
+    for u, v in base.sorted_edges:
+        game.add(u, v)
+    chosen = []
+    for a, b in itertools.combinations(nbrs, 2):
+        if len(chosen) == alpha - 2:
+            break
+        if not g.has_edge(a, b) and game.add(shift_index(a, lost), shift_index(b, lost)):
+            chosen.append((a, b))
+    if len(chosen) < alpha - 2:
+        raise RecoveryInfeasibleError(f"no edge set restores rigidity after losing vertex {lost}")
+    return ClosingRanks(frozenset(chosen), None)
 
 
 def apply_recovery(g: Graph, lost: int, new_edges) -> Graph:
@@ -186,12 +200,8 @@ def build_recovery_plan(g: Graph, dim: int = 2) -> RecoveryPlan:
     if not laman_check(g):
         raise InvalidInputError("recovery plans need a Laman graph")
     entries: dict[tuple[int, int], ClosingRanks] = {}
-    if g.n == 2:
-        # losing either vertex leaves a single robot; nothing to repair
-        entries[(0, 1)] = entries[(1, 0)] = ClosingRanks(frozenset(), None)
-        return RecoveryPlan(entries)
     for j in range(g.n):
-        result = closing_ranks(g, j, dim)
+        result = _closing_ranks(g, j)
         for i in g.neighbors(j):
             entries[(i, j)] = result
     return RecoveryPlan(entries)
@@ -212,12 +222,17 @@ def plan_from_json(text: str) -> RecoveryPlan:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"malformed plan JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError("plan JSON must be an object")
     entries = {}
-    for key, value in data.items():
-        i_s, _, j_s = key.partition(":")
-        cv = value["contraction_vertex"]
-        entries[(int(i_s), int(j_s))] = ClosingRanks(
-            frozenset((int(a), int(b)) for a, b in value["new_edges"]),
-            None if cv is None else int(cv),
-        )
+    try:
+        for key, value in data.items():
+            i_s, _, j_s = key.partition(":")
+            cv = value["contraction_vertex"]
+            entries[(int(i_s), int(j_s))] = ClosingRanks(
+                frozenset((int(a), int(b)) for a, b in value["new_edges"]),
+                None if cv is None else int(cv),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed plan entry: {exc}") from exc
     return RecoveryPlan(entries)

@@ -56,6 +56,28 @@ def test_rigidity_check_reports_violating_subset(tmp_path, capsys):
     assert report["violating_subset"] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [{"n": "x", "edges": []}, {"n": 3, "edges": [[1, "a"]]}, {"n": 3, "edges": [[0]]}, {"n": 3}],
+)
+@pytest.mark.parametrize("command", [["rigidity", "check", "{path}"], ["recover", "--graph", "{path}", "--lose", "0"]])
+def test_malformed_graph_exits_1(tmp_path, capsys, graph, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(graph))
+    assert main([arg.format(path=path) for arg in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_recover_non_laman_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(NON_LAMAN))
+    for command in (["recover", "--graph", str(path), "--lose", "0"], ["recover", "plan", "--graph", str(path)]):
+        assert main(command) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_recover_loss_and_plan(tmp_path, capsys):
     fan = Graph(6, frozenset([(0, j) for j in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5)]))
     path = tmp_path / "fan.json"

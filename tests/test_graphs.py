@@ -10,6 +10,7 @@ from rigid_coverage.graphs import (
     EdgeSplitting,
     Graph,
     VertexAddition,
+    graph_from_dict,
     graph_from_json,
     graph_to_json,
     henneberg_apply,
@@ -75,27 +76,37 @@ class TestLamanCheck:
         span = sum(1 for (i, j) in g.edges if i in sub and j in sub)
         assert span > 2 * len(sub) - 3
 
-    def test_methods_agree_on_random_graphs(self):
+    def test_agrees_with_brute_force_on_random_graphs(self):
         import random
 
         rng = random.Random(7)
-        for _ in range(40):
-            n = rng.randint(3, 9)
+        outcomes = {True: 0, False: 0}
+        for n in range(3, 13):
+            # every graph has the Laman count 2n - 3: random edge sets, and a
+            # Laman graph with one edge moved (sometimes still Laman)
             all_edges = list(itertools.combinations(range(n), 2))
-            m = min(len(all_edges), 2 * n - 3)
-            edges = frozenset(rng.sample(all_edges, m))
-            g = Graph(n, edges)
-            a = laman_check(g, method="exhaustive")
-            b = laman_check(g, method="pebble")
-            assert bool(a) == bool(b) == brute_force_laman(g)
+            laman = sorted(henneberg_generate(n, seed=n).graph.edges)
+            graphs = [Graph(n, frozenset(rng.sample(all_edges, 2 * n - 3))) for _ in range(8)]
+            for _ in range(8):
+                edges = set(laman)
+                edges.remove(rng.choice(laman))
+                edges.add(rng.choice([e for e in all_edges if e not in edges]))
+                graphs.append(Graph(n, frozenset(edges)))
+            for g in graphs:
+                verdict = laman_check(g)
+                assert bool(verdict) == brute_force_laman(g)
+                outcomes[bool(verdict)] += 1
+                sub = verdict.violating_subset
+                if not verdict:
+                    span = sum(1 for (i, j) in g.edges if i in sub and j in sub)
+                    assert span > 2 * len(sub) - 3
+                else:
+                    assert sub is None
+        assert min(outcomes.values()) >= 40  # both verdicts well represented
 
     def test_pebble_handles_large_graphs(self):
         res = henneberg_generate(40, seed=5)
-        assert laman_check(res.graph, method="pebble")
-
-    def test_bad_method(self, triangle):
-        with pytest.raises(InvalidInputError):
-            laman_check(triangle, method="magic")
+        assert laman_check(res.graph)
 
 
 class TestHenneberg:
@@ -159,6 +170,33 @@ class TestHenneberg:
         g = res.graph
         assert g.n == n and g.m == 2 * n - 3
         assert laman_check(g)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": "x", "edges": []},
+        {"n": float("inf"), "edges": []},
+        {"n": 3, "edges": [[1, "a"]]},
+        {"n": 3, "edges": [[0]]},
+        {"n": 3, "edges": [[0, 1, 2]]},
+        {"n": 3, "edges": [0, 1]},
+        {"n": 3, "edges": None},
+        {"n": 3, "edges": [[1, 1]]},
+        {"n": 3, "edges": [[0, 3]]},
+        {"edges": []},
+        [3, []],
+    ],
+)
+def test_graph_from_dict_raises_typed_errors(data):
+    with pytest.raises(InvalidInputError):
+        graph_from_dict(data)
+
+
+def test_graph_from_json_raises_typed_errors():
+    for text in ("{", '{"n": 3, "edges": [[0]]}', "[]"):
+        with pytest.raises(InvalidInputError):
+            graph_from_json(text)
 
 
 def test_graph_json_schema(fan6):

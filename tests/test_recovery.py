@@ -1,5 +1,6 @@
 """Vertex-loss repair: edge contraction, closing ranks, recovery plans."""
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rigid_coverage.graphs import Graph, henneberg_generate, laman_check
 from rigid_coverage.recovery import (
     ClosingRanks,
     RecoveryPlan,
+    _require_planar,
     apply_recovery,
     build_recovery_plan,
     closing_ranks,
@@ -24,6 +26,66 @@ from rigid_coverage.recovery import (
 from rigid_coverage.rigidity import Configuration, Framework, is_infinitesimally_bearing_rigid
 
 K4_MINUS = Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}))
+K33 = Graph(6, frozenset((a, b) for a in range(3) for b in range(3, 6)))
+
+
+def closing_ranks_oracle(g: Graph, lost: int, dim: int = 2) -> ClosingRanks:
+    """The earlier closing_ranks, kept verbatim: the contraction loop, then the
+    first (deg - 2)-combination of neighbor pairs that makes the graph Laman.
+    Exponential in the degree; a test oracle only."""
+    _require_planar(dim)
+    if not laman_check(g):
+        raise InvalidInputError("recovery needs a Laman graph")
+    if not 0 <= lost < g.n:
+        raise InvalidInputError(f"vertex {lost} out of range for n={g.n}")
+    if g.n <= 2:
+        raise RecoveryInfeasibleError("cannot lose a vertex from a 2-vertex graph")
+    nbrs = g.neighbors(lost)
+    alpha = len(nbrs)
+    if alpha == 2:
+        return ClosingRanks(frozenset(), None)
+
+    for w in nbrs:
+        if is_contractible(g, (lost, w)):
+            new_edges = frozenset(
+                (min(w, x), max(w, x)) for x in nbrs if x != w and not g.has_edge(w, x)
+            )
+            return ClosingRanks(new_edges, w)
+
+    base = remove_vertex(g, lost)
+    candidates = [
+        (a, b)
+        for a, b in itertools.combinations(nbrs, 2)
+        if not g.has_edge(a, b)
+    ]
+    for combo in itertools.combinations(candidates, alpha - 2):
+        shifted = frozenset(
+            (shift_index(a, lost), shift_index(b, lost)) for a, b in combo
+        )
+        repaired = Graph(base.n, base.edges | shifted)
+        if laman_check(repaired):
+            return ClosingRanks(frozenset(combo), None)
+    raise RecoveryInfeasibleError(f"no edge set restores rigidity after losing vertex {lost}")
+
+
+def oracle_plan(g: Graph) -> RecoveryPlan:
+    """The earlier build_recovery_plan over closing_ranks_oracle."""
+    entries = {}
+    if g.n == 2:
+        entries[(0, 1)] = entries[(1, 0)] = ClosingRanks(frozenset(), None)
+        return RecoveryPlan(entries)
+    for j in range(g.n):
+        result = closing_ranks_oracle(g, j)
+        for i in g.neighbors(j):
+            entries[(i, j)] = result
+    return RecoveryPlan(entries)
+
+
+def oracle_cases():
+    yield K33
+    for n in range(4, 21):
+        for seed in range(4):
+            yield henneberg_generate(n, seed=seed).graph
 
 
 def generic_framework(g, seed=0):
@@ -129,6 +191,41 @@ class TestClosingRanks:
         with pytest.raises(UnsupportedDimensionError):
             closing_ranks(fan6, lost=0, dim=3)
 
+    def test_matches_combination_search_oracle(self):
+        augmented = 0
+        for g in oracle_cases():
+            for v in range(g.n):
+                result = closing_ranks(g, lost=v)
+                assert result == closing_ranks_oracle(g, v)
+                augmented += result.contraction_vertex is None and g.degree(v) > 2
+        assert augmented >= 100  # the greedy path is exercised, not only contractions
+
+    def test_triangle_free_graph_takes_the_greedy_path(self):
+        # no two adjacent vertices share a neighbor, so no contraction keeps the count
+        assert laman_check(K33)
+        for v in range(6):
+            result = closing_ranks(K33, lost=v)
+            assert result.contraction_vertex is None and len(result.new_edges) == 1
+            assert laman_check(apply_recovery(K33, v, result.new_edges))
+
+    def test_high_degree_loss_is_fast(self):
+        # degree 10, no contractible neighbor: searching 8-subsets of pairs takes over 30 s
+        g = henneberg_generate(40, seed=157).graph
+        start = time.perf_counter()
+        result = closing_ranks(g, lost=4)
+        assert time.perf_counter() - start < 5.0
+        assert result.contraction_vertex is None
+        assert result.new_edges == frozenset(
+            {(0, 5), (0, 9), (0, 15), (0, 25), (0, 26), (0, 30), (0, 31), (0, 38)}
+        )
+        assert laman_check(apply_recovery(g, 4, result.new_edges))
+
+    def test_validation_errors(self, fan6):
+        with pytest.raises(InvalidInputError):
+            closing_ranks(fan6, lost=6)
+        with pytest.raises(InvalidInputError):
+            closing_ranks(fan6, lost=-1)
+
 
 class TestApplyRecovery:
     def test_labels_are_original(self, fan6):
@@ -199,6 +296,36 @@ class TestRecoveryPlan:
         plan = build_recovery_plan(g)
         back = plan_from_json(plan_to_json(plan))
         assert back.entries == plan.entries
+
+    def test_matches_oracle_plan(self):
+        for g in [Graph(2, frozenset({(0, 1)})), *oracle_cases()]:
+            assert plan_to_json(build_recovery_plan(g)) == plan_to_json(oracle_plan(g))
+
+    def test_rejects_non_laman(self):
+        g = Graph(4, frozenset(itertools.combinations(range(4), 2)))
+        with pytest.raises(InvalidInputError):
+            build_recovery_plan(g)
+        with pytest.raises(InvalidInputError):
+            is_contractible(g, (0, 1))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "[]",
+            '{"0:1": {"new_edges": []}}',
+            '{"0:1": {"contraction_vertex": null}}',
+            '{"0:x": {"contraction_vertex": null, "new_edges": []}}',
+            '{"01": {"contraction_vertex": null, "new_edges": []}}',
+            '{"0:1": {"contraction_vertex": "a", "new_edges": []}}',
+            '{"0:1": {"contraction_vertex": null, "new_edges": [[0]]}}',
+            '{"0:1": {"contraction_vertex": null, "new_edges": [7]}}',
+            '{"0:1": []}',
+        ],
+    )
+    def test_from_json_raises_typed_errors(self, text):
+        with pytest.raises(InvalidInputError):
+            plan_from_json(text)
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,15 +16,10 @@ import numpy as np
 from .config import _parse_density, config_from_dict, load_config
 from .coverage import coverage_cost, voronoi_partition
 from .errors import InvalidInputError, RigidCoverageError
-from .geometry import ConvexRegion
+from .geometry import ConvexRegion, parse_points
 from .graphs import graph_from_dict, graph_to_json, henneberg_generate, laman_check
 from .recovery import build_recovery_plan, closing_ranks, plan_to_json
-from .rigidity import (
-    Configuration,
-    Framework,
-    is_infinitesimally_bearing_rigid,
-    rigidity_rank,
-)
+from .rigidity import framework_from_dict, is_infinitesimally_bearing_rigid, rigidity_rank
 from .sim import export, run
 
 
@@ -65,10 +60,7 @@ def _cmd_rigidity_check(args) -> int:
     data = _load_json_file(args.file, "graph")
     report = {}
     if isinstance(data, dict) and "positions" in data:
-        fw = Framework(
-            graph_from_dict(data),
-            Configuration(np.asarray(data["positions"], dtype=float)),
-        )
+        fw = framework_from_dict(data)
         graph = fw.graph
         rank = rigidity_rank(fw, tol=args.tol)
         report["rank"] = int(rank.rank)
@@ -113,9 +105,7 @@ def _cmd_coverage_cost(args) -> int:
     region = ConvexRegion(np.asarray(data["region"], dtype=float))
     density = _parse_density(data.get("density"))
     quad = int(data.get("quad_order", 5))
-    positions = np.asarray(_load_json_file(args.positions, "positions"), dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise InvalidInputError("positions file must hold a list of [x, y] points")
+    positions = parse_points(_load_json_file(args.positions, "positions"))
     partition = voronoi_partition(positions, region)
     value = coverage_cost(positions, partition, density, quad_order=quad)
     sys.stdout.write(f"{value:.9g}\n")

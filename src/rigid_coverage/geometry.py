@@ -16,6 +16,19 @@ from .errors import InvalidInputError
 GEOM_EPS = 1e-12
 
 
+def parse_points(data, dims=(2,)) -> np.ndarray:
+    """An (n, d) float array, d in `dims`, from a list of points read from
+    outside the program; InvalidInputError for anything else."""
+    try:
+        points = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"positions must be a list of numeric points: {exc}") from exc
+    if points.ndim != 2 or points.shape[1] not in dims:
+        sizes = " or ".join(str(d) for d in dims)
+        raise InvalidInputError(f"positions must be a list of {sizes}-dimensional points, got shape {points.shape}")
+    return points
+
+
 def polygon_area(vertices: np.ndarray) -> float:
     """Shoelace area; positive for counter-clockwise order."""
     v = np.asarray(vertices, dtype=float)

@@ -5,10 +5,15 @@ sequence, shooting states, and an artificial steady pair (xbar, ubar).  The
 cost penalizes distance to the artificial steady state along the horizon,
 the gap between the artificial setpoint rbar = C xbar and the requested
 reference, and the distance of rbar from the desired bearing lines through
-neighbor anchor points.  Hard dynamics are kept as equality constraints of
-a Gauss-Newton SQP with an l1-penalty line search; box constraints, the
-setpoint polygon and the terminal ellipsoid enter as squared-hinge
-penalties that are escalated until a strict feasibility check passes.
+neighbor anchor points.  The problem is solved by a primal active-set SQP
+(`solve_ocp`): each pass is a Newton step on the KKT system of the cost,
+the dynamics linearised along the iterate, and a working set of the box
+rows, the setpoint polygon and the terminal ellipsoid held as equalities
+just inside their bounds.  Steps stop on the first constraint they would
+cross, which joins the working set; rows whose multiplier turns negative
+leave it.  A start that is not near-feasible first goes through a
+Gauss-Newton phase 1 on the squared violation, which certifies
+infeasibility when the violation stops falling while still positive.
 
 The matrices of a problem come in two parts.  A *template* (`_Template`)
 holds everything fixed by the model, horizon, weights, terminal set,
@@ -34,6 +39,7 @@ import numpy as np
 from .dynamics import linearize
 from .errors import (
     InvalidInputError,
+    NumericalBreakdownError,
     OcpInfeasibleError,
     RecursiveFeasibilityError,
 )
@@ -149,18 +155,16 @@ class OcpProblem:
 
 @dataclass(frozen=True)
 class SqpOptions:
-    max_iter: int = 150
+    max_iter: int = 150  # Newton passes, phase 1 and the active-set loop together
     tol_equality: float = 1e-9
     tol_stationarity: float = 1e-6
-    penalty_init: float = 1e2
-    penalty_max: float = 1e8
-    # inequalities are enforced at g <= -backoff; the margin absorbs the
-    # residual violation lambda/(2*penalty_max) of strongly active rows,
-    # so multipliers up to 2*penalty_max*backoff are tolerated
+    # rows of the working set are held at g = -backoff, not at g = 0: the
+    # terminal ellipsoid is curved, so its linearised row lands slightly
+    # above the value it was held at, and the margin keeps that point and
+    # the dynamics' round-off strictly inside every constraint
     backoff: float = 2e-4
     regularization: float = 1e-9
-    armijo: float = 1e-4
-    max_linesearch: int = 40
+    max_linesearch: int = 40  # step halvings of one phase-1 pass
 
 
 @dataclass
@@ -172,9 +176,8 @@ class OcpSolution:
     rbar: np.ndarray
     cost: float
     status: str  # solved | max-iter | infeasible | candidate
-    iterations: int = 0
+    iterations: int = 0  # Newton passes
     kkt_residual: float = math.nan
-    penalty: float = math.nan
 
 
 class _Template:
@@ -307,7 +310,8 @@ class _Template:
         self.h = np.concatenate([h_box, b / region_scale])
 
     def _build_terminal_hessian(self):
-        """Curvature of the terminal-ellipsoid inequality in the z layout."""
+        """Curvature of the terminal-ellipsoid inequality in the z layout,
+        and a square root L_term of it (L_term' L_term = H_term)."""
         H = np.zeros((self.nz, self.nz))
         blk = 2.0 * self.P_term / self.zeta_scale
         H[self.ixN, self.ixN] = blk
@@ -315,6 +319,10 @@ class _Template:
         H[self.ixN, self.ixb] = -blk
         H[self.ixb, self.ixN] = -blk
         self.H_term = H
+        L = np.zeros((self.nx, self.nz))
+        L[:, self.ixN] = math.sqrt(2.0 / self.zeta_scale) * _psd_sqrt(self.P_term)
+        L[:, self.ixb] = -L[:, self.ixN]
+        self.L_term = L
 
     def ineq_values(self, z: np.ndarray) -> np.ndarray:
         """All inequality values g(z) <= 0, terminal ellipsoid last."""
@@ -474,28 +482,141 @@ def _workspace(problem: OcpProblem) -> _Workspace:
     return _recent.workspace
 
 
-def _penalty_terms(ws: _Workspace, z: np.ndarray, mu_pen: float, backoff: float):
-    g = ws.tpl.ineq_values(z)
-    active = g + backoff > 0.0
-    viol = np.where(active, g + backoff, 0.0)
-    value = mu_pen * float(viol @ viol)
-    return g, active, viol, value
-
-
 def _ineq_jacobian(ws: _Workspace, z: np.ndarray) -> np.ndarray:
     return np.vstack([ws.tpl.G, ws.tpl.ineq_jacobian_row_terminal(z)[None, :]])
 
 
-def _polish(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float):
-    """Terminate by pinning the working set: Newton steps with explicit
-    multipliers instead of waiting for the penalty iterates to settle.
+def _solution(ws: _Workspace, z: np.ndarray, status: str, iterations: int = 0, kkt: float = math.nan) -> OcpSolution:
+    u_seq, x_seq, xbar, ubar = ws.unpack(z)
+    return OcpSolution(u_seq, x_seq, xbar, ubar, ws.tpl.C @ xbar, ws.cost(z), status, iterations, kkt)
 
-    Near-active rows are held at -backoff as equalities; rows whose
-    multiplier comes out negative are released. The terminal row is the
-    only curved inequality, so its multiplier-weighted Hessian joins the
-    cost Hessian. Success requires strict feasibility and a small residual
-    of the stationarity conditions at the stepped point, with multipliers
-    refit there. Returns (z, kkt_residual) or None.
+
+def _residuals(ws: _Workspace, z: np.ndarray):
+    """Largest dynamics gap and largest inequality value at z."""
+    return float(np.linalg.norm(ws.eq_constraints(z), ord=np.inf)), float(np.max(ws.tpl.ineq_values(z)))
+
+
+def _violation(ws: _Workspace, z: np.ndarray, backoff: float):
+    """Dynamics gaps c, inequality values g, the violations max(g + backoff, 0)
+    and phase 1's objective ||max(g + backoff, 0)||^2 + ||c||^2 at z."""
+    c = ws.eq_constraints(z)
+    g = ws.tpl.ineq_values(z)
+    viol = np.maximum(g + backoff, 0.0)
+    return c, g, viol, float(c @ c + viol @ viol)
+
+
+def _phase1(ws: _Workspace, z: np.ndarray, opts: SqpOptions):
+    """Gauss-Newton on the squared violation ||max(g + backoff, 0)||^2 + ||c||^2.
+
+    Each pass takes the least-norm step that best zeroes the violated rows
+    and the dynamics gaps, both linearised.  The terminal ellipsoid is
+    curved, so while it is violated its Hessian, weighted by the violation,
+    joins the Gauss-Newton model; without it a step aimed at the tangent
+    plane of an ellipsoid out of reach overshoots again and again.  The step
+    is halved until the violation falls by an Armijo fraction.
+
+    Returns (z, passes) at the first point close enough to feasible for the
+    active-set loop, whose working set takes in every row above -backoff,
+    or when the passes run out.  Raises OcpInfeasibleError when the
+    violation stops falling while still positive: at a stationary point of
+    the violation, or when no halving helps.
+    """
+    tpl = ws.tpl
+    passes = 0
+    c, g, viol, phi = _violation(ws, z, opts.backoff)
+    while passes < opts.max_iter:
+        eq_res, max_g = float(np.linalg.norm(c, ord=np.inf)), float(np.max(g))
+        if eq_res <= 1e-6 and max_g <= 10.0 * opts.backoff:
+            break
+        passes += 1
+        rows = viol > 0.0
+        r = np.concatenate([c, viol[rows]])
+        J = np.vstack([ws.eq_jacobian(z), _ineq_jacobian(ws, z)[rows]])
+        # least squares on [J; L] is the Newton step with Hessian J'J + L'L
+        L = math.sqrt(viol[-1]) * tpl.L_term
+        step = np.linalg.lstsq(np.vstack([J, L]), np.concatenate([-r, np.zeros(len(L))]), rcond=None)[0]
+        slope = 2.0 * float(r @ (J @ step))
+        alpha = 1.0
+        for _ in range(opts.max_linesearch if slope < -1e-6 * phi else 0):
+            trial = _violation(ws, z + alpha * step, opts.backoff)
+            if trial[3] <= phi + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            raise OcpInfeasibleError(
+                f"constraint violation stalls at {math.sqrt(phi):.3e} (eq {eq_res:.3e}, ineq {max_g:.3e})",
+                _solution(ws, z, "infeasible", passes),
+            )
+        z = z + alpha * step
+        c, g, viol, phi = trial
+    return z, passes
+
+
+def _blocking_step(tpl: _Template, z: np.ndarray, step: np.ndarray, g: np.ndarray, g_try: np.ndarray, rows: np.ndarray):
+    """The fraction of `step` at which the first of `rows` reaches g = 0, and
+    that row.  Exact for the linear rows; along the step the terminal
+    ellipsoid is a quadratic in the fraction, and its root is taken."""
+    g0 = g[rows]
+    alpha = np.zeros(len(rows))
+    inside = g0 < 0.0  # a row already at or past g = 0 blocks at once
+    alpha[inside] = g0[inside] / (g0[inside] - g_try[rows][inside])
+    term = np.flatnonzero(rows == len(tpl.h))
+    if len(term) and inside[term[0]]:
+        e = z[tpl.ixN] - z[tpl.ixb]
+        de = step[tpl.ixN] - step[tpl.ixb]
+        a = float(de @ tpl.P_term @ de) / tpl.zeta_scale
+        b = 2.0 * float(e @ tpl.P_term @ de) / tpl.zeta_scale
+        disc = math.sqrt(b * b - 4.0 * a * g0[term[0]])
+        alpha[term[0]] = -2.0 * g0[term[0]] / (b + disc) if b >= 0.0 else (disc - b) / (2.0 * a)
+    k = int(np.argmin(alpha))
+    return min(max(float(alpha[k]), 0.0), 1.0), int(rows[k])
+
+
+def _independent_rows(C_J: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Indices of the working rows a greedy scan keeps, most active first: a
+    row stays when it raises the rank of the equality Jacobian (full row
+    rank) stacked with the rows kept before it."""
+    keep = []
+    for k in np.argsort(-g, kind="stable"):
+        if np.linalg.matrix_rank(np.vstack([C_J, rows[keep + [k]]])) > len(C_J) + len(keep):
+            keep.append(k)
+    return np.sort(np.array(keep, dtype=int))
+
+
+def _stationarity(ws: _Workspace, z: np.ndarray, work: np.ndarray):
+    """Stationarity residual at z with the multipliers of the dynamics and
+    the working set refit there by least squares; also the refit
+    inequality multipliers."""
+    grad = ws.cost_grad(z)
+    J_rows = np.vstack([ws.eq_jacobian(z), _ineq_jacobian(ws, z)[work]])
+    mult, *_ = np.linalg.lstsq(J_rows.T, -grad, rcond=None)
+    res = grad + J_rows.T @ mult
+    return float(np.linalg.norm(res, ord=np.inf)), mult[ws.tpl.n_eq :]
+
+
+# passes a working set is held, once a point has passed, before the best
+# passing point is taken instead of waiting for machine precision
+REFINE_PASSES = 6
+
+
+def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, passes: int):
+    """Primal active-set SQP from a near-feasible z.
+
+    Each pass is one Newton step on the KKT system of the cost, the
+    linearised dynamics and the working set, whose rows are held at
+    g = -backoff.  A row whose multiplier comes out negative leaves the
+    set, provided it is satisfied, and so does a row that the dynamics and
+    the other rows already fix; the step is then solved again.  The
+    terminal row is the only curved inequality, so its multiplier-weighted
+    Hessian joins the cost Hessian.  A step that would carry a row outside
+    the set past g = 0 stops on the first such row, which joins the set.
+
+    A stepped point passes when it is feasible, its dynamics gap and its
+    stationarity residual, with multipliers refit there, are small, and no
+    refit multiplier is negative.  Passing at 1e-2 of the tolerance ends the
+    loop; otherwise passes go on, and the best passing point is taken once
+    the working set has been held for REFINE_PASSES.  Returns
+    (z, kkt_residual, passes, solved).
     """
     tpl = ws.tpl
     nz = tpl.nz
@@ -505,14 +626,15 @@ def _polish(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float):
     work = np.flatnonzero(g >= -opts.backoff - 1e-9)
     lam_term = 0.0
     best = None
-    for _ in range(6):
+    held = 0
+    while passes < opts.max_iter:
+        passes += 1
         J_all = _ineq_jacobian(ws, z)
         c = ws.eq_constraints(z)
         C_J = ws.eq_jacobian(z)
         grad = ws.cost_grad(z)
         H = ws.H_cost + reg * tpl.eye + lam_term * tpl.H_term
-        sol = lam = None
-        for _drop in range(8):
+        while True:
             nA = len(work)
             dim = nz + n_eq + nA
             KKT = np.zeros((dim, dim))
@@ -526,54 +648,67 @@ def _polish(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float):
             rhs = np.concatenate([-grad, -c, -(g[work] + opts.backoff)])
             try:
                 sol = np.linalg.solve(KKT, rhs)
+                lam = sol[nz + n_eq :]
+                keep = np.flatnonzero(~((lam < -1e-9) & (g[work] <= 1e-12)))
             except np.linalg.LinAlgError:
-                return None
-            lam = sol[nz + n_eq :]
-            neg = np.flatnonzero(lam < -1e-9)
-            if len(neg) == 0:
+                # a singular KKT matrix: some working rows depend on the others
+                keep = _independent_rows(C_J, J_all[work], g[work])
+                if len(keep) == nA:
+                    raise NumericalBreakdownError("singular KKT matrix with independent working rows") from None
+            if len(keep) == nA:
                 break
-            work = np.delete(work, neg)
-        else:
-            return None
+            work = work[keep]
+            held = 0
         pos = list(work).index(term_idx) if term_idx in work else -1
         lam_term = max(float(lam[pos]), 0.0) if pos >= 0 else 0.0
-        z_try = z + sol[:nz]
+        step = sol[:nz]
+        z_try = z + step
         g_try = tpl.ineq_values(z_try)
-        crossed = np.flatnonzero(g_try > 1e-12)
-        new_rows = np.setdiff1d(crossed, work)
-        if len(new_rows):
-            work = np.union1d(work, new_rows)
+        blocking = np.setdiff1d(np.flatnonzero(g_try > 1e-12), work)
+        if len(blocking):
+            alpha, row = _blocking_step(tpl, z, step, g, g_try, blocking)
+            z = z + alpha * step
             g = tpl.ineq_values(z)
+            work = np.union1d(work, [row])
+            held = 0
             continue
         # judge the stepped point on its own multipliers, not the stale ones
-        grad_try = ws.cost_grad(z_try)
-        J_rows = np.vstack([ws.eq_jacobian(z_try), _ineq_jacobian(ws, z_try)[work]])
-        mult, *_ = np.linalg.lstsq(J_rows.T, -grad_try, rcond=None)
-        lam_fit = mult[n_eq:]
-        res = grad_try + J_rows.T @ mult
-        kkt = float(np.linalg.norm(res, ord=np.inf))
+        kkt, lam_fit = _stationarity(ws, z_try, work)
         eq_try = float(np.linalg.norm(ws.eq_constraints(z_try), ord=np.inf))
         if (
             eq_try <= opts.tol_equality
             and kkt <= opts.tol_stationarity
             and (len(lam_fit) == 0 or float(np.min(lam_fit)) >= -1e-9)
+            and float(np.max(g_try)) <= 1e-12
         ):
             # good enough, but another pass usually reaches machine precision
             if kkt <= 1e-2 * opts.tol_stationarity:
-                return z_try, kkt
+                return z_try, kkt, passes, True
             if best is None or kkt < best[1]:
                 best = (z_try, kkt)
         # nonlinearity left a residual; take another Newton pass from here
         z = z_try
         g = g_try
-    return best
+        held += 1
+        if best is not None and held >= REFINE_PASSES:
+            break
+    if best is not None:
+        return best[0], best[1], passes, True
+    return z, _stationarity(ws, z, work)[0], passes, False
 
 
 def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: SqpOptions | None = None) -> OcpSolution:
     """Solve the tracking problem; returns a strictly feasible local optimum.
 
-    Raises OcpInfeasibleError when escalated penalties still leave some
-    constraint violated at convergence.
+    Starts from `warm`, or from a cold start that holds position.  A start
+    that is not near-feasible first goes through phase 1 (`_phase1`); the
+    primal active-set SQP (`_active_set`) then solves from there.  The
+    status is "solved" when a point passed its stopping test and "max-iter"
+    when the passes ran out at a feasible point; `iterations` counts the
+    Newton passes of both phases.
+
+    Raises OcpInfeasibleError when phase 1 stalls with the violation still
+    positive, or when the passes run out at an infeasible point.
     """
     opts = options or SqpOptions()
     ws = _workspace(problem)
@@ -582,132 +717,16 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
         z = tpl.pack(warm.u_seq, warm.x_seq, warm.xbar, warm.ubar)
     else:
         z = _cold_start_vector(problem, tpl)
-    mu_pen = opts.penalty_init
-    sigma = 1.0
-    reg_base = opts.regularization * max(1.0, float(np.max(np.abs(ws.H_cost))))
-    reg = reg_base
-    iterations = 0
-    status = "max-iter"
-    kkt = math.nan
-    viol_history: list[float] = []
-    polish_cooldown = 0
-
-    for iterations in range(1, opts.max_iter + 1):
-        c = ws.eq_constraints(z)
-        C_J = ws.eq_jacobian(z)
-        g, active, viol, _ = _penalty_terms(ws, z, mu_pen, opts.backoff)
-
-        max_g = float(np.max(g)) if len(g) else -math.inf
-        eq_now = float(np.linalg.norm(c, ord=np.inf))
-
-        # once the iterate is essentially feasible, finish with an
-        # active-set Newton step instead of waiting out the penalty loop
-        if eq_now <= 1e-6 and max_g <= 10.0 * opts.backoff:
-            if polish_cooldown == 0:
-                polished = _polish(ws, z, opts, reg_base)
-                if polished is not None:
-                    z, kkt = polished
-                    status = "solved"
-                    break
-                polish_cooldown = 5
-            else:
-                polish_cooldown -= 1
-
-        # a violation that stopped shrinking means the iterate sits at the
-        # current penalty's equilibrium; escalate without waiting for exact
-        # stationarity
-        if max_g > 1e-12 and eq_now <= 1e-6 and mu_pen < opts.penalty_max:
-            viol_history.append(max_g)
-            if len(viol_history) > 6 and max_g > 0.99 * viol_history[-7]:
-                mu_pen = min(mu_pen * 10.0, opts.penalty_max)
-                viol_history.clear()
-                continue
-        else:
-            viol_history.clear()
-        grad = ws.cost_grad(z)
-        H = ws.H_cost.copy()
-        if np.any(active[:-1]):
-            Ga = tpl.G[active[:-1]]
-            va = viol[:-1][active[:-1]]
-            grad = grad + 2.0 * mu_pen * Ga.T @ va
-            H += 2.0 * mu_pen * Ga.T @ Ga
-        if active[-1]:
-            row = tpl.ineq_jacobian_row_terminal(z)
-            grad = grad + 2.0 * mu_pen * viol[-1] * row
-            H += 2.0 * mu_pen * np.outer(row, row)
-
-        nz = tpl.nz
-        KKT = np.zeros((nz + tpl.n_eq, nz + tpl.n_eq))
-        KKT[:nz, :nz] = H + reg * tpl.eye
-        KKT[:nz, nz:] = C_J.T
-        KKT[nz:, :nz] = C_J
-        rhs = np.concatenate([-grad, -c])
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
-            reg *= 100.0
-            continue
-        delta, nu = sol[:nz], sol[nz:]
-
-        kkt = float(np.linalg.norm(grad + C_J.T @ nu, ord=np.inf))
-        eq_res = float(np.linalg.norm(c, ord=np.inf))
-        if kkt <= opts.tol_stationarity and eq_res <= opts.tol_equality:
-            if np.all(g <= 1e-12):
-                status = "solved"
-                break
-            if mu_pen >= opts.penalty_max:
-                u_seq, x_seq, xbar, ubar = ws.unpack(z)
-                partial = OcpSolution(
-                    u_seq, x_seq, xbar, ubar, problem.model.C @ xbar,
-                    ws.cost(z), "infeasible", iterations, kkt, mu_pen,
-                )
-                raise OcpInfeasibleError(
-                    f"constraint violation {float(np.max(g)):.3e} persists at maximum penalty",
-                    partial,
-                )
-            mu_pen = min(mu_pen * 10.0, opts.penalty_max)
-            continue
-
-        sigma = max(sigma, 2.0 * float(np.linalg.norm(nu, ord=np.inf)) + 1.0)
-        merit0 = ws.cost(z) + _penalty_terms(ws, z, mu_pen, opts.backoff)[3] + sigma * float(np.sum(np.abs(c)))
-        descent = float(grad @ delta) - sigma * float(np.sum(np.abs(c)))
-        if descent > -1e-16:
-            descent = -1e-16
-        alpha = 1.0
-        accepted = False
-        for _ in range(opts.max_linesearch):
-            z_try = z + alpha * delta
-            merit_try = (
-                ws.cost(z_try)
-                + _penalty_terms(ws, z_try, mu_pen, opts.backoff)[3]
-                + sigma * float(np.sum(np.abs(ws.eq_constraints(z_try))))
-            )
-            if merit_try <= merit0 + opts.armijo * alpha * descent:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            reg = min(reg * 10.0, 1e6 * reg_base)
-            alpha = 0.0
-        else:
-            reg = max(reg / 10.0, reg_base)
-        z = z + alpha * delta
-        if accepted and np.linalg.norm(alpha * delta, ord=np.inf) < 1e-14 and eq_res <= opts.tol_equality:
-            # stalled at numerical floor; let the convergence test decide next pass
-            continue
-
-    u_seq, x_seq, xbar, ubar = ws.unpack(z)
-    rbar = problem.model.C @ xbar
-    solution = OcpSolution(u_seq, x_seq, xbar, ubar, rbar, ws.cost(z), status, iterations, kkt, mu_pen)
-    if status != "solved":
-        g = tpl.ineq_values(z)
-        eq_res = float(np.linalg.norm(ws.eq_constraints(z), ord=np.inf))
-        if eq_res > opts.tol_equality or np.any(g > 1e-12):
+    z, passes = _phase1(ws, z, opts)
+    reg = opts.regularization * max(1.0, float(np.max(np.abs(ws.H_cost))))
+    z, kkt, passes, solved = _active_set(ws, z, opts, reg, passes)
+    solution = _solution(ws, z, "solved" if solved else "max-iter", passes, kkt)
+    if not solved:
+        eq_res, max_g = _residuals(ws, z)
+        if eq_res > opts.tol_equality or max_g > 1e-12:
             solution.status = "infeasible"
             raise OcpInfeasibleError(
-                f"no feasible point after {opts.max_iter} iterations "
-                f"(eq {eq_res:.3e}, ineq {float(np.max(g)) if len(g) else 0.0:.3e})",
-                solution,
+                f"no feasible point after {passes} passes (eq {eq_res:.3e}, ineq {max_g:.3e})", solution
             )
     return solution
 
@@ -732,9 +751,7 @@ def _cold_start_vector(problem: OcpProblem, tpl: _Template) -> np.ndarray:
 def cold_start(problem: OcpProblem) -> OcpSolution:
     """Initial guess holding position; not verified against constraints."""
     ws = _workspace(problem)
-    z = _cold_start_vector(problem, ws.tpl)
-    u_seq, x_seq, xbar, ubar = ws.unpack(z)
-    return OcpSolution(u_seq, x_seq, xbar, ubar, problem.model.C @ xbar, ws.cost(z), "candidate")
+    return _solution(ws, _cold_start_vector(problem, ws.tpl), "candidate")
 
 
 def shift_warm_start(problem: OcpProblem, prev: OcpSolution) -> OcpSolution:
@@ -762,22 +779,20 @@ def shift_warm_start(problem: OcpProblem, prev: OcpSolution) -> OcpSolution:
 
 
 def _verify_candidate(ws: _Workspace, z: np.ndarray):
-    eq_res = float(np.linalg.norm(ws.eq_constraints(z), ord=np.inf))
+    eq_res, max_g = _residuals(ws, z)
     if eq_res > 1e-7:
         raise RecursiveFeasibilityError(f"candidate dynamics residual {eq_res:.3e}")
-    g = ws.tpl.ineq_values(z)
-    if len(g) and float(np.max(g)) > 1e-9:
-        raise RecursiveFeasibilityError(f"candidate constraint violation {float(np.max(g)):.3e}")
+    if max_g > 1e-9:
+        raise RecursiveFeasibilityError(f"candidate constraint violation {max_g:.3e}")
 
 
 def solution_feasibility(problem: OcpProblem, sol: OcpSolution) -> dict:
     """Residual summary used by tests and the simulation harness."""
     ws = _workspace(problem)
-    z = ws.tpl.pack(sol.u_seq, sol.x_seq, sol.xbar, sol.ubar)
-    g = ws.tpl.ineq_values(z)
+    eq_res, max_g = _residuals(ws, ws.tpl.pack(sol.u_seq, sol.x_seq, sol.xbar, sol.ubar))
     return {
-        "dynamics": float(np.linalg.norm(ws.eq_constraints(z), ord=np.inf)),
-        "inequality": float(np.max(g)) if len(g) else 0.0,
+        "dynamics": eq_res,
+        "inequality": max_g,
         "setpoint": float(np.linalg.norm(sol.rbar - problem.model.C @ sol.xbar)),
     }
 

@@ -20,6 +20,7 @@ from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
+from .geometry import parse_points
 from .graphs import Graph, graph_from_dict
 
 SEPARATION_TOL = 1e-9
@@ -179,15 +180,20 @@ def framework_to_json(fw: Framework) -> str:
     )
 
 
+def framework_from_dict(data) -> Framework:
+    """A framework from a decoded {n, edges, positions[, dim]} object."""
+    if not isinstance(data, dict) or "positions" not in data:
+        raise InvalidInputError('framework JSON must be an object carrying "positions"')
+    graph = graph_from_dict(data)
+    pos = parse_points(data["positions"], dims=(2, 3))
+    if "dim" in data and pos.shape[1] != data["dim"]:
+        raise InvalidInputError(f'positions are {pos.shape[1]}-dimensional but "dim" says {data["dim"]}')
+    return Framework(graph, Configuration(pos))
+
+
 def framework_from_json(text: str) -> Framework:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"malformed framework JSON: {exc}") from exc
-    if "positions" not in data:
-        raise InvalidInputError('framework JSON must carry "positions"')
-    graph = graph_from_dict(data)
-    pos = np.asarray(data["positions"], dtype=float)
-    if "dim" in data and pos.shape[1] != int(data["dim"]):
-        raise InvalidInputError(f'positions are {pos.shape[1]}-dimensional but "dim" says {data["dim"]}')
-    return Framework(graph, Configuration(pos))
+    return framework_from_dict(data)

@@ -70,6 +70,31 @@ def test_malformed_graph_exits_1(tmp_path, capsys, graph, command):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+BAD_POSITIONS = [[[0, 0], [1, "a"], [0, 1]], [[0, 0], [1], [0, 1]], [0, 1, 2], [[0, 0], None, [0, 1]], "xy"]
+
+
+@pytest.mark.parametrize("positions", BAD_POSITIONS)
+def test_malformed_framework_positions_exit_1(tmp_path, capsys, positions):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "positions": positions}))
+    assert main(["rigidity", "check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("positions", BAD_POSITIONS + [[[0.2, 0.2, 0.0], [0.6, 0.3, 0.0]]])
+def test_malformed_coverage_positions_exit_1(tmp_path, capsys, positions):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_scenario()))
+    pos_path = tmp_path / "pos.json"
+    pos_path.write_text(json.dumps(positions))
+    assert main(["coverage", "cost", "--config", str(cfg_path), "--positions", str(pos_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_recover_non_laman_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(NON_LAMAN))

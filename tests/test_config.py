@@ -178,6 +178,14 @@ def test_solver_options():
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("key", ["penalty_init", "penalty_max", "armijo"])
+def test_removed_solver_options_are_unknown(key):
+    data = make_scenario()
+    data["mpc"]["solver"] = {key: 1.0}
+    with pytest.raises(InvalidInputError, match=f"unknown solver options.*{key}"):
+        config_from_dict(data)
+
+
 def test_epsilon_validation():
     data = make_scenario()
     data["epsilon"] = -0.1

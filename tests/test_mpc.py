@@ -4,9 +4,11 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigid_coverage import mpc
 from rigid_coverage.config import config_from_dict
@@ -246,6 +248,132 @@ class TestAgainstConvexReference:
         # backed-off actives leave a small but bounded optimality gap
         assert sol.cost >= ref.value - 1e-7
         assert sol.cost <= ref.value * (1 + 2e-3)
+
+
+def _scipy_reference(model, ts, x0, r_ref, horizon, region=None, margin=0.0):
+    """Optimal cost and setpoint of the linear tracking problem (mu = 1, no
+    bearings) from SLSQP, on the variables, cost and constraints of the
+    cvxpy cross-checks, written out independently of the solver."""
+    optimize = pytest.importorskip("scipy.optimize")
+    N, nx, nu = horizon, 4, 2
+    A, B = model.jacobians(np.zeros(nx), np.zeros(nu))
+    C, P, zeta = model.C, ts.P, ts.zeta
+    Q, R, S = SCENARIO_Q, SCENARIO_R, SCENARIO_S
+    ixb = N * (nx + nu)
+
+    def split(w):
+        x = np.vstack([x0, w[: N * nx].reshape(N, nx)])
+        return x, w[N * nx : ixb].reshape(N, nu), w[ixb : ixb + nx], w[ixb + nx :]
+
+    def cost(w):
+        x, u, xb, ub = split(w)
+        dx, du, eN, er = x[:N] - xb, u - ub, x[N] - xb, C @ xb - r_ref
+        value = np.einsum("li,ij,lj->", dx, Q, dx) + np.einsum("li,ij,lj->", du, R, du)
+        value += eN @ P @ eN + er @ S @ er
+        gx = np.vstack([2.0 * dx @ Q, 2.0 * P @ eN])
+        gu = 2.0 * du @ R
+        gxb = -gx.sum(axis=0) + 2.0 * C.T @ S @ er
+        return value, np.concatenate([gx[1:].ravel(), gu.ravel(), gxb, -gu.sum(axis=0)])
+
+    # dynamics x_{l+1} = A x_l + B u_l and the steady pair xb = A xb + B ub
+    n = ixb + nx + nu
+    E = np.zeros(((N + 1) * nx, n))
+    e = np.zeros((N + 1) * nx)
+    for l in range(N):
+        rows = slice(l * nx, (l + 1) * nx)
+        E[rows, l * nx : (l + 1) * nx] = np.eye(nx)
+        if l:
+            E[rows, (l - 1) * nx : l * nx] = -A
+        E[rows, N * nx + l * nu : N * nx + (l + 1) * nu] = -B
+    e[:nx] = A @ x0
+    E[N * nx :, ixb : ixb + nx] = np.eye(nx) - A
+    E[N * nx :, ixb + nx :] = -B
+    # inequalities F w <= f: input and speed boxes, the steady pair kept
+    # `margin` inside them, and the setpoint polygon
+    F, f = [], []
+
+    def box(col, bound):
+        for sign in (1.0, -1.0):
+            row = np.zeros(n)
+            row[col] = sign
+            F.append(row)
+            f.append(bound)
+
+    for l in range(N):
+        for k in range(nu):
+            box(N * nx + l * nu + k, model.u_max)
+        for k in range(2, nx):
+            box(l * nx + k, model.v_max)
+    for k in range(2, nx):
+        box(ixb + k, model.v_max - margin)
+    for k in range(nu):
+        box(ixb + nx + k, model.u_max - margin)
+    if region is not None:
+        Ar, br = region.half_planes()
+        for a_row, b_val in zip(Ar @ C, br):
+            row = np.zeros(n)
+            row[ixb : ixb + nx] = a_row
+            F.append(row)
+            f.append(b_val)
+    F, f = np.array(F), np.array(f)
+
+    def terminal(w):
+        x, _, xb, _ = split(w)
+        return zeta - (x[N] - xb) @ P @ (x[N] - xb)
+
+    def terminal_jac(w):
+        x, _, xb, _ = split(w)
+        grad = np.zeros(n)
+        grad[(N - 1) * nx : N * nx] = -2.0 * P @ (x[N] - xb)
+        grad[ixb : ixb + nx] = 2.0 * P @ (x[N] - xb)
+        return grad
+
+    start = np.concatenate([np.tile(x0, N), np.zeros(N * nu), C.T @ (C @ x0), np.zeros(nu)])
+    result = optimize.minimize(
+        cost, start, jac=True, method="SLSQP",
+        constraints=[
+            {"type": "eq", "fun": lambda w: E @ w - e, "jac": lambda w: E},
+            {"type": "ineq", "fun": lambda w: f - F @ w, "jac": lambda w: -F},
+            {"type": "ineq", "fun": terminal, "jac": terminal_jac},
+        ],
+        options={"ftol": 1e-12, "maxiter": 1000},
+    )
+    assert result.success, result.message
+    _, _, xb, _ = split(result.x)
+    return result.fun, C @ xb
+
+
+class TestAgainstScipyReference:
+    """The problems of the cvxpy cross-checks, criterion 8's first problem
+    (input boxes and terminal ellipsoid active) and a later one settled on
+    the setpoint polygon's edge, checked against SLSQP with the cvxpy
+    checks' cost tolerances."""
+
+    def test_matches_scipy_on_linear_model(self, double_integrator, terminal_double):
+        x0, r_ref, N = np.array([0.35, 0.3, 0.05, -0.02]), np.array([0.6, 0.55]), 8
+        sol = solve_ocp(make_problem(double_integrator, terminal_double, x0, r_ref, horizon=N))
+        assert sol.status == "solved"
+        ref_cost, ref_rbar = _scipy_reference(double_integrator, terminal_double, x0, r_ref, N)
+        assert sol.cost == pytest.approx(ref_cost, rel=1e-5, abs=1e-7)
+        assert np.allclose(sol.rbar, ref_rbar, atol=1e-4)
+
+    @pytest.mark.parametrize("x0, r_ref, region", [
+        # long trip saturates the inputs early in the horizon
+        ([0.05, 0.05, 0.0, 0.0], [0.95, 0.9], None),
+        ([0.5, 0.5, 0.0, 0.0], [1.4, 0.8], 0.02),
+        ([0.97, 0.8, 0.0, 0.0], [1.4, 0.8], 0.02),
+    ], ids=["active input bounds", "criterion 8 start", "criterion 8 settled"])
+    def test_backed_off_actives_leave_a_bounded_gap(self, x0, r_ref, region, double_integrator, terminal_double):
+        x0, r_ref, N = np.array(x0), np.array(r_ref), 10
+        region, margin = (None, 0.0) if region is None else (square_region(region), region)
+        prob = make_problem(double_integrator, terminal_double, x0, r_ref, horizon=N, region=region, margin=margin)
+        sol = solve_ocp(prob)
+        assert sol.status == "solved"
+        assert solution_feasibility(prob, sol)["inequality"] <= 1e-12
+        ref_cost, ref_rbar = _scipy_reference(double_integrator, terminal_double, x0, r_ref, N, region, margin)
+        assert sol.cost >= ref_cost - 1e-7
+        assert sol.cost <= ref_cost * (1 + 2e-3)
+        assert np.allclose(sol.rbar, ref_rbar, atol=1e-3)
 
 
 class TestWarmStart:
@@ -639,3 +767,185 @@ class TestConstantJacobian:
             tpl.G[0, 0] = 1.0
         with pytest.raises(ValueError):
             tpl.eq_jac += 1.0
+
+
+class TestAgainstPenaltySqp:
+    """The active-set solver against the penalty SQP it replaced
+    (`penalty_sqp_reference`, a verbatim copy)."""
+
+    @pytest.fixture(scope="class")
+    def faulted_run_solves(self):
+        """Every (problem, warm start, options) a short faulted run solves."""
+        from rigid_coverage import sim
+
+        captured = []
+        solve = sim.solve_ocp
+
+        def record(problem, warm=None, options=None):
+            captured.append((problem, warm, options))
+            return solve(problem, warm=warm, options=options)
+
+        sim.solve_ocp = record
+        try:
+            sim.run(config_from_dict(make_scenario(steps=30, faults=[{"at_step": 12, "robot": 2}])))
+        finally:
+            sim.solve_ocp = solve
+        return captured
+
+    def test_unchanged_working_set_gives_bitwise_equal_solutions(self, faulted_run_solves):
+        import penalty_sqp_reference as reference
+
+        same = 0
+        for problem, warm, options in faulted_run_solves:
+            assert options == SqpOptions()
+            reference.np.reset()
+            try:
+                ref = reference.solve_ocp(problem, warm=warm)
+            except OcpInfeasibleError:
+                ref = None
+            sol = solve_ocp(problem, warm=warm, options=options)
+            assert sol.status == "solved"
+            assert sol.kkt_residual <= options.tol_stationarity
+            # the reference's first active-set pass ended the solve without
+            # dropping a multiplier or crossing a row
+            if ref is not None and ref.iterations == 1 and not (reference.np.dropped or reference.np.crossed):
+                same += 1
+                assert _solution_bytes(sol) == _solution_bytes(ref)
+        assert len(faulted_run_solves) == 6 * 12 + 5 * 18
+        assert same >= 0.9 * len(faulted_run_solves)
+
+
+def _unreachable_terminal_problem(terminal_double):
+    # one step is not enough to stop from full speed into a point target
+    tiny = TerminalSet(
+        K=terminal_double.K, P=terminal_double.P, zeta=1e-10,
+        c=terminal_double.c, steady=terminal_double.steady,
+        Q=terminal_double.Q, R=terminal_double.R,
+    )
+    return OcpProblem(
+        model=DoubleIntegrator(), horizon=1, weights=scenario_weights(),
+        terminal=tiny, x0=np.array([0.2, 0.2, 0.5, 0.5]), r_ref=np.array([0.2, 0.2]),
+    )
+
+
+class TestPhaseOneAndFallback:
+    def test_unreachable_terminal_is_certified_before_max_iter(self, terminal_double):
+        with pytest.raises(OcpInfeasibleError) as exc_info:
+            solve_ocp(_unreachable_terminal_problem(terminal_double))
+        assert exc_info.value.solution.status == "infeasible"
+        assert exc_info.value.solution.iterations < SqpOptions().max_iter
+        assert "stalls" in str(exc_info.value)
+
+    def test_infeasible_warm_guess_reaches_the_cold_start_solution(self, double_integrator, terminal_double):
+        prob = make_problem(double_integrator, terminal_double, [0.3, 0.6, 0.2, -0.2], [1.25, 1.1],
+                            region=square_region(), margin=0.02, horizon=12)
+        cold = solve_ocp(prob)
+        # tripled inputs leave the input box and open every shooting gap
+        guess = replace(cold, u_seq=np.clip(3.0 * cold.u_seq, -3.0, 3.0), status="candidate")
+        assert solution_feasibility(prob, guess)["inequality"] > 1.0
+        sol = solve_ocp(prob, warm=guess)
+        assert sol.status == "solved"
+        for name in ("u_seq", "x_seq", "xbar", "ubar"):
+            assert np.allclose(getattr(sol, name), getattr(cold, name), rtol=0.0, atol=1e-8), name
+
+    def test_wild_warm_guess_on_the_drag_model(self, drag_model, terminal_drag):
+        prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5],
+                            region=square_region(), margin=0.02)
+        cold = solve_ocp(prob)
+        # inputs and speeds far outside their boxes, shooting gaps everywhere,
+        # and a steady pair outside the setpoint polygon
+        rng = np.random.default_rng(5)
+        x_seq = rng.uniform(-2.0, 2.0, cold.x_seq.shape)
+        x_seq[0] = prob.x0
+        guess = replace(
+            cold, u_seq=rng.uniform(-3.0, 3.0, cold.u_seq.shape), x_seq=x_seq,
+            xbar=np.array([1.5, -0.5, 0.3, -0.3]), ubar=np.array([2.0, -2.0]), status="candidate",
+        )
+        sol = solve_ocp(prob, warm=guess)
+        assert sol.status == "solved"
+        for name in ("u_seq", "x_seq", "xbar", "ubar"):
+            assert np.allclose(getattr(sol, name), getattr(cold, name), rtol=0.0, atol=1e-6), name
+
+    def test_dependent_working_rows_leave_the_set(self, monkeypatch, double_integrator, terminal_double):
+        # four steps into this loop the warm start holds u_0,y at its bound
+        # and v_1,y just below its own, which the dynamics then fix: the KKT
+        # matrix of that working set is singular
+        calls = []
+        independent = mpc._independent_rows
+        monkeypatch.setattr(mpc, "_independent_rows", lambda *a: calls.append(1) or independent(*a))
+        x, prev = np.array([0.5, 0.375, 0.0, 0.0]), None
+        for _ in range(5):
+            prob = make_problem(double_integrator, terminal_double, x, [0.0, 1.5], mu=0.75,
+                                region=square_region(), margin=0.02, horizon=11)
+            sol = solve_ocp(prob, warm=shift_warm_start(prob, prev) if prev is not None else None)
+            assert sol.status == "solved"
+            assert solution_feasibility(prob, sol)["dynamics"] <= 1e-9
+            x, prev = double_integrator.step(x, sol.u_seq[0]), sol
+        assert calls
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_passes_running_out_at_a_feasible_point_return_it(self, max_iter, double_integrator, terminal_double):
+        # the long trip saturates the inputs, so the first step from the
+        # feasible cold start crosses input rows and stops on the first one
+        prob = make_problem(double_integrator, terminal_double, [0.05, 0.05, 0.0, 0.0], [0.95, 0.9])
+        options = SqpOptions(max_iter=max_iter)
+        sol = solve_ocp(prob, options=options)
+        assert sol.status == "max-iter"
+        assert sol.iterations == max_iter
+        report = solution_feasibility(prob, sol)
+        assert report["inequality"] <= 1e-12
+        assert report["dynamics"] <= options.tol_equality
+        assert sol.kkt_residual > options.tol_stationarity
+        # the blocking steps made progress on the cost
+        assert sol.cost < cold_start(prob).cost
+
+
+class TestClosedLoopProperty:
+    """Every solve of a short closed loop, chained through shift_warm_start,
+    is solved, stationary and feasible: both models, horizons 3-12, initial
+    speeds in the velocity box, references inside and outside the setpoint
+    polygon, and up to three desired bearings.
+
+    Each speed stays within 0.9 of its bound: from the box's corners a
+    3-step horizon cannot stop inside the terminal set, and the problem is
+    infeasible.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        drag=st.booleans(),
+        horizon=st.integers(3, 12),
+        position=st.tuples(st.floats(0.3, 0.7), st.floats(0.3, 0.7)),
+        velocity=st.tuples(st.floats(-0.45, 0.45), st.floats(-0.45, 0.45)),
+        r_ref=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+        mu=st.floats(0.3, 1.0),
+        bearings=st.lists(
+            st.tuples(st.floats(0.0, 2.0 * np.pi), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+            max_size=3,
+        ),
+    )
+    def test_chained_solves_are_solved_stationary_and_feasible(
+        self, drag, horizon, position, velocity, r_ref, mu, bearings,
+        double_integrator, drag_model, terminal_double, terminal_drag,
+    ):
+        model, ts = (drag_model, terminal_drag) if drag else (double_integrator, terminal_double)
+        desired = tuple((j + 1, np.array([np.cos(angle), np.sin(angle)])) for j, (angle, _) in enumerate(bearings))
+        anchors = {j + 1: np.array(anchor) for j, (_, anchor) in enumerate(bearings)}
+        options = SqpOptions()
+        x = np.array([*position, *velocity])
+        prev = None
+        for _ in range(5):
+            prob = OcpProblem(
+                model=model, horizon=horizon, weights=scenario_weights(mu=mu), terminal=ts,
+                x0=x, r_ref=np.array(r_ref), desired_bearings=desired, neighbor_anchors=anchors,
+                setpoint_region=square_region(), steady_margin=0.02,
+            )
+            warm = shift_warm_start(prob, prev) if prev is not None else None
+            sol = solve_ocp(prob, warm=warm, options=options)
+            assert sol.status == "solved"
+            assert sol.kkt_residual <= options.tol_stationarity
+            report = solution_feasibility(prob, sol)
+            assert report["inequality"] <= 1e-12
+            assert report["dynamics"] <= options.tol_equality
+            x = model.step(x, sol.u_seq[0])
+            prev = sol

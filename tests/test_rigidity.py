@@ -1,4 +1,6 @@
 """Bearing rigidity: bearing function, rigidity matrix, rank analysis."""
+import json
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,25 @@ class TestValidation:
     def test_framework_size_mismatch(self):
         with pytest.raises(InvalidInputError):
             fw(TRIANGLE, [[0.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("positions, dim", [
+        ([0.0, 1.0, 0.5], 2),  # 1-D, with a "dim" to compare against
+        ([[0.0, 0.0], [1.0, "a"], [0.25, 0.9]], None),
+        ([[0.0, 0.0], [1.0], [0.25, 0.9]], None),
+        ([[0.0, 0.0], [1.0, 0.0], [0.25, 0.9]], 3),
+        ([[0.0, 0.0], [1.0, 0.0], [0.25, 0.9]], "two"),
+    ])
+    def test_json_positions_are_validated(self, positions, dim):
+        data = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "positions": positions}
+        if dim is not None:
+            data["dim"] = dim
+        with pytest.raises(InvalidInputError):
+            framework_from_json(json.dumps(data))
+
+    def test_json_must_be_an_object_with_positions(self):
+        for text in ("5", "[1, 2]", '{"n": 3, "edges": []}'):
+            with pytest.raises(InvalidInputError):
+                framework_from_json(text)
 
     def test_json_round_trip(self):
         framework = fw(TRIANGLE, [[0.0, 0.0], [1.0, 0.0], [0.25, 0.9]])

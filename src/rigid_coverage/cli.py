@@ -11,12 +11,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .config import _parse_density, config_from_dict, load_config
+from .config import _parse_density, _parse_quad_order, _parse_region, config_from_dict, load_config
 from .coverage import coverage_cost, voronoi_partition
 from .errors import InvalidInputError, RigidCoverageError
-from .geometry import ConvexRegion, parse_points
+from .geometry import parse_points
 from .graphs import graph_from_dict, graph_to_json, henneberg_generate, laman_check
 from .recovery import build_recovery_plan, closing_ranks, plan_to_json
 from .rigidity import framework_from_dict, is_infinitesimally_bearing_rigid, rigidity_rank
@@ -102,9 +100,9 @@ def _cmd_coverage_cost(args) -> int:
     data = _load_json_file(args.config, "config")
     if not isinstance(data, dict) or "region" not in data:
         raise InvalidInputError("config must be an object with a 'region' field")
-    region = ConvexRegion(np.asarray(data["region"], dtype=float))
+    region = _parse_region(data["region"])
     density = _parse_density(data.get("density"))
-    quad = int(data.get("quad_order", 5))
+    quad = _parse_quad_order(data.get("quad_order", 5))
     positions = parse_points(_load_json_file(args.positions, "positions"))
     partition = voronoi_partition(positions, region)
     value = coverage_cost(positions, partition, density, quad_order=quad)

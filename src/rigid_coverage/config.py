@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage import (
+    QUAD_ORDERS,
     GaussianComponent,
     GaussianMixtureDensity,
     GridDensity,
@@ -41,7 +42,7 @@ from .coverage import (
 )
 from .dynamics import DoubleIntegrator, DragDoubleIntegrator
 from .errors import InvalidInputError
-from .geometry import ConvexRegion
+from .geometry import ConvexRegion, parse_points
 from .graphs import Graph, graph_from_dict, henneberg_generate, laman_check
 from .mpc import CostWeights, SqpOptions
 
@@ -91,10 +92,50 @@ class SimConfig:
         return len(self.models)
 
 
+def _number(value, kind, name: str):
+    """kind(value) for a scalar config entry, kind being int or float."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _floats(value, name: str) -> np.ndarray:
+    """A float array from a config entry; InvalidInputError if not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be numeric: {exc}") from exc
+
+
+def _array(block, key: str, where: str) -> np.ndarray:
+    """The required entry block[key] as a float array."""
+    if not isinstance(block, dict) or key not in block:
+        raise InvalidInputError(f"{where} needs a {key!r} field")
+    return _floats(block[key], f"{where} {key}")
+
+
+def _parse_region(value) -> ConvexRegion:
+    """The workspace polygon of a config's "region" entry."""
+    try:
+        vertices = parse_points(value)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"region: {exc}") from exc
+    return ConvexRegion(vertices)
+
+
+def _parse_quad_order(value) -> int:
+    """A config's "quad_order" entry: the degree of a supported triangle rule."""
+    order = _number(value, int, "quad_order")
+    if order not in QUAD_ORDERS:
+        raise InvalidInputError(f"unsupported quad_order {order}; choose from {list(QUAD_ORDERS)}")
+    return order
+
+
 def _as_matrix(value, size: int, name: str) -> np.ndarray:
-    if np.isscalar(value):
-        return float(value) * np.eye(size)
-    arr = np.asarray(value, dtype=float)
+    arr = _floats(value, name)
+    if arr.ndim == 0:
+        return float(arr) * np.eye(size)
     if arr.ndim == 1:
         if arr.shape != (size,):
             raise InvalidInputError(f"{name} diagonal must have length {size}")
@@ -116,21 +157,23 @@ def _parse_density(block) -> object:
         comps = block.get("components")
         if comps is None:
             comps = [block]
+        if not isinstance(comps, list):
+            raise InvalidInputError("gaussian density components must be a list")
         parsed = []
         for comp in comps:
             parsed.append(
                 GaussianComponent(
-                    mean=np.asarray(comp["mean"], dtype=float),
-                    cov_diag=np.asarray(comp["cov_diag"], dtype=float),
-                    weight=float(comp.get("weight", 1.0)),
+                    mean=_array(comp, "mean", "gaussian density"),
+                    cov_diag=_array(comp, "cov_diag", "gaussian density"),
+                    weight=_number(comp.get("weight", 1.0), float, "gaussian density weight"),
                 )
             )
         return GaussianMixtureDensity(tuple(parsed))
     if kind == "grid":
         return GridDensity(
-            values=np.asarray(block["values"], dtype=float),
-            lo=np.asarray(block["lo"], dtype=float),
-            hi=np.asarray(block["hi"], dtype=float),
+            values=_array(block, "values", "grid density"),
+            lo=_array(block, "lo", "grid density"),
+            hi=_array(block, "hi", "grid density"),
         )
     raise InvalidInputError(f"unknown density type {kind!r}")
 
@@ -141,20 +184,20 @@ def _build_model(kind, params: dict):
         params = kind
         kind = params.get("type", "double_integrator")
     common = dict(
-        h=float(params.get("h", 0.1)),
-        u_max=float(params.get("u_max", 1.0)),
-        v_max=float(params.get("v_max", 0.5)),
+        h=_number(params.get("h", 0.1), float, "h"),
+        u_max=_number(params.get("u_max", 1.0), float, "u_max"),
+        v_max=_number(params.get("v_max", 0.5), float, "v_max"),
     )
     if kind == "double_integrator":
         return DoubleIntegrator(**common)
     if kind == "drag_double_integrator":
-        return DragDoubleIntegrator(drag=float(params.get("drag", 0.5)), **common)
+        return DragDoubleIntegrator(drag=_number(params.get("drag", 0.5), float, "drag"), **common)
     raise InvalidInputError(f"unknown robot model {kind!r}")
 
 
 def _parse_robots(block):
     if isinstance(block, dict):
-        positions = np.asarray(block.get("initial_positions", []), dtype=float)
+        positions = _floats(block.get("initial_positions", []), "robots.initial_positions")
         if positions.ndim != 2 or positions.shape[0] < 1 or positions.shape[1] != 2:
             raise InvalidInputError("robots.initial_positions must be a non-empty list of [x, y]")
         n = positions.shape[0]
@@ -162,7 +205,7 @@ def _parse_robots(block):
         if velocities is None:
             velocities = np.zeros_like(positions)
         else:
-            velocities = np.asarray(velocities, dtype=float)
+            velocities = _floats(velocities, "robots.initial_velocities")
             if velocities.shape != positions.shape:
                 raise InvalidInputError("initial_velocities must match initial_positions in shape")
         model = _build_model(block.get("model", "double_integrator"), block)
@@ -170,9 +213,9 @@ def _parse_robots(block):
     elif isinstance(block, list) and block:
         models, pos_rows, vel_rows = [], [], []
         for entry in block:
+            pos_rows.append(_array(entry, "position", "each robot"))
+            vel_rows.append(_floats(entry.get("velocity", [0.0, 0.0]), "robot velocity"))
             models.append(_build_model(entry.get("model", "double_integrator"), entry))
-            pos_rows.append(np.asarray(entry["position"], dtype=float))
-            vel_rows.append(np.asarray(entry.get("velocity", [0.0, 0.0]), dtype=float))
         positions = np.vstack(pos_rows)
         velocities = np.vstack(vel_rows)
         models = tuple(models)
@@ -192,11 +235,13 @@ def _parse_graph(block, n: int, fallback_seed: int) -> Graph:
         raise InvalidInputError("graph must be an object")
     if "generate" in block:
         gen = block["generate"]
-        g_n = int(gen.get("n", n))
+        if not isinstance(gen, dict):
+            raise InvalidInputError("graph.generate must be an object")
+        g_n = _number(gen.get("n", n), int, "graph.generate.n")
         if g_n != n:
             raise InvalidInputError(f"graph.generate.n = {g_n} does not match robot count {n}")
-        seed = int(gen.get("seed", fallback_seed))
-        split = float(gen.get("split_prob", 0.5))
+        seed = _number(gen.get("seed", fallback_seed), int, "graph.generate.seed")
+        split = _number(gen.get("split_prob", 0.5), float, "graph.generate.split_prob")
         return henneberg_generate(g_n, seed, split_probability=split).graph
     return graph_from_dict(block)
 
@@ -209,11 +254,11 @@ def config_from_dict(data: dict) -> SimConfig:
         if key not in data:
             raise InvalidInputError(f"config is missing required field {key!r}")
 
-    region = ConvexRegion(np.asarray(data["region"], dtype=float))
+    region = _parse_region(data["region"])
     density = _parse_density(data.get("density"))
     models, states = _parse_robots(data["robots"])
     n = len(models)
-    seed = int(data.get("seed", 0))
+    seed = _number(data.get("seed", 0), int, "seed")
 
     positions = states[:, :2]
     for i, p in enumerate(positions):
@@ -246,7 +291,9 @@ def config_from_dict(data: dict) -> SimConfig:
             raise InvalidInputError("graph is not minimally rigid" + detail)
 
     mpc_block = data.get("mpc", {})
-    horizon = int(mpc_block.get("horizon", 10))
+    horizon = _number(mpc_block.get("horizon", 10), int, "mpc.horizon")
+    if horizon < 1:
+        raise InvalidInputError("mpc.horizon must be at least 1")
     n_x = models[0].n_x
     n_u = models[0].n_u
     # weight entries live either in a nested "weights" block or flat in "mpc"
@@ -255,8 +302,8 @@ def config_from_dict(data: dict) -> SimConfig:
         Q=_as_matrix(w_block.get("Q", 1.0), n_x, "Q"),
         R=_as_matrix(w_block.get("R", 1.0), n_u, "R"),
         S_r=_as_matrix(w_block.get("S_r", 1.0), models[0].dim, "S_r"),
-        w_b=float(w_block.get("w_b", 1.0)),
-        mu=float(w_block.get("mu", 1.0)),
+        w_b=_number(w_block.get("w_b", 1.0), float, "w_b"),
+        mu=_number(w_block.get("mu", 1.0), float, "mu"),
     )
     solver_block = mpc_block.get("solver", {})
     allowed = set(SqpOptions.__dataclass_fields__)
@@ -269,16 +316,16 @@ def config_from_dict(data: dict) -> SimConfig:
     terminal = TerminalOptions(
         Q=None if "Q" not in term_block else _as_matrix(term_block["Q"], n_x, "terminal Q"),
         R=None if "R" not in term_block else _as_matrix(term_block["R"], n_u, "terminal R"),
-        c_fraction=float(term_block.get("c_fraction", 0.5)),
-        n_directions=int(term_block.get("n_directions", 512)),
-        seed=int(term_block.get("seed", seed)),
+        c_fraction=_number(term_block.get("c_fraction", 0.5), float, "terminal.c_fraction"),
+        n_directions=_number(term_block.get("n_directions", 512), int, "terminal.n_directions"),
+        seed=_number(term_block.get("seed", seed), int, "terminal.seed"),
     )
 
-    steps = int(data["steps"])
+    steps = _number(data["steps"], int, "steps")
     if steps < 1:
         raise InvalidInputError("steps must be at least 1")
 
-    epsilon = float(data.get("epsilon", 0.02))
+    epsilon = _number(data.get("epsilon", 0.02), float, "epsilon")
     if epsilon < 0:
         raise InvalidInputError("epsilon must be non-negative")
     try:
@@ -290,7 +337,9 @@ def config_from_dict(data: dict) -> SimConfig:
     for entry in data.get("faults", []):
         if not isinstance(entry, dict) or "at_step" not in entry or "robot" not in entry:
             raise InvalidInputError("each fault needs 'at_step' and 'robot' fields")
-        faults.append(FaultEvent(at_step=int(entry["at_step"]), robot=int(entry["robot"])))
+        faults.append(
+            FaultEvent(at_step=_number(entry["at_step"], int, "at_step"), robot=_number(entry["robot"], int, "robot"))
+        )
     faults.sort(key=lambda f: f.at_step)
     seen_steps = [f.at_step for f in faults]
     if len(set(seen_steps)) != len(seen_steps):
@@ -305,7 +354,7 @@ def config_from_dict(data: dict) -> SimConfig:
         if not alive:
             raise InvalidInputError("faults would remove every robot")
 
-    quad_order = int(data.get("quad_order", 5))
+    quad_order = _parse_quad_order(data.get("quad_order", 5))
 
     return SimConfig(
         region=region,

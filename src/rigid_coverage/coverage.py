@@ -1,19 +1,25 @@
 """Voronoi coverage: partitions, weighted centroids, locational cost.
 
 Cells come from clipping the workspace polygon with perpendicular-bisector
-half-planes, one pass per robot pair.  Weighted integrals over cells use a
-fan triangulation and a symmetric triangle quadrature rule, refined by
-uniform subdivision until two successive estimates agree.  The cells of a
-partition are refined together: each level evaluates the integrand once on
-the rule points of every cell still open, and each cell's triangles are
-kept in the order a cell integrated alone would have, so its result is the
-same to the bit.
+half-planes, one pass per robot pair.  A cell's centroid and its share of
+the locational cost H are read from one set of density moments taken about
+the cell's site (`cell_moments`): the mass, the first moment and the second
+moment.  The moments come from one quadrature pass over all cells of a
+partition and are kept on it, so the centroids and H of one partition cost
+one pass.  Every density, uniform included, goes through that pass.
+
+The quadrature fans each cell into triangles and applies a symmetric
+triangle rule, refined by uniform subdivision until two successive
+estimates agree.  Each level evaluates the integrand once on the rule
+points of every cell still open, and each cell's triangles are kept in the
+order a cell integrated alone would have, so its result is the same to the
+bit.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +29,7 @@ from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
-from .geometry import ConvexRegion, clip_polygon_halfplane, polygon_area, polygon_centroid
+from .geometry import ConvexRegion, clip_polygon_halfplane, polygon_area
 
 MIN_SITE_SEPARATION = 1e-7
 AREA_TILE_RTOL = 1e-8
@@ -133,6 +139,7 @@ def _triangle_rules():
 
 
 _TRI_RULES = _triangle_rules()
+QUAD_ORDERS = tuple(sorted(_TRI_RULES))
 
 
 def _fan_triangles(polygons) -> tuple[np.ndarray, np.ndarray]:
@@ -253,6 +260,8 @@ class VoronoiPartition:
     cells: tuple[np.ndarray, ...]
     region: ConvexRegion
     sites: np.ndarray
+    # (density, quad order) -> cell_moments of this partition
+    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPartition:
@@ -298,43 +307,58 @@ def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPar
     return VoronoiPartition(tuple(cells), region, sites)
 
 
+def cell_moments(partition: VoronoiPartition, density, quad_order: int = 5) -> np.ndarray:
+    """(n, 4) density moments of each cell about its own site p_i: the
+    integrals of phi, (q - p_i) phi and |q - p_i|^2 phi, all from one batched
+    quadrature pass.  The read-only result is kept on the partition, one
+    entry per density and order, so later calls read it back.
+    """
+    key = (density, quad_order)
+    if key not in partition._moments:
+        sites = partition.sites
+
+        def moments(pts, owner):
+            phi = density(pts)
+            diff = pts - sites[owner]
+            return np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
+
+        values = integrate_over_polygons(partition.cells, moments, order=quad_order)
+        values.setflags(write=False)
+        partition._moments[key] = values
+    return partition._moments[key]
+
+
 def centroid(cell, density, quad_order: int = 5) -> np.ndarray:
     """Density-weighted centroid of one cell, or, given a VoronoiPartition,
-    the (n, 2) centroids of all its cells from one batched pass.
-
-    The uniform case is the exact polygon centroid; otherwise the mass and
-    first moment are integrated numerically.
+    the (n, 2) centroids of all its cells: each site plus its cell's first
+    moment over its mass.  A lone polygon is taken as the one-cell partition
+    of itself, with its vertex mean as the site.
     """
     batch = isinstance(cell, VoronoiPartition)
-    polygons = cell.cells if batch else [cell]
-    if isinstance(density, UniformDensity):
-        refs = np.array([polygon_centroid(poly) for poly in polygons])
-    else:
-        def mass_and_moment(pts, _owner):
-            phi = density(pts)
-            return np.column_stack([phi, pts * phi[:, None]])
-
-        mm = integrate_over_polygons(polygons, mass_and_moment, order=quad_order)
-        light = np.flatnonzero(mm[:, 0] < MASS_TOL)
-        if len(light):
-            raise DegenerateMassError(f"cell mass {mm[light[0], 0]:.3e} below tolerance")
-        refs = mm[:, 1:] / mm[:, :1]
+    if not batch:
+        poly = np.asarray(cell, dtype=float)
+        cell = VoronoiPartition((poly,), None, poly.mean(axis=0, keepdims=True))
+    m = cell_moments(cell, density, quad_order)
+    light = np.flatnonzero(m[:, 0] < MASS_TOL)
+    if len(light):
+        raise DegenerateMassError(f"cell mass {m[light[0], 0]:.3e} below tolerance")
+    refs = cell.sites + m[:, 1:3] / m[:, :1]
     return refs if batch else refs[0]
 
 
 def coverage_cost(positions: np.ndarray, partition: VoronoiPartition, density, quad_order: int = 5) -> float:
     """Locational cost: sum over cells of the density-weighted squared
-    distance to the assigned robot."""
+    distance to the assigned robot.  Each cell's second moment about its
+    site is moved to the robot's position by the parallel-axis identity,
+    which changes nothing where the two agree (all but clamped sites)."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     if len(pos) != len(partition.cells):
         raise InvalidInputError("positions and partition size differ")
-
-    def weighted_sq(pts, owner):
-        diff = pts - pos[owner]
-        return (diff[:, 0] ** 2 + diff[:, 1] ** 2) * density(pts)
-
+    m = cell_moments(partition, density, quad_order)
+    shift = pos - partition.sites
+    costs = m[:, 3] - 2.0 * np.sum(shift * m[:, 1:3], axis=1) + np.sum(shift**2, axis=1) * m[:, 0]
     total = 0.0
-    for cell_cost in integrate_over_polygons(partition.cells, weighted_sq, order=quad_order)[:, 0]:
+    for cell_cost in costs:
         total += float(cell_cost)
     return total
 

@@ -22,10 +22,10 @@ def parse_points(data, dims=(2,)) -> np.ndarray:
     try:
         points = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"positions must be a list of numeric points: {exc}") from exc
+        raise InvalidInputError(f"expected a list of numeric points: {exc}") from exc
     if points.ndim != 2 or points.shape[1] not in dims:
         sizes = " or ".join(str(d) for d in dims)
-        raise InvalidInputError(f"positions must be a list of {sizes}-dimensional points, got shape {points.shape}")
+        raise InvalidInputError(f"expected a list of {sizes}-dimensional points, got shape {points.shape}")
     return points
 
 

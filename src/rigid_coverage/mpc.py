@@ -30,9 +30,10 @@ x0, r_ref and the bearings set; the warm-start check and the solve of one
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -165,6 +166,16 @@ class SqpOptions:
     backoff: float = 2e-4
     regularization: float = 1e-9
     max_linesearch: int = 40  # step halvings of one phase-1 pass
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+                raise InvalidInputError(f"solver option {f.name} must be a finite {f.type}, got {value!r}")
+            least = "positive" if f.name in ("max_iter", "tol_equality", "tol_stationarity") else "non-negative"
+            if value < 0 or (value == 0 and least == "positive"):
+                raise InvalidInputError(f"solver option {f.name} must be {least}, got {value!r}")
 
 
 @dataclass

@@ -3,10 +3,15 @@
 The loop keeps a centralized layer (Voronoi partition, centroid references,
 desired bearings, recovery plan) and a decentralized layer (per-robot
 tracking solves, which only read an immutable snapshot and may run in
-parallel).  References are recomputed when every robot has closed in on its
-reference and at fault steps; desired bearings are captured from the
-reference configuration when the topology is (re)built and held constant
-in between, so that bearing maintenance has a fixed geometric target.
+parallel).  Each step first handles a fault, if one falls on it (repair the
+graph, drop the robot, rebuild the recovery plan), then builds one Voronoi
+partition of the current positions.  The coverage cost H of every step and,
+at update steps, the centroid references come from that one partition and
+its one quadrature pass.  References are recomputed at the first step, at
+fault steps and when every robot has closed in on its reference.  Desired
+bearings are captured from the reference configuration when the topology is
+(re)built and held constant in between, so that bearing maintenance has a
+fixed geometric target.
 
 Robot identity: original ids 0..n0-1 never change; graph vertices always
 correspond to the currently alive robots in ascending original-id order.
@@ -151,18 +156,10 @@ def run(config: SimConfig) -> SimTrace:
     n_updates = 0
     threads = _thread_count()
 
-    def refresh_references(positions: np.ndarray):
-        partition = voronoi_partition(positions, region)
-        new_refs = centroid(partition, density, quad)
-        new_errors = np.linalg.norm(positions - new_refs, axis=1)
-        return partition, new_refs, new_errors
-
     for k in range(config.steps):
-        updated = False
-        fresh_partition = None
-
-        if k in faults_by_step:
-            fault = faults_by_step[k]
+        fault = faults_by_step.get(k)
+        rebuilt = fault is not None or refs is None  # the topology is new
+        if fault is not None:
             jf = alive.index(fault.robot)
             entry = plan.for_loss(jf)
             new_edges = entry.new_edges if entry is not None else frozenset()
@@ -177,42 +174,34 @@ def run(config: SimConfig) -> SimTrace:
             alive.pop(jf)
             states = np.delete(states, jf, axis=0)
             prev_sols.pop(jf)
-            positions = states[:, :2]
-            fresh_partition, refs, errors = refresh_references(positions)
-            g_des = _bearing_map(graph, refs)
             plan = build_recovery_plan(graph) if graph.n >= 2 else RecoveryPlan({})
             if graph.n >= 2:
                 event["edge_count"] = graph.m
                 event["laman"] = bool(laman_check(graph))
                 event["rigid"] = is_infinitesimally_bearing_rigid(
-                    Framework(graph, Configuration(positions))
+                    Framework(graph, Configuration(states[:, :2]))
                 )
             else:
                 event["edge_count"] = 0
                 event["laman"] = None
                 event["rigid"] = None
             events.append(event)
-            updated = True
-        else:
-            positions = states[:, :2]
-            if refs is None:
-                fresh_partition, refs, errors = refresh_references(positions)
-                g_des = _bearing_map(graph, refs)
-                updated = True
-            elif partition_update_due(positions, refs, errors):
-                fresh_partition, refs, errors = refresh_references(positions)
-                updated = True
 
-        if fresh_partition is None:
-            fresh_partition = voronoi_partition(positions, region)
-        H = coverage_cost(positions, fresh_partition, density, quad)
+        positions = states[:, :2]
+        partition = voronoi_partition(positions, region)
+        updated = rebuilt or partition_update_due(positions, refs, errors)
+        if updated:
+            refs = centroid(partition, density, quad)
+            errors = np.linalg.norm(positions - refs, axis=1)
+            n_updates += 1
+        if rebuilt:
+            g_des = _bearing_map(graph, refs)
+        H = coverage_cost(positions, partition, density, quad)
         bearing_err = _aggregate_bearing_error(g_des, graph, positions)
         if graph.n >= 2:
             rank = rigidity_rank(Framework(graph, Configuration(positions))).rank
         else:
             rank = 0
-        if updated:
-            n_updates += 1
 
         problems = []
         for li, oid in enumerate(alive):

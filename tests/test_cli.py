@@ -1,4 +1,5 @@
 """Command-line interface behavior and exit codes."""
+import copy
 import json
 import subprocess
 import sys
@@ -93,6 +94,68 @@ def test_malformed_coverage_positions_exit_1(tmp_path, capsys, positions):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+DELETE = object()
+RAGGED_REGION = [[0, 0], [1], [1, 1], [0, 1]]
+TEXT_REGION = [[0, 0], [1, "a"], [1, 1], [0, 1]]
+GRID = {"type": "grid", "values": [[1, 2], [3, 4]], "lo": [0, 0], "hi": [1, 1]}
+TRIANGLE = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+# each case: (key path, new value or DELETE) edits of the benchmark scenario
+BAD_CONFIGS = {
+    "ragged region": [(["region"], RAGGED_REGION)],
+    "non-numeric region": [(["region"], TEXT_REGION)],
+    "gaussian without mean": [(["density", "mean"], DELETE)],
+    "gaussian without cov_diag": [(["density", "cov_diag"], DELETE)],
+    "grid without lo": [(["density"], GRID), (["density", "lo"], DELETE)],
+    "grid without hi": [(["density"], GRID), (["density", "hi"], DELETE)],
+    "grid without values": [(["density"], GRID), (["density", "values"], DELETE)],
+    "robot without position": [
+        (["robots"], [{"position": [0.2, 0.2]}, {"position": [0.6, 0.3]}, {"velocity": [0, 0]}]),
+        (["graph"], TRIANGLE),
+    ],
+    "ragged initial positions": [(["robots", "initial_positions", 3], [0.3])],
+    "non-numeric steps": [(["steps"], "x")],
+    "unsupported quad_order": [(["quad_order"], 3)],
+    "non-numeric solver option": [(["mpc", "solver"], {"max_iter": "x"})],
+    "gaussian components not a list": [(["density"], {"type": "gaussian", "components": 5})],
+    "graph generator not an object": [(["graph", "generate"], "x")],
+    "zero horizon": [(["mpc", "horizon"], 0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_malformed_config_exits_1(tmp_path, capsys, case, command):
+    data = make_scenario(steps=2)
+    for path, value in BAD_CONFIGS[case]:
+        entry = data
+        for key in path[:-1]:
+            entry = entry[key]
+        if value is DELETE:
+            del entry[path[-1]]
+        else:
+            entry[path[-1]] = copy.deepcopy(value)  # later edits must not reach the constants
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    args = ["--config", str(path)] + (["--out", str(tmp_path / "run")] if command == "simulate" else [])
+    assert main([command, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("region", [RAGGED_REGION, TEXT_REGION])
+def test_malformed_coverage_region_exits_1(tmp_path, capsys, region):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(make_scenario(), region=region)))
+    pos_path = tmp_path / "pos.json"
+    pos_path.write_text(json.dumps([[0.2, 0.2], [0.6, 0.3]]))
+    assert main(["coverage", "cost", "--config", str(cfg_path), "--positions", str(pos_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: region: ") and "Traceback" not in captured.err
 
 
 def test_recover_non_laman_exits_1(tmp_path, capsys):

@@ -178,6 +178,31 @@ def test_solver_options():
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [{"max_iter": "x"}, {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True}, {"tol_equality": 0},
+     {"tol_stationarity": -1e-6}, {"backoff": -1e-4}, {"regularization": "1e-9"}, {"max_linesearch": -1}],
+)
+def test_solver_option_types_and_signs(options):
+    data = make_scenario()
+    data["mpc"]["solver"] = options
+    with pytest.raises(InvalidInputError, match=f"solver option {next(iter(options))}"):
+        config_from_dict(data)
+
+
+def test_smallest_solver_options_are_valid():
+    data = make_scenario()
+    data["mpc"]["solver"] = {"max_iter": 1, "backoff": 0, "regularization": 0.0, "max_linesearch": 0}
+    assert config_from_dict(data).solver.max_iter == 1
+
+
+@pytest.mark.parametrize("order", [3, "x", None])
+def test_quad_order_must_name_a_rule(order):
+    data = dict(make_scenario(), quad_order=order)
+    with pytest.raises(InvalidInputError, match="quad_order"):
+        config_from_dict(data)
+
+
 @pytest.mark.parametrize("key", ["penalty_init", "penalty_max", "armijo"])
 def test_removed_solver_options_are_unknown(key):
     data = make_scenario()

@@ -140,6 +140,15 @@ class TestCentroid:
         oracle = np.array([mx / mass, my / mass])
         assert np.max(np.abs(c - oracle)) < 1e-4
 
+    def test_uniform_cells_match_closed_form(self, unit_square):
+        # degree-2 integrands: every rule involved is exact
+        pos = np.random.default_rng(4).uniform(0.05, 0.95, (9, 2))
+        part = voronoi_partition(pos, unit_square)
+        for order in (2, 5):
+            refs = centroid(part, UniformDensity(), order)
+            closed = np.array([polygon_centroid(cell) for cell in part.cells])
+            assert np.allclose(refs, closed, rtol=0, atol=1e-12)
+
 
 class TestCoverageCost:
     def test_single_robot_at_center(self, unit_square):
@@ -147,6 +156,22 @@ class TestCoverageCost:
         part = voronoi_partition(pos, unit_square)
         H = coverage_cost(pos, part, UniformDensity())
         assert H == pytest.approx(1.0 / 6.0, rel=1e-9)
+
+    def test_clamped_site_cost_is_taken_about_the_robot(self, unit_square):
+        # the partition's moments are about the clamped site; the cost is
+        # shifted to the robot outside the region
+        pos = np.array([[1.2, 0.4], [0.3, 0.6], [0.5, 0.2]])
+        with pytest.warns(UserWarning, match="clamping"):
+            part = voronoi_partition(pos, unit_square)
+        assert not np.array_equal(part.sites, pos)
+        density = DENSITIES["gaussian"]
+
+        def weighted_sq(pts, owner):
+            diff = pts - pos[owner]
+            return (diff[:, 0] ** 2 + diff[:, 1] ** 2) * density(pts)
+
+        direct = integrate_over_polygons(part.cells, weighted_sq).sum()
+        assert coverage_cost(pos, part, density) == pytest.approx(direct, rel=1e-9)
 
     def test_lloyd_iterations_never_increase_cost(self, unit_square):
         rng = np.random.default_rng(5)
@@ -192,8 +217,9 @@ class TestPartitionUpdateDue:
 
 
 # --- batched quadrature against the per-cell loop it replaced ----------------
-# The oracle below is the per-cell refinement loop verbatim; the batched
-# kernel must reproduce it bit for bit, cell by cell.
+# The oracle below is the per-cell refinement loop verbatim, applied to each
+# cell's moments about its site; the batched kernel must reproduce it bit for
+# bit, cell by cell.
 
 def _oracle_fan_triangles(vertices):
     v = np.asarray(vertices, dtype=float)
@@ -250,29 +276,28 @@ def _oracle_integrate(vertices, func, order=5, tol=QUAD_REFINE_TOL, max_levels=6
     return est
 
 
-def _oracle_centroid(cell, density, quad_order=5):
-    if isinstance(density, UniformDensity):
-        return polygon_centroid(cell)
-
-    def mass_and_moment(pts):
+def _oracle_moments(cell, site, density, quad_order=5):
+    def moments(pts):
         phi = density(pts)
-        return np.column_stack([phi, pts * phi[:, None]])
+        diff = pts - site
+        return np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
 
-    mm = _oracle_integrate(cell, mass_and_moment, order=quad_order)
-    mass = mm[0]
-    if mass < MASS_TOL:
-        raise DegenerateMassError(f"cell mass {mass:.3e} below tolerance")
-    return mm[1:] / mass
+    return _oracle_integrate(cell, moments, order=quad_order)
+
+
+def _oracle_centroid(cell, site, density, quad_order=5):
+    m = _oracle_moments(cell, site, density, quad_order)
+    if m[0] < MASS_TOL:
+        raise DegenerateMassError(f"cell mass {m[0]:.3e} below tolerance")
+    return site + m[1:3] / m[0]
 
 
 def _oracle_cost(positions, partition, density, quad_order=5):
     total = 0.0
-    for p, cell in zip(np.atleast_2d(positions), partition.cells):
-        def weighted_sq(pts, p=p):
-            diff = pts - p
-            return (diff[:, 0] ** 2 + diff[:, 1] ** 2) * density(pts)
-
-        total += float(_oracle_integrate(cell, weighted_sq, order=quad_order)[0])
+    for p, site, cell in zip(np.atleast_2d(positions), partition.sites, partition.cells):
+        m = _oracle_moments(cell, site, density, quad_order)
+        shift = p - site
+        total += float(m[3] - 2.0 * np.sum(shift * m[1:3]) + np.sum(shift**2) * m[0])
     return total
 
 
@@ -334,10 +359,15 @@ class TestBatchedQuadrature:
             part = voronoi_partition(pos, unit_square)
             vertex_counts |= {len(c) for c in part.cells}
             refs = centroid(part, density, order)
-            expected = np.array([_oracle_centroid(cell, density, order) for cell in part.cells])
+            expected = np.array(
+                [_oracle_centroid(cell, site, density, order) for cell, site in zip(part.cells, part.sites)]
+            )
             assert _bitwise_equal(refs, expected)
             for cell, ref in zip(part.cells, refs):
-                assert _bitwise_equal(centroid(cell, density, order), ref)
+                # a lone polygon's moments are taken about its vertex mean
+                alone = centroid(cell, density, order)
+                assert _bitwise_equal(alone, _oracle_centroid(cell, cell.mean(axis=0), density, order))
+                assert np.allclose(alone, ref, rtol=0, atol=1e-6)
             H = coverage_cost(pos, part, density, order)
             assert type(H) is float and H == _oracle_cost(pos, part, density, order)
         assert vertex_counts >= {3, 4, 5, 6, 7}
@@ -365,16 +395,17 @@ class TestBatchedQuadrature:
         pos = np.array([[0.85, 0.85], [0.6, 0.6], [0.1, 0.1], [0.5, 0.2], [0.2, 0.6]])
         part = voronoi_partition(pos, unit_square)
         messages = []
-        for cell in part.cells:
+        for cell, site in zip(part.cells, part.sites):
             try:
-                _oracle_centroid(cell, density)
+                _oracle_centroid(cell, site, density)
             except DegenerateMassError as exc:
                 messages.append(str(exc))
         assert len(set(messages)) == 4
         with pytest.raises(DegenerateMassError) as batched:
             centroid(part, density)
         assert str(batched.value) == messages[0]
-        assert _bitwise_equal(centroid(part.cells[0], density), _oracle_centroid(part.cells[0], density))
+        cell = part.cells[0]
+        assert _bitwise_equal(centroid(cell, density), _oracle_centroid(cell, cell.mean(axis=0), density))
         far = GaussianMixtureDensity(
             (GaussianComponent(mean=np.array([40.0, 40.0]), cov_diag=np.array([0.01, 0.01])),)
         )
@@ -400,7 +431,8 @@ class TestBatchedQuadrature:
         batched = run(config_from_dict(cfg))
 
         def per_cell_centroid(partition, density, quad_order=5):
-            return np.array([_oracle_centroid(cell, density, quad_order) for cell in partition.cells])
+            cells = zip(partition.cells, partition.sites)
+            return np.array([_oracle_centroid(cell, site, density, quad_order) for cell, site in cells])
 
         monkeypatch.setattr(sim, "centroid", per_cell_centroid)
         monkeypatch.setattr(sim, "coverage_cost", _oracle_cost)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
+from rigid_coverage import coverage
 from rigid_coverage.config import config_from_dict
 from rigid_coverage.coverage import coverage_cost, voronoi_partition
 from rigid_coverage.errors import InvalidInputError
@@ -65,6 +66,42 @@ def test_coverage_cost_non_increasing_at_updates(short_trace):
         if rec.updated and prev is not None:
             assert rec.coverage_cost <= prev + 1e-8
         prev = rec.coverage_cost
+
+
+def test_one_quadrature_pass_per_step(monkeypatch):
+    # an update step reads its centroids and H from one pass over its
+    # partition; the final H of the summary takes one more
+    calls = []
+    integrate = coverage.integrate_over_polygons
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(coverage, "integrate_over_polygons", counted)
+    steps = 12
+    trace = run(config_from_dict(make_scenario(mu=0.7, steps=steps, faults=[{"at_step": 5, "robot": 2}])))
+    assert sum(r.updated for r in trace.records) > 2
+    assert len(calls) == steps + 1
+
+
+def test_recorded_coverage_cost_does_not_rise_at_updates_after_a_fault():
+    # a jittered start of the 6-robot fault run on which the recorded H once
+    # rose at the update of step 139: two subdivision levels of one cell
+    # agreed by chance while both were off by 2.2e-6
+    cfg = make_scenario(mu=0.7, steps=140, faults=[{"at_step": 48, "robot": 2}])
+    cfg["robots"]["initial_positions"] = [
+        [0.136102, 0.129058], [0.233184, 0.118837], [0.117628, 0.293298],
+        [0.318913, 0.23919], [0.210036, 0.360148], [0.375284, 0.134002],
+    ]
+    records = run(config_from_dict(cfg)).records
+    rises = [
+        rec.k
+        for prev, rec in zip(records, records[1:])
+        if rec.updated and rec.k != 48 and rec.coverage_cost > prev.coverage_cost
+    ]
+    assert sum(r.updated for r in records) > 100
+    assert rises == []
 
 
 def test_fault_shrinks_team_and_repairs_graph(fault_trace):

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .config import _parse_density, _parse_quad_order, _parse_region, config_from_dict, load_config
+from .config import _parse_density, _parse_region, config_from_dict, load_config
 from .coverage import coverage_cost, voronoi_partition
 from .errors import InvalidInputError, RigidCoverageError
 from .geometry import parse_points
@@ -102,10 +102,9 @@ def _cmd_coverage_cost(args) -> int:
         raise InvalidInputError("config must be an object with a 'region' field")
     region = _parse_region(data["region"])
     density = _parse_density(data.get("density"))
-    quad = _parse_quad_order(data.get("quad_order", 5))
     positions = parse_points(_load_json_file(args.positions, "positions"))
     partition = voronoi_partition(positions, region)
-    value = coverage_cost(positions, partition, density, quad_order=quad)
+    value = coverage_cost(positions, partition, density)
     sys.stdout.write(f"{value:.9g}\n")
     return 0
 
@@ -160,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov = sub.add_parser("coverage", help="coverage cost evaluation")
     cov_sub = p_cov.add_subparsers(dest="coverage_command", required=True, parser_class=_Parser)
     p_cost = cov_sub.add_parser("cost", help="locational cost of positions in a config's region")
-    p_cost.add_argument("--config", required=True, help="config JSON (region/density/quad_order used)")
+    p_cost.add_argument("--config", required=True, help="config JSON (region and density used)")
     p_cost.add_argument("--positions", required=True, help="JSON file with a list of [x, y]")
     p_cost.set_defaults(handler=_cmd_coverage_cost)
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage import (
-    QUAD_ORDERS,
     GaussianComponent,
     GaussianMixtureDensity,
     GridDensity,
@@ -84,7 +83,6 @@ class SimConfig:
     steps: int
     faults: tuple = ()
     seed: int = 0
-    quad_order: int = 5
     solver: SqpOptions = field(default_factory=SqpOptions)
 
     @property
@@ -122,14 +120,6 @@ def _parse_region(value) -> ConvexRegion:
     except InvalidInputError as exc:
         raise InvalidInputError(f"region: {exc}") from exc
     return ConvexRegion(vertices)
-
-
-def _parse_quad_order(value) -> int:
-    """A config's "quad_order" entry: the degree of a supported triangle rule."""
-    order = _number(value, int, "quad_order")
-    if order not in QUAD_ORDERS:
-        raise InvalidInputError(f"unsupported quad_order {order}; choose from {list(QUAD_ORDERS)}")
-    return order
 
 
 def _as_matrix(value, size: int, name: str) -> np.ndarray:
@@ -223,6 +213,10 @@ def _parse_robots(block):
             raise InvalidInputError("robot positions must be planar")
     else:
         raise InvalidInputError("robots must be an object or a non-empty list")
+    for name, values in (("position", positions), ("velocity", velocities)):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if len(bad):
+            raise InvalidInputError(f"initial {name} of robot {bad[0]} is not finite: {values[bad[0]].tolist()}")
     steps = {m.h for m in models}
     if len(steps) > 1:
         raise InvalidInputError("all robots must share the same sampling time h")
@@ -354,8 +348,6 @@ def config_from_dict(data: dict) -> SimConfig:
         if not alive:
             raise InvalidInputError("faults would remove every robot")
 
-    quad_order = _parse_quad_order(data.get("quad_order", 5))
-
     return SimConfig(
         region=region,
         density=density,
@@ -369,7 +361,6 @@ def config_from_dict(data: dict) -> SimConfig:
         steps=steps,
         faults=tuple(faults),
         seed=seed,
-        quad_order=quad_order,
         solver=solver,
     )
 

@@ -114,14 +114,9 @@ class GridDensity:
         )
 
 
-# Symmetric triangle rules in barycentric coordinates: (points, weights),
-# weights summing to one.  Degree 5 is the 7-point rule.
-def _triangle_rules():
-    rules = {}
-    rules[2] = (
-        np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    )
+# The degree-5 symmetric 7-point triangle rule in barycentric coordinates:
+# (points, weights), weights summing to one.
+def _triangle_rule():
     s = np.sqrt(15.0)
     b1 = (6.0 + s) / 21.0
     a1 = 1.0 - 2.0 * b1
@@ -134,12 +129,10 @@ def _triangle_rules():
     for (a, b, w) in ((a1, b1, w1), (a2, b2, w2)):
         pts += [[a, b, b], [b, a, b], [b, b, a]]
         wts += [w, w, w]
-    rules[5] = (np.array(pts), np.array(wts))
-    return rules
+    return np.array(pts), np.array(wts)
 
 
-_TRI_RULES = _triangle_rules()
-QUAD_ORDERS = tuple(sorted(_TRI_RULES))
+_TRI_RULE = _triangle_rule()
 
 
 def _fan_triangles(polygons) -> tuple[np.ndarray, np.ndarray]:
@@ -176,10 +169,10 @@ def _subdivide(tris: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integrate_triangles(tris, counts, owners, func, order: int) -> np.ndarray:
+def _integrate_triangles(tris, counts, owners, func) -> np.ndarray:
     """(p, k) rule estimates for p polygons whose triangles are stacked
     polygon by polygon, counts[i] of them for polygon owners[i]."""
-    bary, wts = _TRI_RULES[order]
+    bary, wts = _TRI_RULE
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     areas = 0.5 * np.abs(
         (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
@@ -198,7 +191,6 @@ def _integrate_triangles(tris, counts, owners, func, order: int) -> np.ndarray:
 def integrate_over_polygons(
     polygons,
     func,
-    order: int = 5,
     tol: float = QUAD_REFINE_TOL,
     max_levels: int = 6,
 ) -> np.ndarray:
@@ -212,8 +204,6 @@ def integrate_over_polygons(
     polygon's value depends only on its own triangles, so it is the same
     whichever polygons share its batch.
     """
-    if order not in _TRI_RULES:
-        raise InvalidInputError(f"unsupported quadrature order {order}; choose from {sorted(_TRI_RULES)}")
     polys = [np.asarray(v, dtype=float) for v in polygons]
     results: list = [None] * len(polys)
     for i, v in enumerate(polys):
@@ -223,10 +213,10 @@ def integrate_over_polygons(
     if len(live) == 0:
         return np.array(results)
     tris, counts = _fan_triangles([polys[i] for i in live])
-    est = _integrate_triangles(tris, counts, live, func, order)
+    est = _integrate_triangles(tris, counts, live, func)
     for _ in range(max_levels):
         tris, counts = _subdivide(tris, counts), 4 * counts
-        nxt = _integrate_triangles(tris, counts, live, func, order)
+        nxt = _integrate_triangles(tris, counts, live, func)
         done = np.max(np.abs(nxt - est), axis=1) < tol
         for i, value in zip(live[done], nxt[done]):
             results[i] = value
@@ -243,7 +233,6 @@ def integrate_over_polygons(
 def integrate_over_polygon(
     vertices: np.ndarray,
     func,
-    order: int = 5,
     tol: float = QUAD_REFINE_TOL,
     max_levels: int = 6,
 ) -> np.ndarray:
@@ -252,7 +241,7 @@ def integrate_over_polygon(
     Subdivides the fan triangulation until two successive levels agree to
     tol in every component.
     """
-    return integrate_over_polygons([vertices], lambda pts, _owner: func(pts), order, tol, max_levels)[0]
+    return integrate_over_polygons([vertices], lambda pts, _owner: func(pts), tol, max_levels)[0]
 
 
 @dataclass(frozen=True)
@@ -260,7 +249,7 @@ class VoronoiPartition:
     cells: tuple[np.ndarray, ...]
     region: ConvexRegion
     sites: np.ndarray
-    # (density, quad order) -> cell_moments of this partition
+    # density -> cell_moments of this partition
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -307,14 +296,13 @@ def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPar
     return VoronoiPartition(tuple(cells), region, sites)
 
 
-def cell_moments(partition: VoronoiPartition, density, quad_order: int = 5) -> np.ndarray:
+def cell_moments(partition: VoronoiPartition, density) -> np.ndarray:
     """(n, 4) density moments of each cell about its own site p_i: the
     integrals of phi, (q - p_i) phi and |q - p_i|^2 phi, all from one batched
     quadrature pass.  The read-only result is kept on the partition, one
-    entry per density and order, so later calls read it back.
+    entry per density, so later calls read it back.
     """
-    key = (density, quad_order)
-    if key not in partition._moments:
+    if density not in partition._moments:
         sites = partition.sites
 
         def moments(pts, owner):
@@ -322,13 +310,13 @@ def cell_moments(partition: VoronoiPartition, density, quad_order: int = 5) -> n
             diff = pts - sites[owner]
             return np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
 
-        values = integrate_over_polygons(partition.cells, moments, order=quad_order)
+        values = integrate_over_polygons(partition.cells, moments)
         values.setflags(write=False)
-        partition._moments[key] = values
-    return partition._moments[key]
+        partition._moments[density] = values
+    return partition._moments[density]
 
 
-def centroid(cell, density, quad_order: int = 5) -> np.ndarray:
+def centroid(cell, density) -> np.ndarray:
     """Density-weighted centroid of one cell, or, given a VoronoiPartition,
     the (n, 2) centroids of all its cells: each site plus its cell's first
     moment over its mass.  A lone polygon is taken as the one-cell partition
@@ -338,7 +326,7 @@ def centroid(cell, density, quad_order: int = 5) -> np.ndarray:
     if not batch:
         poly = np.asarray(cell, dtype=float)
         cell = VoronoiPartition((poly,), None, poly.mean(axis=0, keepdims=True))
-    m = cell_moments(cell, density, quad_order)
+    m = cell_moments(cell, density)
     light = np.flatnonzero(m[:, 0] < MASS_TOL)
     if len(light):
         raise DegenerateMassError(f"cell mass {m[light[0], 0]:.3e} below tolerance")
@@ -346,7 +334,7 @@ def centroid(cell, density, quad_order: int = 5) -> np.ndarray:
     return refs if batch else refs[0]
 
 
-def coverage_cost(positions: np.ndarray, partition: VoronoiPartition, density, quad_order: int = 5) -> float:
+def coverage_cost(positions: np.ndarray, partition: VoronoiPartition, density) -> float:
     """Locational cost: sum over cells of the density-weighted squared
     distance to the assigned robot.  Each cell's second moment about its
     site is moved to the robot's position by the parallel-axis identity,
@@ -354,7 +342,7 @@ def coverage_cost(positions: np.ndarray, partition: VoronoiPartition, density, q
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     if len(pos) != len(partition.cells):
         raise InvalidInputError("positions and partition size differ")
-    m = cell_moments(partition, density, quad_order)
+    m = cell_moments(partition, density)
     shift = pos - partition.sites
     costs = m[:, 3] - 2.0 * np.sum(shift * m[:, 1:3], axis=1) + np.sum(shift**2, axis=1) * m[:, 0]
     total = 0.0

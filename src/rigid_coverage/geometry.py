@@ -26,6 +26,9 @@ def parse_points(data, dims=(2,)) -> np.ndarray:
     if points.ndim != 2 or points.shape[1] not in dims:
         sizes = " or ".join(str(d) for d in dims)
         raise InvalidInputError(f"expected a list of {sizes}-dimensional points, got shape {points.shape}")
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise InvalidInputError(f"point {bad[0]} is not finite: {points[bad[0]].tolist()}")
     return points
 
 

@@ -4,7 +4,8 @@ A graph on n >= 2 vertices is minimally (bearing) rigid in the plane iff it
 is Laman: it has exactly 2n - 3 edges and no vertex subset S with |S| >= 2
 spans more than 2|S| - 3 of them.  Every sparsity decision is made by one
 incremental (2,3) pebble game, which runs in polynomial time at any size;
-the recovery layer reuses it to pick repair edges.
+the recovery layer reuses one loaded game to test contractions and pick
+repair edges.
 """
 
 from __future__ import annotations
@@ -95,12 +96,15 @@ class _PebbleGame:
 
     ``add`` accepts an edge exactly when the accepted edges plus it stay
     (2,3)-sparse, i.e. independent in the planar rigidity matroid; a
-    rejected edge leaves the accepted set unchanged.
+    rejected edge leaves the accepted set unchanged.  Edges given to the
+    constructor are offered to ``add`` in order.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, edges=()):
         self.pebbles = [2] * n
         self.out: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
+            self.add(u, v)
 
     def add(self, u: int, v: int) -> bool:
         while self.pebbles[u] + self.pebbles[v] < 4:
@@ -109,6 +113,20 @@ class _PebbleGame:
         self.out[u].add(v)
         self.pebbles[u] -= 1
         return True
+
+    def without(self, v: int) -> _PebbleGame:
+        """A copy with every accepted edge at v dropped, each dropped edge's
+        pebble returned to its tail: the game of the graph without v, in the
+        same labels, with v isolated and holding 2 pebbles.  Acceptance
+        rests only on pebbles + out-degree = 2 at every vertex, which the
+        copy keeps, so it decides add() as a fresh game on those edges would.
+        """
+        game = _PebbleGame(0)
+        game.pebbles = [p + (v in heads) for p, heads in zip(self.pebbles, self.out)]
+        game.out = [heads - {v} for heads in self.out]
+        game.pebbles[v] = 2
+        game.out[v] = set()
+        return game
 
     def reach(self, u: int, v: int) -> frozenset[int]:
         """Vertices reachable from u or v; after add(u, v) is rejected they

@@ -4,10 +4,10 @@ When a vertex of degree a is removed from a Laman graph, a - 2 new edges
 among its former neighbors suffice to restore the Laman property.  A valid
 edge set can be read off an edge contraction: contracting (lost, w) onto a
 neighbor w is exactly "remove lost, then wire w to the remaining neighbors".
-Contraction candidates are filtered first by a common-neighbor count (two or
-more shared neighbors make the contraction drop too many edges), then
-verified against the Laman check.  If no incident edge is contractible, the
-repair edges are chosen greedily by the pebble game of the graph layer.
+The graph is loaded into one pebble game, and every question about a loss
+is answered by a copy of it with the lost vertex's edges dropped: a
+contraction is tested by offering that copy w's new edges, and if no
+incident edge is contractible, the repair edges are chosen greedily by it.
 """
 
 from __future__ import annotations
@@ -82,18 +82,15 @@ def is_contractible(g: Graph, edge: tuple[int, int]) -> ContractibilityReport:
     """Does contracting this edge keep the graph Laman?
 
     More than one shared neighbor settles the question without building the
-    contraction; otherwise the contracted graph is checked directly.
+    contraction; otherwise the contracted graph is checked directly.  This
+    contract-and-recheck is the definition; closing_ranks answers the same
+    question on its loaded pebble game.
     """
     v, w = int(edge[0]), int(edge[1])
     if not laman_check(g):
         raise InvalidInputError("contractibility is only defined on Laman graphs")
     if not g.has_edge(v, w):
         raise InvalidInputError(f"edge ({v}, {w}) not in graph")
-    return _contractible(g, v, w)
-
-
-def _contractible(g: Graph, v: int, w: int) -> ContractibilityReport:
-    """is_contractible for an edge (v, w) of a graph already known to be Laman."""
     if len(common_neighbors(g, v, w)) > 1:
         return ContractibilityReport(False, "pre-filter")
     verdict = laman_check(contract_edge(g, (v, w)))
@@ -113,8 +110,12 @@ def closing_ranks(g: Graph, lost: int, dim: int = 2) -> ClosingRanks:
 
     Tries contractions (lost, w) over neighbors w in ascending index order;
     the first contractible edge wins and w becomes the hub of the new edges.
-    Otherwise the graph without `lost` is loaded into one pebble game, which
-    is offered the non-adjacent pairs of former neighbors in lexicographic
+    Up to the merged vertex's label, the contracted graph is the graph
+    without `lost` plus the hub edges from w to the other neighbors it is
+    not adjacent to.  So it is Laman exactly when there are deg - 2 hub
+    edges (w and `lost` share one neighbor) and the graph's pebble game,
+    with `lost`'s edges dropped, accepts them all.  Otherwise that game is
+    offered the non-adjacent pairs of former neighbors in lexicographic
     order and keeps each pair it accepts.  Its accepted sets are the
     independent sets of the rigidity matroid, where greedy over an ordered
     ground set yields the lexicographically first basis: the first
@@ -127,32 +128,38 @@ def closing_ranks(g: Graph, lost: int, dim: int = 2) -> ClosingRanks:
         raise InvalidInputError(f"vertex {lost} out of range for n={g.n}")
     if g.n <= 2:
         raise RecoveryInfeasibleError("cannot lose a vertex from a 2-vertex graph")
-    return _closing_ranks(g, lost)
+    return _closing_ranks(g, lost, _PebbleGame(g.n, g.sorted_edges))
 
 
-def _closing_ranks(g: Graph, lost: int) -> ClosingRanks:
-    """closing_ranks for a vertex of a graph already known to be Laman."""
+def _hub_edges(g: Graph, lost: int, nbrs, w: int, game: _PebbleGame) -> frozenset | None:
+    """The repair edges of contracting (lost, w), or None when the contraction
+    is not Laman; nbrs are lost's neighbors and game holds g.  The edges run
+    from w to the other neighbors it is not adjacent to."""
+    hub = frozenset((min(w, x), max(w, x)) for x in nbrs if x != w and not g.has_edge(w, x))
+    if len(hub) != len(nbrs) - 2:
+        return None
+    trial = game.without(lost)
+    return hub if all(trial.add(a, b) for a, b in hub) else None
+
+
+def _closing_ranks(g: Graph, lost: int, game: _PebbleGame) -> ClosingRanks:
+    """closing_ranks for a vertex of a Laman graph g loaded into game."""
     nbrs = g.neighbors(lost)
     alpha = len(nbrs)
     if alpha <= 2:  # degree 1 only on two vertices, where one robot is left
         return ClosingRanks(frozenset(), None)
 
     for w in nbrs:
-        if _contractible(g, lost, w):
-            new_edges = frozenset(
-                (min(w, x), max(w, x)) for x in nbrs if x != w and not g.has_edge(w, x)
-            )
-            return ClosingRanks(new_edges, w)
+        hub = _hub_edges(g, lost, nbrs, w, game)
+        if hub is not None:
+            return ClosingRanks(hub, w)
 
-    base = remove_vertex(g, lost)
-    game = _PebbleGame(base.n)
-    for u, v in base.sorted_edges:
-        game.add(u, v)
+    trial = game.without(lost)
     chosen = []
     for a, b in itertools.combinations(nbrs, 2):
         if len(chosen) == alpha - 2:
             break
-        if not g.has_edge(a, b) and game.add(shift_index(a, lost), shift_index(b, lost)):
+        if not g.has_edge(a, b) and trial.add(a, b):
             chosen.append((a, b))
     if len(chosen) < alpha - 2:
         raise RecoveryInfeasibleError(f"no edge set restores rigidity after losing vertex {lost}")
@@ -199,9 +206,10 @@ def build_recovery_plan(g: Graph, dim: int = 2) -> RecoveryPlan:
         return RecoveryPlan({})
     if not laman_check(g):
         raise InvalidInputError("recovery plans need a Laman graph")
+    game = _PebbleGame(g.n, g.sorted_edges)
     entries: dict[tuple[int, int], ClosingRanks] = {}
     for j in range(g.n):
-        result = _closing_ranks(g, j)
+        result = _closing_ranks(g, j, game)
         for i in g.neighbors(j):
             entries[(i, j)] = result
     return RecoveryPlan(entries)

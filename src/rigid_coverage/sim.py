@@ -32,7 +32,7 @@ from .coverage import centroid, coverage_cost, partition_update_due, voronoi_par
 from .errors import InvalidInputError, NumericalBreakdownError
 from .graphs import laman_check
 from .mpc import OcpProblem, shift_warm_start, solve_ocp
-from .recovery import RecoveryPlan, apply_recovery, build_recovery_plan
+from .recovery import apply_recovery, build_recovery_plan
 from .rigidity import (
     Configuration,
     Framework,
@@ -118,7 +118,6 @@ def run(config: SimConfig) -> SimTrace:
     region = config.region
     density = config.density
     weights = config.weights
-    quad = config.quad_order
     shrunk = region.shrink(config.epsilon)
     n0 = config.n_robots
 
@@ -144,7 +143,7 @@ def run(config: SimConfig) -> SimTrace:
     alive = list(range(n0))
     states = config.initial_states.copy()
     graph = config.graph
-    plan = build_recovery_plan(graph) if graph.n >= 2 else RecoveryPlan({})
+    plan = build_recovery_plan(graph)
     faults_by_step = {f.at_step: f for f in config.faults}
 
     refs: np.ndarray | None = None
@@ -174,7 +173,7 @@ def run(config: SimConfig) -> SimTrace:
             alive.pop(jf)
             states = np.delete(states, jf, axis=0)
             prev_sols.pop(jf)
-            plan = build_recovery_plan(graph) if graph.n >= 2 else RecoveryPlan({})
+            plan = build_recovery_plan(graph)
             if graph.n >= 2:
                 event["edge_count"] = graph.m
                 event["laman"] = bool(laman_check(graph))
@@ -191,12 +190,12 @@ def run(config: SimConfig) -> SimTrace:
         partition = voronoi_partition(positions, region)
         updated = rebuilt or partition_update_due(positions, refs, errors)
         if updated:
-            refs = centroid(partition, density, quad)
+            refs = centroid(partition, density)
             errors = np.linalg.norm(positions - refs, axis=1)
             n_updates += 1
         if rebuilt:
             g_des = _bearing_map(graph, refs)
-        H = coverage_cost(positions, partition, density, quad)
+        H = coverage_cost(positions, partition, density)
         bearing_err = _aggregate_bearing_error(g_des, graph, positions)
         if graph.n >= 2:
             rank = rigidity_rank(Framework(graph, Configuration(positions))).rank
@@ -267,7 +266,7 @@ def run(config: SimConfig) -> SimTrace:
 
     positions = states[:, :2]
     final_partition = voronoi_partition(positions, region)
-    final_H = coverage_cost(positions, final_partition, density, quad)
+    final_H = coverage_cost(positions, final_partition, density)
     final_bearing = _aggregate_bearing_error(g_des, graph, positions)
     if graph.n >= 2:
         fw = Framework(graph, Configuration(positions))

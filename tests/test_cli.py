@@ -84,7 +84,10 @@ def test_malformed_framework_positions_exit_1(tmp_path, capsys, positions):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("positions", BAD_POSITIONS + [[[0.2, 0.2, 0.0], [0.6, 0.3, 0.0]]])
+NON_FINITE_POSITIONS = [[[float("nan"), 0.5], [0.2, 0.2]], [[0.2, 0.2], [0.6, float("-inf")]]]
+
+
+@pytest.mark.parametrize("positions", BAD_POSITIONS + NON_FINITE_POSITIONS + [[[0.2, 0.2, 0.0], [0.6, 0.3, 0.0]]])
 def test_malformed_coverage_positions_exit_1(tmp_path, capsys, positions):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(make_scenario()))
@@ -116,7 +119,6 @@ BAD_CONFIGS = {
     ],
     "ragged initial positions": [(["robots", "initial_positions", 3], [0.3])],
     "non-numeric steps": [(["steps"], "x")],
-    "unsupported quad_order": [(["quad_order"], 3)],
     "non-numeric solver option": [(["mpc", "solver"], {"max_iter": "x"})],
     "gaussian components not a list": [(["density"], {"type": "gaussian", "components": 5})],
     "graph generator not an object": [(["graph", "generate"], "x")],
@@ -156,6 +158,19 @@ def test_malformed_coverage_region_exits_1(tmp_path, capsys, region):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: region: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_validate_names_a_non_finite_position(tmp_path, capsys, value):
+    data = make_scenario(steps=2)
+    data["robots"]["initial_positions"][0] = [value, 0.2]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: initial position of robot 0 is not finite")
 
 
 def test_recover_non_laman_exits_1(tmp_path, capsys):
@@ -199,7 +214,7 @@ def test_coverage_cost_matches_library(tmp_path, capsys):
 
     cfg = config_from_dict(scenario)
     pts = np.asarray(positions)
-    expected = coverage_cost(pts, voronoi_partition(pts, cfg.region), cfg.density, cfg.quad_order)
+    expected = coverage_cost(pts, voronoi_partition(pts, cfg.region), cfg.density)
     assert printed == pytest.approx(expected, rel=1e-8)
 
 

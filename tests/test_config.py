@@ -65,6 +65,21 @@ def test_initial_velocity_out_of_bounds():
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field, key", [("position", "initial_positions"), ("velocity", "initial_velocities")])
+def test_non_finite_initial_state_rejected(field, key, value):
+    data = make_scenario()
+    data["robots"]["initial_velocities"] = [[0.0, 0.0]] * 6
+    data["robots"][key][3] = [0.3, value]
+    with pytest.raises(InvalidInputError, match=f"initial {field} of robot 3 is not finite"):
+        config_from_dict(data)
+    data["robots"] = [{"position": [0.2, 0.2]}, {"position": [0.5, 0.2]}]
+    data["robots"][1][field] = [value, 0.0]
+    data["graph"] = {"n": 2, "edges": [[0, 1]]}
+    with pytest.raises(InvalidInputError, match=f"initial {field} of robot 1 is not finite"):
+        config_from_dict(data)
+
+
 def test_velocity_shape_mismatch():
     data = make_scenario()
     data["robots"]["initial_velocities"] = [[0.0, 0.0]] * 3
@@ -194,13 +209,6 @@ def test_smallest_solver_options_are_valid():
     data = make_scenario()
     data["mpc"]["solver"] = {"max_iter": 1, "backoff": 0, "regularization": 0.0, "max_linesearch": 0}
     assert config_from_dict(data).solver.max_iter == 1
-
-
-@pytest.mark.parametrize("order", [3, "x", None])
-def test_quad_order_must_name_a_rule(order):
-    data = dict(make_scenario(), quad_order=order)
-    with pytest.raises(InvalidInputError, match="quad_order"):
-        config_from_dict(data)
 
 
 @pytest.mark.parametrize("key", ["penalty_init", "penalty_max", "armijo"])

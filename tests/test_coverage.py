@@ -12,7 +12,7 @@ from rigid_coverage.config import config_from_dict
 from rigid_coverage.coverage import (
     MASS_TOL,
     QUAD_REFINE_TOL,
-    _TRI_RULES,
+    _TRI_RULE,
     GaussianComponent,
     GaussianMixtureDensity,
     GridDensity,
@@ -141,13 +141,12 @@ class TestCentroid:
         assert np.max(np.abs(c - oracle)) < 1e-4
 
     def test_uniform_cells_match_closed_form(self, unit_square):
-        # degree-2 integrands: every rule involved is exact
+        # degree-2 integrands: the degree-5 rule is exact
         pos = np.random.default_rng(4).uniform(0.05, 0.95, (9, 2))
         part = voronoi_partition(pos, unit_square)
-        for order in (2, 5):
-            refs = centroid(part, UniformDensity(), order)
-            closed = np.array([polygon_centroid(cell) for cell in part.cells])
-            assert np.allclose(refs, closed, rtol=0, atol=1e-12)
+        refs = centroid(part, UniformDensity())
+        closed = np.array([polygon_centroid(cell) for cell in part.cells])
+        assert np.allclose(refs, closed, rtol=0, atol=1e-12)
 
 
 class TestCoverageCost:
@@ -243,8 +242,8 @@ def _oracle_subdivide(tris):
     )
 
 
-def _oracle_integrate_triangles(tris, func, order):
-    bary, wts = _TRI_RULES[order]
+def _oracle_integrate_triangles(tris, func):
+    bary, wts = _TRI_RULE
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     areas = 0.5 * np.abs(
         (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
@@ -260,15 +259,15 @@ def _oracle_integrate_triangles(tris, func, order):
     return total.sum(axis=0)
 
 
-def _oracle_integrate(vertices, func, order=5, tol=QUAD_REFINE_TOL, max_levels=6):
+def _oracle_integrate(vertices, func, tol=QUAD_REFINE_TOL, max_levels=6):
     v = np.asarray(vertices, dtype=float)
     if len(v) < 3:
         return np.zeros_like(np.asarray(func(np.zeros((1, 2)))).reshape(-1))
     tris = _oracle_fan_triangles(v)
-    est = _oracle_integrate_triangles(tris, func, order)
+    est = _oracle_integrate_triangles(tris, func)
     for _ in range(max_levels):
         tris = _oracle_subdivide(tris)
-        nxt = _oracle_integrate_triangles(tris, func, order)
+        nxt = _oracle_integrate_triangles(tris, func)
         if np.max(np.abs(nxt - est)) < tol:
             return nxt
         est = nxt
@@ -276,26 +275,26 @@ def _oracle_integrate(vertices, func, order=5, tol=QUAD_REFINE_TOL, max_levels=6
     return est
 
 
-def _oracle_moments(cell, site, density, quad_order=5):
+def _oracle_moments(cell, site, density):
     def moments(pts):
         phi = density(pts)
         diff = pts - site
         return np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
 
-    return _oracle_integrate(cell, moments, order=quad_order)
+    return _oracle_integrate(cell, moments)
 
 
-def _oracle_centroid(cell, site, density, quad_order=5):
-    m = _oracle_moments(cell, site, density, quad_order)
+def _oracle_centroid(cell, site, density):
+    m = _oracle_moments(cell, site, density)
     if m[0] < MASS_TOL:
         raise DegenerateMassError(f"cell mass {m[0]:.3e} below tolerance")
     return site + m[1:3] / m[0]
 
 
-def _oracle_cost(positions, partition, density, quad_order=5):
+def _oracle_cost(positions, partition, density):
     total = 0.0
     for p, site, cell in zip(np.atleast_2d(positions), partition.sites, partition.cells):
-        m = _oracle_moments(cell, site, density, quad_order)
+        m = _oracle_moments(cell, site, density)
         shift = p - site
         total += float(m[3] - 2.0 * np.sum(shift * m[1:3]) + np.sum(shift**2) * m[0])
     return total
@@ -330,46 +329,46 @@ class TestBatchedQuadrature:
     # the bilinear grid's kinks keep some cells from meeting the tolerance,
     # which exercises the finest-estimate fallback as well
     @pytest.mark.filterwarnings("ignore:polygon quadrature did not meet tolerance")
-    @pytest.mark.parametrize("order", [2, 5])
+    @pytest.mark.parametrize("seed", [2, 5])
     @pytest.mark.parametrize("name", sorted(DENSITIES))
-    def test_mixed_vertex_counts_match_per_cell_loop(self, name, order):
+    def test_mixed_vertex_counts_match_per_cell_loop(self, name, seed):
         density = DENSITIES[name]
-        rng = np.random.default_rng(order)
+        rng = np.random.default_rng(seed)
         polygons = [_random_convex_polygon(rng, k) for k in (3, 8, 4, 7, 5, 6, 3, 8, 5)]
 
         def mass_and_moment(pts, _owner):
             phi = density(pts)
             return np.column_stack([phi, pts * phi[:, None]])
 
-        batched = integrate_over_polygons(polygons, mass_and_moment, order=order)
+        batched = integrate_over_polygons(polygons, mass_and_moment)
         assert batched.shape == (len(polygons), 3)
         for poly, row in zip(polygons, batched):
-            expected = _oracle_integrate(poly, lambda p: mass_and_moment(p, None), order=order)
+            expected = _oracle_integrate(poly, lambda p: mass_and_moment(p, None))
             assert _bitwise_equal(row, expected)
 
     @pytest.mark.filterwarnings("ignore:polygon quadrature did not meet tolerance")
-    @pytest.mark.parametrize("order", [2, 5])
+    @pytest.mark.parametrize("seed", [2, 5])
     @pytest.mark.parametrize("name", sorted(DENSITIES))
-    def test_partition_centroids_and_cost_match_per_cell_loop(self, unit_square, name, order):
+    def test_partition_centroids_and_cost_match_per_cell_loop(self, unit_square, name, seed):
         density = DENSITIES[name]
-        rng = np.random.default_rng(11 + order)
+        rng = np.random.default_rng(11 + seed)
         vertex_counts = set()
         for n in (1, 5, 14, 30):
             pos = 0.05 + 0.9 * rng.random((n, 2))
             part = voronoi_partition(pos, unit_square)
             vertex_counts |= {len(c) for c in part.cells}
-            refs = centroid(part, density, order)
+            refs = centroid(part, density)
             expected = np.array(
-                [_oracle_centroid(cell, site, density, order) for cell, site in zip(part.cells, part.sites)]
+                [_oracle_centroid(cell, site, density) for cell, site in zip(part.cells, part.sites)]
             )
             assert _bitwise_equal(refs, expected)
             for cell, ref in zip(part.cells, refs):
                 # a lone polygon's moments are taken about its vertex mean
-                alone = centroid(cell, density, order)
-                assert _bitwise_equal(alone, _oracle_centroid(cell, cell.mean(axis=0), density, order))
+                alone = centroid(cell, density)
+                assert _bitwise_equal(alone, _oracle_centroid(cell, cell.mean(axis=0), density))
                 assert np.allclose(alone, ref, rtol=0, atol=1e-6)
-            H = coverage_cost(pos, part, density, order)
-            assert type(H) is float and H == _oracle_cost(pos, part, density, order)
+            H = coverage_cost(pos, part, density)
+            assert type(H) is float and H == _oracle_cost(pos, part, density)
         assert vertex_counts >= {3, 4, 5, 6, 7}
 
     def test_no_convergence_warns_and_returns_finest_estimate(self):
@@ -412,13 +411,6 @@ class TestBatchedQuadrature:
         with pytest.raises(DegenerateMassError, match="cell mass 0.000e"):
             centroid(part, far)
 
-    def test_unsupported_order_rejected(self, unit_square):
-        part = voronoi_partition(np.array([[0.3, 0.3], [0.7, 0.6]]), unit_square)
-        with pytest.raises(InvalidInputError):
-            centroid(part, DENSITIES["gaussian"], quad_order=3)
-        with pytest.raises(InvalidInputError):
-            coverage_cost(part.sites, part, DENSITIES["gaussian"], quad_order=3)
-
     def test_degenerate_polygon_integrates_to_zero(self):
         batched = integrate_over_polygons(
             [SQUARE, SQUARE[:2]], lambda p, _o: np.column_stack([p[:, 0], p[:, 1]])
@@ -430,9 +422,9 @@ class TestBatchedQuadrature:
         cfg = make_scenario(mu=0.7, steps=10, faults=[{"at_step": 4, "robot": 2}])
         batched = run(config_from_dict(cfg))
 
-        def per_cell_centroid(partition, density, quad_order=5):
+        def per_cell_centroid(partition, density):
             cells = zip(partition.cells, partition.sites)
-            return np.array([_oracle_centroid(cell, site, density, quad_order) for cell, site in cells])
+            return np.array([_oracle_centroid(cell, site, density) for cell, site in cells])
 
         monkeypatch.setattr(sim, "centroid", per_cell_centroid)
         monkeypatch.setattr(sim, "coverage_cost", _oracle_cost)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rigid_coverage import recovery
 from rigid_coverage.errors import InvalidInputError, RecoveryInfeasibleError, UnsupportedDimensionError
-from rigid_coverage.graphs import Graph, henneberg_generate, laman_check
+from rigid_coverage.graphs import Graph, _PebbleGame, henneberg_generate, laman_check
 from rigid_coverage.recovery import (
     ClosingRanks,
     RecoveryPlan,
+    _hub_edges,
     _require_planar,
     apply_recovery,
     build_recovery_plan,
@@ -120,7 +122,67 @@ class TestPrimitives:
             contract_edge(Graph(3, frozenset({(0, 1), (1, 2)})), (0, 2))
 
 
+def game_cases():
+    yield K33
+    for n in range(3, 31):
+        for seed in range(3):
+            yield henneberg_generate(n, seed=seed).graph
+
+
+def assert_game_invariant(game):
+    for u, heads in enumerate(game.out):
+        assert game.pebbles[u] + len(heads) == 2
+        assert u not in heads
+
+
+class TestPebbleGameWithout:
+    def test_accepts_what_a_fresh_game_on_the_smaller_graph_accepts(self):
+        rng = np.random.default_rng(0)
+        for g in game_cases():
+            game = _PebbleGame(g.n, g.sorted_edges)
+            for v in range(g.n):
+                dropped = game.without(v)
+                assert_game_invariant(dropped)
+                assert dropped.pebbles[v] == 2
+                assert all(v not in heads for heads in dropped.out)
+                base = remove_vertex(g, v)
+                fresh = _PebbleGame(base.n, base.sorted_edges)
+                others = [u for u in range(g.n) if u != v]
+                pairs = list(itertools.combinations(g.neighbors(v), 2))
+                pairs += [tuple(rng.choice(others, 2, replace=False)) for _ in range(10)]
+                for idx in rng.permutation(len(pairs)):
+                    a, b = (int(x) for x in pairs[idx])
+                    expected = fresh.add(shift_index(a, v), shift_index(b, v))
+                    assert dropped.add(a, b) == expected, (g, v, a, b)
+                    assert_game_invariant(dropped)
+
+    def test_leaves_the_loaded_game_unchanged(self):
+        g = henneberg_generate(20, seed=1).graph
+        game = _PebbleGame(g.n, g.sorted_edges)
+        pebbles, out = list(game.pebbles), [set(h) for h in game.out]
+        for v in range(g.n):
+            dropped = game.without(v)
+            for a, b in itertools.combinations(g.neighbors(v), 2):
+                dropped.add(a, b)
+        assert game.pebbles == pebbles and game.out == out
+
+
 class TestContractibility:
+    def test_hub_test_agrees_with_contract_and_recheck(self):
+        contractible = rejected = 0
+        for g in game_cases():
+            game = _PebbleGame(g.n, g.sorted_edges)
+            for lost in range(g.n):
+                nbrs = g.neighbors(lost)
+                for w in nbrs:
+                    hub = _hub_edges(g, lost, nbrs, w, game)
+                    assert (hub is not None) == bool(is_contractible(g, (lost, w))), (g, lost, w)
+                    if hub is not None:
+                        assert laman_check(apply_recovery(g, lost, hub))
+                    contractible += hub is not None
+                    rejected += hub is None and len(common_neighbors(g, lost, w)) == 1
+        assert contractible > 100 and rejected > 10  # both verdicts of the game are reached
+
     def test_triangle_edges_contractible(self, triangle):
         report = is_contractible(triangle, (0, 1))
         assert report
@@ -300,6 +362,18 @@ class TestRecoveryPlan:
     def test_matches_oracle_plan(self):
         for g in [Graph(2, frozenset({(0, 1)})), *oracle_cases()]:
             assert plan_to_json(build_recovery_plan(g)) == plan_to_json(oracle_plan(g))
+
+    def test_plan_checks_laman_once(self, monkeypatch):
+        calls = []
+        check = recovery.laman_check
+
+        def counted(g):
+            calls.append(g.n)
+            return check(g)
+
+        monkeypatch.setattr(recovery, "laman_check", counted)
+        build_recovery_plan(henneberg_generate(40, seed=0).graph)
+        assert calls == [40]
 
     def test_rejects_non_laman(self):
         g = Graph(4, frozenset(itertools.combinations(range(4), 2)))

@@ -1,4 +1,6 @@
 """Closed-loop simulation: trace contents, determinism, faults, export."""
+import json
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ def test_coverage_cost_recomputes_from_snapshot(short_trace):
     rec = short_trace.records[5]
     positions = rec.states[:, :2]
     partition = voronoi_partition(positions, cfg.region)
-    H = coverage_cost(positions, partition, cfg.density, cfg.quad_order)
+    H = coverage_cost(positions, partition, cfg.density)
     assert H == pytest.approx(rec.coverage_cost, rel=1e-12)
 
 
@@ -128,6 +130,22 @@ def test_fault_shrinks_team_and_repairs_graph(fault_trace):
     # rank falls from 2n-3 of six robots to 2n-3 of five
     assert recs[2].rigidity_rank == 9
     assert recs[3].rigidity_rank == 7
+
+
+def test_faults_from_step_0_on_consecutive_steps_down_to_one_robot(tmp_path):
+    lost = [2, 0, 5, 1, 3]
+    faults = [{"at_step": k, "robot": r} for k, r in enumerate(lost)]
+    trace = run(config_from_dict(make_scenario(mu=0.7, steps=len(lost) + 1, faults=faults)))
+    assert [e["robot"] for e in trace.events] == lost
+    for survivors, event in zip(range(5, 0, -1), trace.events):
+        assert event["edge_count"] == max(2 * survivors - 3, 0)
+        if survivors >= 2:
+            assert event["laman"] is True and event["rigid"] is True
+    assert trace.events[-1]["laman"] is None
+    assert trace.records[-1].robot_ids == (4,)
+    assert trace.summary["alive"] == [4]
+    assert export(trace, tmp_path) == ["trajectories.csv", "cost.csv", "events.json", "summary.json", "plot.gp"]
+    assert json.loads((tmp_path / "events.json").read_text())[-1]["laman"] is None
 
 
 def test_rerun_is_deterministic(short_trace):

@@ -202,15 +202,18 @@ def _parse_robots(block):
         models = tuple(model for _ in range(n))
     elif isinstance(block, list) and block:
         models, pos_rows, vel_rows = [], [], []
-        for entry in block:
-            pos_rows.append(_array(entry, "position", "each robot"))
-            vel_rows.append(_floats(entry.get("velocity", [0.0, 0.0]), "robot velocity"))
+        for k, entry in enumerate(block):
+            position = _array(entry, "position", "each robot")
+            velocity = _floats(entry.get("velocity", [0.0, 0.0]), "robot velocity")
+            for name, value in (("position", position), ("velocity", velocity)):
+                if value.shape != (2,):
+                    raise InvalidInputError(f"robot {k} {name} must be [x, y], got shape {value.shape}")
+            pos_rows.append(position)
+            vel_rows.append(velocity)
             models.append(_build_model(entry.get("model", "double_integrator"), entry))
         positions = np.vstack(pos_rows)
         velocities = np.vstack(vel_rows)
         models = tuple(models)
-        if positions.shape[1] != 2:
-            raise InvalidInputError("robot positions must be planar")
     else:
         raise InvalidInputError("robots must be an object or a non-empty list")
     for name, values in (("position", positions), ("velocity", velocities)):
@@ -258,10 +261,10 @@ def config_from_dict(data: dict) -> SimConfig:
     for i, p in enumerate(positions):
         if not region.contains(p, tol=1e-9):
             raise InvalidInputError(f"initial position of robot {i} lies outside the region")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(positions[i] - positions[j]) < MIN_INITIAL_SEPARATION:
-                raise InvalidInputError(f"robots {i} and {j} start at coincident positions")
+    gaps = np.linalg.norm(positions[:, None] - positions[None], axis=2)
+    close_i, close_j = np.nonzero(np.triu(gaps < MIN_INITIAL_SEPARATION, k=1))
+    if len(close_i):  # nonzero lists pairs in lexicographic order
+        raise InvalidInputError(f"robots {close_i[0]} and {close_j[0]} start at coincident positions")
     for i, (model, x) in enumerate(zip(models, states)):
         if not model.state_bounds.contains(x, tol=1e-9):
             raise InvalidInputError(f"initial velocity of robot {i} violates its bounds")

@@ -1,7 +1,9 @@
 """Voronoi coverage: partitions, weighted centroids, locational cost.
 
 Cells come from clipping the workspace polygon with perpendicular-bisector
-half-planes, one pass per robot pair.  A cell's centroid and its share of
+half-planes, the nearest other site first, until the next site is more than
+twice the cell's largest vertex radius away and so cannot cut it (Cortés,
+Martínez, Karataş & Bullo 2004).  A cell's centroid and its share of
 the locational cost H are read from one set of density moments taken about
 the cell's site (`cell_moments`): the mass, the first moment and the second
 moment.  The moments come from one quadrature pass over all cells of a
@@ -253,11 +255,20 @@ class VoronoiPartition:
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
+def _max_sq_radius(poly: np.ndarray, site: np.ndarray) -> float:
+    # plain floats: a cell has a handful of vertices, too few for numpy
+    return max(dx * dx + dy * dy for dx, dy in (poly - site).tolist())
+
+
 def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPartition:
     """Voronoi cells of the sites, clipped to the region.
 
     Each site must be distinct (pairwise separation above 1e-7); sites
-    outside the region are clamped to it with a warning.
+    outside the region are clamped to it with a warning.  A cell starts as
+    the region and is clipped by the bisectors of the other sites in order
+    of distance, ties in index order.  Its clipping stops at the first site
+    more than twice as far away as the cell's farthest vertex so far, since
+    neither it nor any later site can cut the cell.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     n = len(pos)
@@ -274,25 +285,38 @@ def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPar
         raise DegenerateSitesError(
             f"sites {close_i[0]} and {close_j[0]} closer than {MIN_SITE_SEPARATION}"
         )
+    # Each row lists the sites nearest first, beside a quarter of each
+    # squared gap.  With R the largest distance from site i to a vertex of
+    # its cell so far (r2 = R^2), a site j more than 2R away (quarter > r2)
+    # cannot cut the cell: every point of the cell lies within R of site i
+    # and more than R from site j, so each vertex's side of the bisector is
+    # < 0 <= GEOM_EPS and the clip would return the cell unchanged.  Every
+    # later site in the row is at least as far.
+    order = np.argsort(gaps, axis=1, kind="stable")
+    reach = np.take_along_axis(gaps, order, axis=1) ** 2 / 4.0
     cells = []
     for i in range(n):
         poly = region.vertices
-        for j in range(n):
+        site = sites[i]
+        r2 = _max_sq_radius(poly, site)
+        for j, quarter in zip(order[i].tolist(), reach[i].tolist()):
+            if quarter > r2:
+                break
             if j == i:
                 continue
-            normal = sites[j] - sites[i]
-            offset = float(normal @ (sites[i] + sites[j])) / 2.0
+            normal = sites[j] - site
+            offset = float(normal @ (site + sites[j])) / 2.0
             poly = clip_polygon_halfplane(poly, normal, offset)
             if len(poly) < 3:
                 break
+            r2 = _max_sq_radius(poly, site)
         if len(poly) < 3:
             raise NumericalBreakdownError(f"cell of site {i} degenerated to zero area")
         cells.append(poly)
     total = sum(polygon_area(c) for c in cells)
-    if abs(total - region.area) > AREA_TILE_RTOL * region.area:
-        raise NumericalBreakdownError(
-            f"cells tile {total:.12f} of region area {region.area:.12f}"
-        )
+    area = region.area
+    if abs(total - area) > AREA_TILE_RTOL * area:
+        raise NumericalBreakdownError(f"cells tile {total:.12f} of region area {area:.12f}")
     return VoronoiPartition(tuple(cells), region, sites)
 
 

@@ -38,7 +38,8 @@ def polygon_area(vertices: np.ndarray) -> float:
     if len(v) < 3:
         return 0.0
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = np.concatenate((v[1:], v[:1]))  # np.roll(v, -1, axis=0), without its overhead
+    return 0.5 * float(np.sum(x * nxt[:, 1] - nxt[:, 0] * y))
 
 
 def polygon_centroid(vertices: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,14 +50,24 @@ class Graph:
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
+    # The sorted neighbour tuple of every vertex, built on first use and
+    # kept on the (frozen) instance; it stays out of the fields, so
+    # equality, hashing and repr are unchanged.
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        rows: list[list[int]] = [[] for _ in range(self.n)]
+        for i, j in self.edges:
+            rows[i].append(j)
+            rows[j].append(i)
+        return tuple(tuple(sorted(row)) for row in rows)
+
     def has_edge(self, i: int, j: int) -> bool:
         return _normalize_edge((i, j)) in self.edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.n:
             raise InvalidInputError(f"vertex {v} out of range for n={self.n}")
-        out = [j if i == v else i for i, j in self.edges if v in (i, j)]
-        return tuple(sorted(out))
+        return self._adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))

@@ -117,6 +117,14 @@ BAD_CONFIGS = {
         (["robots"], [{"position": [0.2, 0.2]}, {"position": [0.6, 0.3]}, {"velocity": [0, 0]}]),
         (["graph"], TRIANGLE),
     ],
+    "robot with a 3-component position": [
+        (["robots"], [{"position": [0.2, 0.2]}, {"position": [0.6, 0.3, 0.0]}, {"position": [0.4, 0.7]}]),
+        (["graph"], TRIANGLE),
+    ],
+    "robot with a 3-component velocity": [
+        (["robots"], [{"position": [0.2, 0.2]}, {"position": [0.6, 0.3], "velocity": [0, 0, 0]}, {"position": [0.4, 0.7]}]),
+        (["graph"], TRIANGLE),
+    ],
     "ragged initial positions": [(["robots", "initial_positions", 3], [0.3])],
     "non-numeric steps": [(["steps"], "x")],
     "non-numeric solver option": [(["mpc", "solver"], {"max_iter": "x"})],

@@ -1,5 +1,6 @@
 """Config parsing and validation."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,22 @@ def test_coincident_positions():
     data = make_scenario()
     data["robots"]["initial_positions"][1] = data["robots"]["initial_positions"][0]
     with pytest.raises(InvalidInputError, match="coincident"):
+        config_from_dict(data)
+
+
+def test_coincident_positions_name_the_first_close_pair():
+    data = make_scenario()
+    pos = data["robots"]["initial_positions"]
+    pos[5] = list(pos[2])
+    pos[4] = [pos[1][0] + 5e-8, pos[1][1]]
+    with pytest.raises(InvalidInputError, match=r"^robots 1 and 4 start at coincident positions$"):
+        config_from_dict(data)
+    pos[3] = [pos[0][0], pos[0][1] - 3e-8]
+    with pytest.raises(InvalidInputError, match=r"^robots 0 and 3 start at coincident positions$"):
+        config_from_dict(data)
+    pos[3] = [pos[0][0], pos[0][1] - 2e-7]
+    pos[4] = list(pos[3])
+    with pytest.raises(InvalidInputError, match=r"^robots 2 and 5 start at coincident positions$"):
         config_from_dict(data)
 
 
@@ -135,6 +152,18 @@ def test_per_robot_list_form():
 
     data["robots"][1]["h"] = 0.1
     with pytest.raises(InvalidInputError, match="sampling time"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["position", "velocity"])
+@pytest.mark.parametrize("value", [[0.3, 0.3, 0.0], [0.3], [[0.3, 0.3]]])
+def test_per_robot_entries_must_be_planar_pairs(field, value):
+    data = make_scenario()
+    data["robots"] = [{"position": [0.2, 0.2]}, {"position": [0.5, 0.2]}, {"position": [0.4, 0.7]}]
+    data["robots"][1][field] = value
+    data["graph"] = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+    message = f"robot 1 {field} must be [x, y], got shape {np.shape(value)}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         config_from_dict(data)
 
 

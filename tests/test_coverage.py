@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from rigid_coverage import sim
+from rigid_coverage import coverage, sim
 from rigid_coverage.config import config_from_dict
 from rigid_coverage.coverage import (
     MASS_TOL,
@@ -25,7 +25,7 @@ from rigid_coverage.coverage import (
     voronoi_partition,
 )
 from rigid_coverage.errors import DegenerateMassError, DegenerateSitesError, InvalidInputError
-from rigid_coverage.geometry import ConvexRegion, polygon_area, polygon_centroid
+from rigid_coverage.geometry import ConvexRegion, clip_polygon_halfplane, polygon_area, polygon_centroid
 from rigid_coverage.sim import StepRecord, run
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -123,6 +123,112 @@ class TestVoronoi:
         with pytest.warns(UserWarning):
             part = voronoi_partition(sites, unit_square)
         assert sum(polygon_area(c) for c in part.cells) == pytest.approx(1.0, abs=1e-8)
+
+
+def _all_pairs_cells(positions, region):
+    """Voronoi cells clipped with every other site's bisector in index
+    order: the plain construction the nearest-first one must reproduce."""
+    sites = np.array(positions, dtype=float)
+    for idx in range(len(sites)):
+        if not region.contains(sites[idx]):
+            sites[idx] = region.project_inside(sites[idx])
+    cells = []
+    for i in range(len(sites)):
+        poly = region.vertices
+        for j in range(len(sites)):
+            if j == i:
+                continue
+            normal = sites[j] - sites[i]
+            offset = float(normal @ (sites[i] + sites[j])) / 2.0
+            poly = clip_polygon_halfplane(poly, normal, offset)
+            if len(poly) < 3:
+                break
+        cells.append(poly)
+    return cells
+
+
+def _merge_repeats(cell, tol):
+    """The cell without vertices within tol of their predecessor.  A clip
+    through an existing vertex can leave a copy of it one ulp away, and
+    which clip meets a vertex first depends on the clip order."""
+    keep = [v for k, v in enumerate(cell) if np.max(np.abs(v - cell[k - 1])) > tol]
+    return np.array(keep)
+
+
+def _assert_same_cells(positions, region, vertex_tol=1e-12):
+    part = voronoi_partition(positions, region)
+    expected = _all_pairs_cells(positions, region)
+    assert len(part.cells) == len(expected)
+    for got, want in zip(part.cells, expected):
+        assert abs(polygon_area(got) - polygon_area(want)) <= 1e-12
+        got, want = _merge_repeats(got, vertex_tol), _merge_repeats(want, vertex_tol)
+        assert got.shape == want.shape
+        gaps = [np.max(np.abs(np.roll(got, -k, axis=0) - want)) for k in range(len(got))]
+        assert min(gaps) <= vertex_tol
+
+
+TRIANGLE = ConvexRegion(np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]]))
+HEXAGON = ConvexRegion(np.array([[np.cos(t), np.sin(t)] for t in np.arange(6) * np.pi / 3]))
+
+
+def _points_inside(rng, region, n):
+    lo, hi = region.bounding_box()
+    points = []
+    while len(points) < n:
+        p = rng.uniform(lo, hi)
+        if region.contains(p):
+            points.append(p)
+    return np.array(points)
+
+
+class TestNearestFirstClipping:
+    """voronoi_partition clips nearest site first and stops at twice the
+    cell's radius; its cells are the all-pairs construction's."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 150])
+    @pytest.mark.parametrize("region", [ConvexRegion(SQUARE), TRIANGLE, HEXAGON], ids=["square", "triangle", "hexagon"])
+    def test_random_sites_match_all_pairs(self, region, n):
+        _assert_same_cells(_points_inside(np.random.default_rng(n), region, n), region)
+
+    def test_clamped_sites_match_all_pairs(self, unit_square):
+        rng = np.random.default_rng(4)
+        inside = rng.uniform(0.1, 0.9, (30, 2))
+        # one site beyond each edge and corner, each clamped to a distinct point
+        outside = np.array([[1.4, 0.3], [-0.2, 0.6], [0.45, 1.3], [0.7, -0.5], [1.2, 1.2], [-0.1, -0.3]])
+        with pytest.warns(UserWarning, match="outside the region"):
+            _assert_same_cells(np.vstack([inside, outside]), unit_square)
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 10])
+    def test_grid_sites_with_tied_distances_match_all_pairs(self, unit_square, k):
+        ticks = (np.arange(k) + 0.5) / k
+        _assert_same_cells(np.array([[x, y] for y in ticks for x in ticks]), unit_square)
+
+    def test_sites_2e_7_apart_match_all_pairs(self, unit_square):
+        base = np.random.default_rng(3).uniform(0.1, 0.9, (20, 2))
+        pairs = np.vstack([base, base + [2e-7, 0.0]])
+        # a bisector of sites s apart is placed to about eps / s, so the two
+        # clip orders put these cells' vertices up to ~1e-10 apart
+        _assert_same_cells(pairs, unit_square, vertex_tol=1e-9)
+
+    def test_spread_team_clips_fewer_than_15_per_cell(self, unit_square, monkeypatch):
+        # 96 sites drawn as the benchmark's swarm96 episode 0 draws them:
+        # uniform in [0.03, 0.97]^2, redrawn until 0.02 apart
+        rng = np.random.default_rng([0, 0])
+        sites: list = []
+        while len(sites) < 96:
+            p = rng.uniform(0.03, 0.97, size=2)
+            if all(np.hypot(*(p - q)) >= 0.02 for q in sites):
+                sites.append(p)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return clip_polygon_halfplane(*args, **kwargs)
+
+        monkeypatch.setattr(coverage, "clip_polygon_halfplane", counted)
+        voronoi_partition(np.round(sites, 6), unit_square)
+        # all pairs would take n (n - 1) = 9120
+        assert len(calls) < 15 * 96
 
 
 class TestCentroid:

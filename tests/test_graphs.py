@@ -47,6 +47,25 @@ class TestGraph:
         with pytest.raises(InvalidInputError):
             Graph(3, frozenset({(0, 3)}))
 
+    @pytest.mark.parametrize("n, seed", [(3, 0), (8, 1), (25, 2), (60, 3)])
+    def test_cached_adjacency_matches_edge_scan(self, n, seed):
+        g = henneberg_generate(n, seed=seed).graph
+        before = (hash(g), repr(g), Graph(g.n, g.edges))
+        for v in range(n):
+            scan = tuple(sorted(j if i == v else i for i, j in g.edges if v in (i, j)))
+            assert g.neighbors(v) == scan
+            assert g.degree(v) == len(scan)
+        for i, j in itertools.product(range(-1, n + 1), repeat=2):
+            if i != j:
+                assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in g.edges)
+        for v in (-1, n):
+            with pytest.raises(InvalidInputError, match="out of range"):
+                g.neighbors(v)
+            with pytest.raises(InvalidInputError, match="out of range"):
+                g.degree(v)
+        # the cache stays out of equality, hashing and repr
+        assert (hash(g), repr(g), g) == before
+
     def test_json_round_trip(self, fan6):
         assert graph_from_json(graph_to_json(fan6)) == fan6
 

@@ -57,7 +57,12 @@ def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
 
 
 def clip_polygon_halfplane(vertices: np.ndarray, a: np.ndarray, b: float, tol: float = GEOM_EPS) -> np.ndarray:
-    """Intersect a convex polygon with {q : a . q <= b}."""
+    """Intersect a convex polygon with {q : a . q <= b}.
+
+    A vertex within `tol` of the line is kept as it is, and an edge yields a
+    crossing point only when its ends lie strictly on opposite sides (beyond
+    `tol`), so no vertex is emitted twice.
+    """
     v = np.asarray(vertices, dtype=float)
     if len(v) == 0:
         return v
@@ -70,11 +75,8 @@ def clip_polygon_halfplane(vertices: np.ndarray, a: np.ndarray, b: float, tol: f
         s_cur, s_nxt = side[idx], side[(idx + 1) % k]
         if s_cur <= tol:
             out.append(cur)
-        crosses = (s_cur > tol) != (s_nxt > tol)
-        if crosses and abs(s_nxt - s_cur) > tol:
-            t = s_cur / (s_cur - s_nxt)
-            t = min(max(t, 0.0), 1.0)
-            out.append(cur + t * (nxt - cur))
+        if (s_cur < -tol and s_nxt > tol) or (s_cur > tol and s_nxt < -tol):
+            out.append(cur + s_cur / (s_cur - s_nxt) * (nxt - cur))
     if len(out) < 3:
         return np.zeros((0, 2))
     return np.asarray(out)

@@ -11,6 +11,7 @@ repair edges.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -193,25 +194,35 @@ def laman_check(g: Graph) -> LamanVerdict:
     return LamanVerdict(True)
 
 
-def henneberg_apply(g: Graph, step: HennebergStep) -> Graph:
-    """Grow g by one Henneberg step; the new vertex gets index g.n."""
-    v = g.n
+def _grow(edges: list, step: HennebergStep, v: int) -> None:
+    """Apply one Henneberg step, in place, to the sorted edge list of a graph
+    on vertices 0..v-1; the new vertex is v."""
     if isinstance(step, VertexAddition):
         i, j = step.i, step.j
         if i == j or not (0 <= i < v and 0 <= j < v):
             raise InvalidStepError(f"vertex addition needs two distinct existing vertices, got ({i}, {j})")
-        edges = set(g.edges) | {_normalize_edge((v, i)), _normalize_edge((v, j))}
+        joined = (i, j)
     elif isinstance(step, EdgeSplitting):
         i, j, k = step.i, step.j, step.k
         if len({i, j, k}) != 3 or not all(0 <= w < v for w in (i, j, k)):
             raise InvalidStepError(f"edge splitting needs three distinct existing vertices, got ({i}, {j}, {k})")
-        if not g.has_edge(i, j):
+        split = _normalize_edge((i, j))
+        at = bisect_left(edges, split)
+        if at == len(edges) or edges[at] != split:
             raise InvalidStepError(f"edge splitting requires edge ({i}, {j}) to exist")
-        edges = set(g.edges) - {_normalize_edge((i, j))}
-        edges |= {_normalize_edge((v, w)) for w in (i, j, k)}
+        del edges[at]
+        joined = (i, j, k)
     else:
         raise InvalidStepError(f"unknown step type {type(step).__name__}")
-    return Graph(v + 1, frozenset(edges))
+    for w in joined:
+        insort(edges, _normalize_edge((v, w)))
+
+
+def henneberg_apply(g: Graph, step: HennebergStep) -> Graph:
+    """Grow g by one Henneberg step; the new vertex gets index g.n."""
+    edges = list(g.sorted_edges)
+    _grow(edges, step, g.n)
+    return Graph(g.n + 1, frozenset(edges))
 
 
 @dataclass(frozen=True)
@@ -225,18 +236,19 @@ def henneberg_generate(n: int, seed: int, split_probability: float = 0.5) -> Hen
 
     Starts from a single edge and applies n - 2 random steps.  Edge splitting
     is drawn with probability split_probability whenever a third vertex is
-    available; otherwise the step is a vertex addition.
+    available; otherwise the step is a vertex addition.  The steps grow one
+    sorted edge list, from which the random edge is drawn, and the graph is
+    built once at the end.
     """
     if n < 2:
         raise InvalidInputError(f"need at least 2 vertices, got {n}")
     if not 0.0 <= split_probability <= 1.0:
         raise InvalidInputError(f"split probability must be in [0, 1], got {split_probability}")
     rng = np.random.default_rng(seed)
-    g = Graph(2, frozenset({(0, 1)}))
+    edges = [(0, 1)]
     log: list[HennebergStep] = []
     for v in range(2, n):
         if v >= 3 and rng.random() < split_probability:
-            edges = g.sorted_edges
             i, j = edges[int(rng.integers(len(edges)))]
             rest = [w for w in range(v) if w != i and w != j]
             k = rest[int(rng.integers(len(rest)))]
@@ -245,19 +257,21 @@ def henneberg_generate(n: int, seed: int, split_probability: float = 0.5) -> Hen
             pick = rng.choice(v, size=2, replace=False)
             a, b = int(pick[0]), int(pick[1])
             step = VertexAddition(min(a, b), max(a, b))
-        g = henneberg_apply(g, step)
+        _grow(edges, step, v)
         log.append(step)
-    return HennebergResult(g, tuple(log))
+    return HennebergResult(Graph(n, frozenset(edges)), tuple(log))
 
 
 def henneberg_replay(n: int, log) -> Graph:
     """Rebuild the graph produced by a recorded step sequence."""
-    g = Graph(2, frozenset({(0, 1)}))
+    edges = [(0, 1)]
+    v = 2
     for step in log:
-        g = henneberg_apply(g, step)
-    if g.n != n:
-        raise InvalidInputError(f"log yields {g.n} vertices, expected {n}")
-    return g
+        _grow(edges, step, v)
+        v += 1
+    if v != n:
+        raise InvalidInputError(f"log yields {v} vertices, expected {n}")
+    return Graph(n, frozenset(edges))
 
 
 def graph_to_json(g: Graph) -> str:

@@ -1,17 +1,24 @@
 """Closed-loop coverage simulation with fault injection and trace export.
 
-The loop keeps a centralized layer (Voronoi partition, centroid references,
-desired bearings, recovery plan) and a decentralized layer (per-robot
-tracking solves, which only read an immutable snapshot and may run in
-parallel).  Each step first handles a fault, if one falls on it (repair the
-graph, drop the robot, rebuild the recovery plan), then builds one Voronoi
-partition of the current positions.  The coverage cost H of every step and,
-at update steps, the centroid references come from that one partition and
-its one quadrature pass.  References are recomputed at the first step, at
-fault steps and when every robot has closed in on its reference.  Desired
-bearings are captured from the reference configuration when the topology is
-(re)built and held constant in between, so that bearing maintenance has a
-fixed geometric target.
+Each step runs three phases, and each returns what the next one reads:
+
+- ``_centralized`` repairs a fault that falls on the step, partitions the
+  region, updates the references when due, and measures H, the bearing
+  error and the rigidity rank on that partition and on one bearing
+  framework of the positions.  It returns whether the references were
+  updated, and the measurement.
+- ``_decentralized`` returns one tracking solution per robot, from one map
+  over the solves: the builtin map, or that of the one thread pool a run
+  opens when RIGID_COVERAGE_THREADS > 0.  A solve reads only its problem
+  and its robot's previous solution, so both maps agree.
+- ``_apply`` checks the input and state boxes, advances every robot by its
+  first input and returns the step's record, taken before the advance.
+
+References are recomputed at the first step, at fault steps and when every
+robot has closed in on its reference.  Desired bearings are captured from
+the reference configuration when the topology is (re)built and held
+constant in between, so that bearing maintenance has a fixed geometric
+target.  The summary is one last measurement, of the final positions.
 
 Robot identity: original ids 0..n0-1 never change; graph vertices always
 correspond to the currently alive robots in ascending original-id order.
@@ -22,7 +29,8 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +38,13 @@ import numpy as np
 from .config import SimConfig
 from .coverage import centroid, coverage_cost, partition_update_due, voronoi_partition
 from .errors import InvalidInputError, NumericalBreakdownError
-from .graphs import laman_check
+from .graphs import Graph, laman_check
 from .mpc import OcpProblem, shift_warm_start, solve_ocp
-from .recovery import apply_recovery, build_recovery_plan
+from .recovery import RecoveryPlan, apply_recovery, build_recovery_plan
 from .rigidity import (
     Configuration,
     Framework,
+    RankReport,
     bearing_function,
     is_infinitesimally_bearing_rigid,
     rigidity_rank,
@@ -72,6 +81,30 @@ class SimTrace:
     summary: dict
 
 
+@dataclass
+class _Team:
+    """What the loop carries from one step to the next."""
+
+    alive: list  # original ids of the live robots, in graph-vertex order
+    states: np.ndarray  # (n, n_x)
+    graph: Graph
+    plan: RecoveryPlan
+    prev_sols: list  # each robot's previous solution, None before its first
+    refs: np.ndarray | None = None
+    errors: np.ndarray | None = None  # reference errors at the last update
+    g_des: dict = field(default_factory=dict)  # local edge (i < j) -> bearing i -> j
+
+
+@dataclass(frozen=True)
+class _Measure:
+    """Coverage cost, bearing error and rigidity of one configuration."""
+
+    fw: Framework | None  # None below two robots
+    H: float
+    bearing_error: float
+    rank: RankReport | None
+
+
 def _thread_count() -> int:
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None or raw.strip() == "":
@@ -85,215 +118,178 @@ def _thread_count() -> int:
     return value
 
 
-def _bearing_map(graph, points: np.ndarray) -> dict:
-    """Canonical-edge bearings of a point configuration, keyed by local edge."""
-    if graph.m == 0:
-        return {}
-    bv = bearing_function(Framework(graph, Configuration(points)))
-    return {edge: bv.bearings[idx].copy() for idx, edge in enumerate(bv.edge_order)}
+def _bearings(fw: Framework) -> dict:
+    """Canonical-edge bearings of a framework, keyed by local edge."""
+    bv = bearing_function(fw)
+    return dict(zip(bv.edge_order, bv.bearings))
 
 
-def _directed_bearing(bearings: dict, i: int, j: int) -> np.ndarray:
-    return bearings[(i, j)] if i < j else -bearings[(j, i)]
+def _measure(team: _Team, partition, density) -> _Measure:
+    """H on the partition; bearing error and rank on one framework of the positions."""
+    positions = team.states[:, :2]
+    fw = Framework(team.graph, Configuration(positions)) if team.graph.n >= 2 else None
+    bearing_error = 0.0
+    if team.g_des:
+        current = _bearings(fw)
+        for edge, g in team.g_des.items():
+            diff = current[edge] - g
+            bearing_error += float(diff @ diff)
+    rank = rigidity_rank(fw) if fw is not None else None
+    return _Measure(fw, coverage_cost(positions, partition, density), bearing_error, rank)
 
 
-def _aggregate_bearing_error(bearings_desired: dict, graph, positions: np.ndarray) -> float:
-    if not bearings_desired:
-        return 0.0
-    current = _bearing_map(graph, positions)
-    total = 0.0
-    for edge, g_des in bearings_desired.items():
-        diff = current[edge] - g_des
-        total += float(diff @ diff)
-    return total
+def _centralized(team: _Team, config: SimConfig, k: int, fault, events: list) -> tuple[bool, _Measure]:
+    """Fault and repair, partition, references and the measurement of step k."""
+    rebuilt = fault is not None or team.refs is None  # the topology is new
+    if fault is not None:
+        alive = team.alive
+        jf = alive.index(fault.robot)
+        entry = team.plan.for_loss(jf)
+        new_edges = entry.new_edges if entry is not None else frozenset()
+        hub = entry.contraction_vertex if entry is not None else None
+        event = {
+            "at_step": k,
+            "robot": fault.robot,
+            "new_edges": sorted([alive[a], alive[b]] for a, b in new_edges),
+            "contraction_vertex": None if hub is None else alive[hub],
+        }
+        team.graph = apply_recovery(team.graph, jf, new_edges)
+        alive.pop(jf)
+        team.states = np.delete(team.states, jf, axis=0)
+        team.prev_sols.pop(jf)
+        team.plan = build_recovery_plan(team.graph)
+        events.append(event)
+    positions = team.states[:, :2]
+    partition = voronoi_partition(positions, config.region)
+    updated = rebuilt or partition_update_due(positions, team.refs, team.errors)
+    if updated:
+        team.refs = centroid(partition, config.density)
+        team.errors = np.linalg.norm(positions - team.refs, axis=1)
+    if rebuilt:
+        team.g_des = _bearings(Framework(team.graph, Configuration(team.refs))) if team.graph.n >= 2 else {}
+    measure = _measure(team, partition, config.density)
+    if fault is not None:
+        fw = measure.fw
+        event["edge_count"] = team.graph.m
+        event["laman"] = None if fw is None else bool(laman_check(team.graph))
+        event["rigid"] = None if fw is None else is_infinitesimally_bearing_rigid(fw)
+    return updated, measure
 
 
-def _solve_one(problem: OcpProblem, prev, options):
-    warm = shift_warm_start(problem, prev) if prev is not None else None
-    return solve_ocp(problem, warm=warm, options=options)
+def _decentralized(team: _Team, config: SimConfig, terminals: dict, shrunk, solve_map) -> list:
+    """One tracking problem per robot, solved through `solve_map`."""
+    g_des = team.g_des
+    problems = []
+    for li, oid in enumerate(team.alive):
+        model = config.models[oid]
+        neigh = team.graph.neighbors(li)
+        problems.append(
+            OcpProblem(
+                model=model,
+                horizon=config.horizon,
+                weights=config.weights,
+                terminal=terminals[model],
+                x0=team.states[li],
+                r_ref=team.refs[li],
+                desired_bearings=tuple((j, g_des[(li, j)] if li < j else -g_des[(j, li)]) for j in neigh),
+                neighbor_anchors={j: team.refs[j] for j in neigh},
+                setpoint_region=shrunk,
+                steady_margin=config.epsilon,
+            )
+        )
+
+    def solve(problem, prev):
+        warm = shift_warm_start(problem, prev) if prev is not None else None
+        return solve_ocp(problem, warm=warm, options=config.solver)
+
+    return list(solve_map(solve, problems, team.prev_sols))
+
+
+def _apply(team: _Team, config: SimConfig, k: int, updated: bool, measure: _Measure, sols: list) -> StepRecord:
+    """Record step k, then check the boxes and advance every robot by its first input."""
+    alive = team.alive
+    inputs = np.array([sol.u_seq[0] for sol in sols])
+    record = StepRecord(
+        k=k,
+        robot_ids=tuple(alive),
+        states=team.states.copy(),
+        references=team.refs.copy(),
+        errors=team.errors.copy(),
+        desired_bearings={(alive[i], alive[j]): g.copy() for (i, j), g in team.g_des.items()},
+        inputs=inputs,
+        costs=np.array([sol.cost for sol in sols]),
+        coverage_cost=measure.H,
+        bearing_error=measure.bearing_error,
+        rigidity_rank=measure.rank.rank if measure.rank is not None else 0,
+        updated=updated,
+        solver_iterations=tuple(sol.iterations for sol in sols),
+        solver_kkt=tuple(sol.kkt_residual for sol in sols),
+    )
+    for li, (oid, u) in enumerate(zip(alive, inputs)):
+        model = config.models[oid]
+        if not model.input_bounds.contains(u, tol=1e-9):
+            raise NumericalBreakdownError(f"applied input of robot {oid} violates bounds at step {k}")
+        nxt = model.step(team.states[li], u)
+        if not model.state_bounds.contains(nxt, tol=1e-9):
+            raise NumericalBreakdownError(f"state of robot {oid} leaves the box at step {k}")
+        team.states[li] = nxt
+    team.prev_sols = sols
+    return record
 
 
 def run(config: SimConfig) -> SimTrace:
     """Execute the closed loop and return the full trace."""
-    region = config.region
-    density = config.density
-    weights = config.weights
-    shrunk = region.shrink(config.epsilon)
-    n0 = config.n_robots
-
-    term_Q = weights.Q if config.terminal.Q is None else config.terminal.Q
-    term_R = weights.R if config.terminal.R is None else config.terminal.R
-    ts_cache: dict = {}
-
-    def terminal_for(orig_id: int):
-        model = config.models[orig_id]
-        if model not in ts_cache:
-            ts_cache[model] = build_terminal_set(
-                model,
-                term_Q,
-                term_R,
-                c_fraction=config.terminal.c_fraction,
-                n_directions=config.terminal.n_directions,
-                seed=config.terminal.seed,
-                stage_Q=weights.Q,
-                stage_R=weights.R,
-            )
-        return ts_cache[model]
-
-    alive = list(range(n0))
-    states = config.initial_states.copy()
-    graph = config.graph
-    plan = build_recovery_plan(graph)
-    faults_by_step = {f.at_step: f for f in config.faults}
-
-    refs: np.ndarray | None = None
-    errors: np.ndarray | None = None
-    g_des: dict = {}
-    prev_sols: list = [None] * n0
-    records: list = []
-    events: list = []
-    n_updates = 0
     threads = _thread_count()
-
-    for k in range(config.steps):
-        fault = faults_by_step.get(k)
-        rebuilt = fault is not None or refs is None  # the topology is new
-        if fault is not None:
-            jf = alive.index(fault.robot)
-            entry = plan.for_loss(jf)
-            new_edges = entry.new_edges if entry is not None else frozenset()
-            hub = entry.contraction_vertex if entry is not None else None
-            event = {
-                "at_step": k,
-                "robot": fault.robot,
-                "new_edges": sorted([alive[a], alive[b]] for a, b in new_edges),
-                "contraction_vertex": None if hub is None else alive[hub],
-            }
-            graph = apply_recovery(graph, jf, new_edges)
-            alive.pop(jf)
-            states = np.delete(states, jf, axis=0)
-            prev_sols.pop(jf)
-            plan = build_recovery_plan(graph)
-            if graph.n >= 2:
-                event["edge_count"] = graph.m
-                event["laman"] = bool(laman_check(graph))
-                event["rigid"] = is_infinitesimally_bearing_rigid(
-                    Framework(graph, Configuration(states[:, :2]))
-                )
-            else:
-                event["edge_count"] = 0
-                event["laman"] = None
-                event["rigid"] = None
-            events.append(event)
-
-        positions = states[:, :2]
-        partition = voronoi_partition(positions, region)
-        updated = rebuilt or partition_update_due(positions, refs, errors)
-        if updated:
-            refs = centroid(partition, density)
-            errors = np.linalg.norm(positions - refs, axis=1)
-            n_updates += 1
-        if rebuilt:
-            g_des = _bearing_map(graph, refs)
-        H = coverage_cost(positions, partition, density)
-        bearing_err = _aggregate_bearing_error(g_des, graph, positions)
-        if graph.n >= 2:
-            rank = rigidity_rank(Framework(graph, Configuration(positions))).rank
-        else:
-            rank = 0
-
-        problems = []
-        for li, oid in enumerate(alive):
-            neigh = graph.neighbors(li)
-            problems.append(
-                OcpProblem(
-                    model=config.models[oid],
-                    horizon=config.horizon,
-                    weights=weights,
-                    terminal=terminal_for(oid),
-                    x0=states[li],
-                    r_ref=refs[li],
-                    desired_bearings=tuple((j, _directed_bearing(g_des, li, j)) for j in neigh),
-                    neighbor_anchors={j: refs[j] for j in neigh},
-                    setpoint_region=shrunk,
-                    steady_margin=config.epsilon,
-                )
-            )
-        if threads > 0:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_solve_one, prob, prev, config.solver)
-                    for prob, prev in zip(problems, prev_sols)
-                ]
-                sols = [f.result() for f in futures]
-        else:
-            sols = [
-                _solve_one(prob, prev, config.solver)
-                for prob, prev in zip(problems, prev_sols)
-            ]
-
-        inputs = np.array([sol.u_seq[0] for sol in sols])
-        records.append(
-            StepRecord(
-                k=k,
-                robot_ids=tuple(alive),
-                states=states.copy(),
-                references=refs.copy(),
-                errors=errors.copy(),
-                desired_bearings={
-                    (alive[i], alive[j]): g.copy() for (i, j), g in g_des.items()
-                },
-                inputs=inputs,
-                costs=np.array([sol.cost for sol in sols]),
-                coverage_cost=H,
-                bearing_error=bearing_err,
-                rigidity_rank=rank,
-                updated=updated,
-                solver_iterations=tuple(sol.iterations for sol in sols),
-                solver_kkt=tuple(sol.kkt_residual for sol in sols),
-            )
+    weights, opts = config.weights, config.terminal
+    terminals = {
+        model: build_terminal_set(
+            model,
+            weights.Q if opts.Q is None else opts.Q,
+            weights.R if opts.R is None else opts.R,
+            c_fraction=opts.c_fraction,
+            n_directions=opts.n_directions,
+            seed=opts.seed,
+            stage_Q=weights.Q,
+            stage_R=weights.R,
         )
+        for model in dict.fromkeys(config.models)
+    }
+    shrunk = config.region.shrink(config.epsilon)
+    n0 = config.n_robots
+    plan = build_recovery_plan(config.graph)
+    team = _Team(list(range(n0)), config.initial_states.copy(), config.graph, plan, [None] * n0)
+    faults_by_step = {f.at_step: f for f in config.faults}
+    records, events = [], []
+    with ThreadPoolExecutor(max_workers=threads) if threads > 0 else nullcontext() as pool:
+        solve_map = map if pool is None else pool.map
+        for k in range(config.steps):
+            updated, measure = _centralized(team, config, k, faults_by_step.get(k), events)
+            sols = _decentralized(team, config, terminals, shrunk, solve_map)
+            records.append(_apply(team, config, k, updated, measure, sols))
 
-        for li, (sol, u) in enumerate(zip(sols, inputs)):
-            model = config.models[alive[li]]
-            if not model.input_bounds.contains(u, tol=1e-9):
-                raise NumericalBreakdownError(f"applied input of robot {alive[li]} violates bounds at step {k}")
-            nxt = model.step(states[li], u)
-            if not model.state_bounds.contains(nxt, tol=1e-9):
-                raise NumericalBreakdownError(f"state of robot {alive[li]} leaves the box at step {k}")
-            states[li] = nxt
-        prev_sols = sols
-
-    positions = states[:, :2]
-    final_partition = voronoi_partition(positions, region)
-    final_H = coverage_cost(positions, final_partition, density)
-    final_bearing = _aggregate_bearing_error(g_des, graph, positions)
-    if graph.n >= 2:
-        fw = Framework(graph, Configuration(positions))
-        rank_info = rigidity_rank(fw)
-        final_rigidity = {
-            "laman": bool(laman_check(graph)),
-            "rank": int(rank_info.rank),
-            "max_rank": int(rank_info.max_rank),
-            "rigid": rank_info.rank == rank_info.max_rank,
-        }
-    else:
-        final_rigidity = {"laman": None, "rank": 0, "max_rank": 0, "rigid": None}
+    positions = team.states[:, :2]
+    final = _measure(team, voronoi_partition(positions, config.region), config.density)
+    rank = final.rank
     summary = {
         "steps": config.steps,
         "mu": weights.mu,
         "n_robots_initial": n0,
-        "n_robots_final": len(alive),
-        "alive": list(alive),
-        "n_partition_updates": n_updates,
+        "n_robots_final": len(team.alive),
+        "alive": list(team.alive),
+        "n_partition_updates": sum(rec.updated for rec in records),
         "n_events": len(events),
-        "final_coverage_cost": final_H,
-        "final_bearing_error": final_bearing,
-        "final_positions": {str(oid): positions[li].tolist() for li, oid in enumerate(alive)},
+        "final_coverage_cost": final.H,
+        "final_bearing_error": final.bearing_error,
+        "final_positions": {str(oid): positions[li].tolist() for li, oid in enumerate(team.alive)},
         "final_reference_errors": {
-            str(oid): float(np.linalg.norm(positions[li] - refs[li])) for li, oid in enumerate(alive)
+            str(oid): float(np.linalg.norm(positions[li] - team.refs[li])) for li, oid in enumerate(team.alive)
         },
-        "final_rigidity": final_rigidity,
+        "final_rigidity": {
+            "laman": None if rank is None else bool(laman_check(team.graph)),
+            "rank": 0 if rank is None else rank.rank,
+            "max_rank": 0 if rank is None else rank.max_rank,
+            "rigid": None if rank is None else rank.rank == rank.max_rank,
+        },
     }
     return SimTrace(records=records, events=events, summary=summary)
 

@@ -147,21 +147,12 @@ def _all_pairs_cells(positions, region):
     return cells
 
 
-def _merge_repeats(cell, tol):
-    """The cell without vertices within tol of their predecessor.  A clip
-    through an existing vertex can leave a copy of it one ulp away, and
-    which clip meets a vertex first depends on the clip order."""
-    keep = [v for k, v in enumerate(cell) if np.max(np.abs(v - cell[k - 1])) > tol]
-    return np.array(keep)
-
-
 def _assert_same_cells(positions, region, vertex_tol=1e-12):
     part = voronoi_partition(positions, region)
     expected = _all_pairs_cells(positions, region)
     assert len(part.cells) == len(expected)
     for got, want in zip(part.cells, expected):
         assert abs(polygon_area(got) - polygon_area(want)) <= 1e-12
-        got, want = _merge_repeats(got, vertex_tol), _merge_repeats(want, vertex_tol)
         assert got.shape == want.shape
         gaps = [np.max(np.abs(np.roll(got, -k, axis=0) - want)) for k in range(len(got))]
         assert min(gaps) <= vertex_tol
@@ -202,6 +193,15 @@ class TestNearestFirstClipping:
     def test_grid_sites_with_tied_distances_match_all_pairs(self, unit_square, k):
         ticks = (np.arange(k) + 0.5) / k
         _assert_same_cells(np.array([[x, y] for y in ticks for x in ticks]), unit_square)
+
+    def test_grid_cells_list_each_vertex_once(self, unit_square):
+        # on a 3 x 3 grid the all-pairs clips pass through existing cell
+        # corners; each corner must stay a single vertex
+        ticks = (np.arange(3) + 0.5) / 3
+        cells = _all_pairs_cells(np.array([[x, y] for y in ticks for x in ticks]), unit_square)
+        for cell in cells:
+            gaps = np.max(np.abs(cell - np.roll(cell, 1, axis=0)), axis=1)
+            assert len(cell) == 4 and gaps.min() > 1e-12
 
     def test_sites_2e_7_apart_match_all_pairs(self, unit_square):
         base = np.random.default_rng(3).uniform(0.1, 0.9, (20, 2))

@@ -36,6 +36,16 @@ def test_clip_halfplane():
     assert polygon_area(untouched) == pytest.approx(1.0)
 
 
+def test_clip_through_vertices_lists_each_once():
+    # x + y <= 1 passes through (1, 0) and (0, 1): they are kept, and the
+    # edges that leave and re-enter there add no crossing point beside them
+    clipped = clip_polygon_halfplane(SQUARE, np.array([1.0, 1.0]), 1.0)
+    assert clipped.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    # a line along an edge keeps that edge's ends once each
+    assert clip_polygon_halfplane(SQUARE, np.array([0.0, 1.0]), 0.0).shape == (0, 2)
+    assert clip_polygon_halfplane(SQUARE, np.array([1.0, 0.0]), 1.0).tolist() == SQUARE.tolist()
+
+
 def test_point_membership():
     assert point_in_convex_polygon(SQUARE, [0.5, 0.5])
     assert point_in_convex_polygon(SQUARE, [0.0, 0.0])

@@ -2,6 +2,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,6 +129,38 @@ class TestLamanCheck:
         assert laman_check(res.graph)
 
 
+def _oracle_apply(g: Graph, step) -> Graph:
+    """One Henneberg step as a new Graph from a copied edge set: the
+    per-step construction that generation and replay must reproduce."""
+    v = g.n
+    if isinstance(step, VertexAddition):
+        edges = set(g.edges) | {(step.i, v), (step.j, v)}
+    else:
+        assert g.has_edge(step.i, step.j)
+        edges = set(g.edges) - {tuple(sorted((step.i, step.j)))}
+        edges |= {(w, v) for w in (step.i, step.j, step.k)}
+    return Graph(v + 1, frozenset(edges))
+
+
+def _oracle_generate(n: int, seed: int, split_probability: float):
+    rng = np.random.default_rng(seed)
+    g = Graph(2, frozenset({(0, 1)}))
+    log = []
+    for v in range(2, n):
+        if v >= 3 and rng.random() < split_probability:
+            edges = g.sorted_edges
+            i, j = edges[int(rng.integers(len(edges)))]
+            rest = [w for w in range(v) if w != i and w != j]
+            step = EdgeSplitting(i, j, rest[int(rng.integers(len(rest)))])
+        else:
+            pick = rng.choice(v, size=2, replace=False)
+            a, b = int(pick[0]), int(pick[1])
+            step = VertexAddition(min(a, b), max(a, b))
+        g = _oracle_apply(g, step)
+        log.append(step)
+    return g, tuple(log)
+
+
 class TestHenneberg:
     def test_two_vertices(self):
         res = henneberg_generate(2, seed=123)
@@ -167,6 +200,22 @@ class TestHenneberg:
     def test_replay_reproduces_generate(self):
         res = henneberg_generate(8, seed=11, split_probability=0.7)
         assert henneberg_replay(8, res.log) == res.graph
+        assert henneberg_replay(8, iter(res.log)) == res.graph
+        with pytest.raises(InvalidInputError, match="log yields 8 vertices, expected 9"):
+            henneberg_replay(9, res.log)
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 96, 200])
+    @pytest.mark.parametrize("split", [0.0, 0.5, 1.0])
+    def test_generate_and_replay_match_per_step_graphs(self, n, split):
+        for seed in (0, 1, 42, 2**31 - 1):
+            graph, log = _oracle_generate(n, seed, split)
+            res = henneberg_generate(n, seed=seed, split_probability=split)
+            assert res.graph == graph and res.log == log
+            assert henneberg_replay(n, log) == graph
+            grown = Graph(2, frozenset({(0, 1)}))
+            for step in log:
+                grown = henneberg_apply(grown, step)
+            assert grown == graph
 
     def test_generate_is_deterministic(self):
         a = henneberg_generate(9, seed=3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from rigid_coverage import coverage
+from rigid_coverage import coverage, sim
 from rigid_coverage.config import config_from_dict
 from rigid_coverage.coverage import coverage_cost, voronoi_partition
 from rigid_coverage.errors import InvalidInputError
@@ -163,6 +163,61 @@ def test_parallel_matches_serial(short_trace, monkeypatch):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.inputs, b.inputs)
         assert a.coverage_cost == b.coverage_cost
+
+
+def test_threaded_run_opens_one_pool(monkeypatch):
+    opened = []
+
+    class CountedPool(sim.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setenv("RIGID_COVERAGE_THREADS", "2")
+    run(config_from_dict(make_scenario(mu=0.7, steps=4, faults=[{"at_step": 2, "robot": 1}])))
+    assert opened == [2]
+
+
+def test_mixed_team_builds_one_terminal_set_per_model(monkeypatch):
+    data = make_scenario(mu=0.7, steps=6, faults=[{"at_step": 2, "robot": 1}])
+    kinds = ["double_integrator", "drag_double_integrator"] * 2
+    positions = data["robots"]["initial_positions"][:4]
+    data["robots"] = [{"position": p, "model": kind} for p, kind in zip(positions, kinds)]
+    data["graph"] = {"generate": {"n": 4, "seed": 3, "split_prob": 0.5}}
+    built, statuses = [], []
+    build, solve = sim.build_terminal_set, sim.solve_ocp
+
+    def counted_build(model, *args, **kwargs):
+        built.append(type(model).__name__)
+        return build(model, *args, **kwargs)
+
+    def recorded_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(sim, "build_terminal_set", counted_build)
+    monkeypatch.setattr(sim, "solve_ocp", recorded_solve)
+    trace = run(config_from_dict(data))
+    assert sorted(built) == ["DoubleIntegrator", "DragDoubleIntegrator"]
+    assert trace.summary["alive"] == [0, 2, 3]
+    assert statuses == ["solved"] * (2 * 4 + 4 * 3)
+
+
+def test_one_framework_per_step(monkeypatch):
+    # one framework of the positions per step, one of the references where
+    # the topology is (re)built (steps 0 and 3), one for the summary
+    built = []
+    framework = sim.Framework
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return framework(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "Framework", counted)
+    run(config_from_dict(make_scenario(mu=0.7, steps=8, faults=[{"at_step": 3, "robot": 2}])))
+    assert len(built) == 8 + 2 + 1
 
 
 def test_thread_env_validation(monkeypatch):

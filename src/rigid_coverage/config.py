@@ -29,6 +29,7 @@ a list (diagonal), or a nested list (full matrix).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,12 +91,23 @@ class SimConfig:
         return len(self.models)
 
 
-def _number(value, kind, name: str):
-    """kind(value) for a scalar config entry, kind being int or float."""
+def _number(value, name: str) -> float:
+    """A real scalar config entry."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _integer(value, name: str, least: int = 0) -> int:
+    """An integral scalar config entry of at least `least`; booleans and
+    numbers with a fractional part are rejected, not truncated."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidInputError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
 
 
 def _floats(value, name: str) -> np.ndarray:
@@ -104,6 +116,14 @@ def _floats(value, name: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} must be numeric: {exc}") from exc
+
+
+def _block(data: dict, key: str, where: str = "") -> dict:
+    """The optional object entry data[key]; {} when it is absent."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{where}{key} must be an object, got {value!r}")
+    return value
 
 
 def _array(block, key: str, where: str) -> np.ndarray:
@@ -124,6 +144,8 @@ def _parse_region(value) -> ConvexRegion:
 
 def _as_matrix(value, size: int, name: str) -> np.ndarray:
     arr = _floats(value, name)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
     if arr.ndim == 0:
         return float(arr) * np.eye(size)
     if arr.ndim == 1:
@@ -155,7 +177,7 @@ def _parse_density(block) -> object:
                 GaussianComponent(
                     mean=_array(comp, "mean", "gaussian density"),
                     cov_diag=_array(comp, "cov_diag", "gaussian density"),
-                    weight=_number(comp.get("weight", 1.0), float, "gaussian density weight"),
+                    weight=_number(comp.get("weight", 1.0), "gaussian density weight"),
                 )
             )
         return GaussianMixtureDensity(tuple(parsed))
@@ -174,14 +196,14 @@ def _build_model(kind, params: dict):
         params = kind
         kind = params.get("type", "double_integrator")
     common = dict(
-        h=_number(params.get("h", 0.1), float, "h"),
-        u_max=_number(params.get("u_max", 1.0), float, "u_max"),
-        v_max=_number(params.get("v_max", 0.5), float, "v_max"),
+        h=_number(params.get("h", 0.1), "h"),
+        u_max=_number(params.get("u_max", 1.0), "u_max"),
+        v_max=_number(params.get("v_max", 0.5), "v_max"),
     )
     if kind == "double_integrator":
         return DoubleIntegrator(**common)
     if kind == "drag_double_integrator":
-        return DragDoubleIntegrator(drag=_number(params.get("drag", 0.5), float, "drag"), **common)
+        return DragDoubleIntegrator(drag=_number(params.get("drag", 0.5), "drag"), **common)
     raise InvalidInputError(f"unknown robot model {kind!r}")
 
 
@@ -234,11 +256,11 @@ def _parse_graph(block, n: int, fallback_seed: int) -> Graph:
         gen = block["generate"]
         if not isinstance(gen, dict):
             raise InvalidInputError("graph.generate must be an object")
-        g_n = _number(gen.get("n", n), int, "graph.generate.n")
+        g_n = _integer(gen.get("n", n), "graph.generate.n")
         if g_n != n:
             raise InvalidInputError(f"graph.generate.n = {g_n} does not match robot count {n}")
-        seed = _number(gen.get("seed", fallback_seed), int, "graph.generate.seed")
-        split = _number(gen.get("split_prob", 0.5), float, "graph.generate.split_prob")
+        seed = _integer(gen.get("seed", fallback_seed), "graph.generate.seed")
+        split = _number(gen.get("split_prob", 0.5), "graph.generate.split_prob")
         return henneberg_generate(g_n, seed, split_probability=split).graph
     return graph_from_dict(block)
 
@@ -255,7 +277,7 @@ def config_from_dict(data: dict) -> SimConfig:
     density = _parse_density(data.get("density"))
     models, states = _parse_robots(data["robots"])
     n = len(models)
-    seed = _number(data.get("seed", 0), int, "seed")
+    seed = _integer(data.get("seed", 0), "seed")
 
     positions = states[:, :2]
     for i, p in enumerate(positions):
@@ -287,43 +309,41 @@ def config_from_dict(data: dict) -> SimConfig:
                 detail = f" (violating subset {sorted(verdict.violating_subset)})"
             raise InvalidInputError("graph is not minimally rigid" + detail)
 
-    mpc_block = data.get("mpc", {})
-    horizon = _number(mpc_block.get("horizon", 10), int, "mpc.horizon")
-    if horizon < 1:
-        raise InvalidInputError("mpc.horizon must be at least 1")
+    mpc_block = _block(data, "mpc")
+    horizon = _integer(mpc_block.get("horizon", 10), "mpc.horizon", least=1)
     n_x = models[0].n_x
     n_u = models[0].n_u
     # weight entries live either in a nested "weights" block or flat in "mpc"
-    w_block = mpc_block.get("weights", mpc_block)
+    w_block = _block(mpc_block, "weights", "mpc.") if "weights" in mpc_block else mpc_block
     weights = CostWeights(
         Q=_as_matrix(w_block.get("Q", 1.0), n_x, "Q"),
         R=_as_matrix(w_block.get("R", 1.0), n_u, "R"),
         S_r=_as_matrix(w_block.get("S_r", 1.0), models[0].dim, "S_r"),
-        w_b=_number(w_block.get("w_b", 1.0), float, "w_b"),
-        mu=_number(w_block.get("mu", 1.0), float, "mu"),
+        w_b=_number(w_block.get("w_b", 1.0), "w_b"),
+        mu=_number(w_block.get("mu", 1.0), "mu"),
     )
-    solver_block = mpc_block.get("solver", {})
+    solver_block = _block(mpc_block, "solver", "mpc.")
     allowed = set(SqpOptions.__dataclass_fields__)
     unknown = set(solver_block) - allowed
     if unknown:
         raise InvalidInputError(f"unknown solver options {sorted(unknown)}")
     solver = SqpOptions(**solver_block)
 
-    term_block = data.get("terminal", {})
+    term_block = _block(data, "terminal")
     terminal = TerminalOptions(
         Q=None if "Q" not in term_block else _as_matrix(term_block["Q"], n_x, "terminal Q"),
         R=None if "R" not in term_block else _as_matrix(term_block["R"], n_u, "terminal R"),
-        c_fraction=_number(term_block.get("c_fraction", 0.5), float, "terminal.c_fraction"),
-        n_directions=_number(term_block.get("n_directions", 512), int, "terminal.n_directions"),
-        seed=_number(term_block.get("seed", seed), int, "terminal.seed"),
+        c_fraction=_number(term_block.get("c_fraction", 0.5), "terminal.c_fraction"),
+        n_directions=_integer(term_block.get("n_directions", 512), "terminal.n_directions", least=1),
+        seed=_integer(term_block.get("seed", seed), "terminal.seed"),
     )
+    if not 0.0 < terminal.c_fraction < 1.0:
+        raise InvalidInputError(f"terminal.c_fraction must lie in (0, 1), got {terminal.c_fraction}")
 
-    steps = _number(data["steps"], int, "steps")
-    if steps < 1:
-        raise InvalidInputError("steps must be at least 1")
+    steps = _integer(data["steps"], "steps", least=1)
 
-    epsilon = _number(data.get("epsilon", 0.02), float, "epsilon")
-    if epsilon < 0:
+    epsilon = _number(data.get("epsilon", 0.02), "epsilon")
+    if not epsilon >= 0:
         raise InvalidInputError("epsilon must be non-negative")
     try:
         region.shrink(epsilon)
@@ -335,7 +355,7 @@ def config_from_dict(data: dict) -> SimConfig:
         if not isinstance(entry, dict) or "at_step" not in entry or "robot" not in entry:
             raise InvalidInputError("each fault needs 'at_step' and 'robot' fields")
         faults.append(
-            FaultEvent(at_step=_number(entry["at_step"], int, "at_step"), robot=_number(entry["robot"], int, "robot"))
+            FaultEvent(at_step=_integer(entry["at_step"], "at_step"), robot=_integer(entry["robot"], "robot"))
         )
     faults.sort(key=lambda f: f.at_step)
     seen_steps = [f.at_step for f in faults]

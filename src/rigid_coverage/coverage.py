@@ -66,8 +66,10 @@ class GaussianMixtureDensity:
             weight = float(c.weight if isinstance(c, GaussianComponent) else c[2])
             if mean.shape != (2,) or cov.shape != (2,):
                 raise InvalidInputError("each component needs a 2-vector mean and diagonal covariance")
-            if np.any(cov <= 0) or weight <= 0:
-                raise InvalidInputError("component weights and variances must be positive")
+            if not np.all(np.isfinite(mean)):
+                raise InvalidInputError(f"component mean must be finite, got {mean.tolist()}")
+            if not (np.all((cov > 0) & (cov < np.inf)) and 0 < weight < np.inf):
+                raise InvalidInputError("component weights and variances must be positive and finite")
             comps.append(GaussianComponent(mean, cov, weight))
         if not comps:
             raise InvalidInputError("mixture needs at least one component")
@@ -89,13 +91,15 @@ class GridDensity:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] < 2 or vals.shape[1] < 2:
             raise InvalidInputError("grid values must be 2-D with at least 2 samples per axis")
-        if np.any(vals <= 0):
-            raise InvalidInputError("grid density values must be positive")
+        if not np.all((vals > 0) & (vals < np.inf)):
+            raise InvalidInputError("grid density values must be positive and finite")
         self.values = vals
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        if np.any(self.hi <= self.lo):
-            raise InvalidInputError("grid bounds must satisfy lo < hi")
+        if self.lo.shape != (2,) or self.hi.shape != (2,):
+            raise InvalidInputError("grid bounds lo and hi must be 2-vectors")
+        if not np.all((-np.inf < self.lo) & (self.lo < self.hi) & (self.hi < np.inf)):
+            raise InvalidInputError("grid bounds must be finite with lo < hi")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -4,6 +4,8 @@ States stack position then velocity, x = (p, v); inputs are accelerations.
 Both models are invariant to position shifts: adding (dp, 0) to the state
 shifts the successor by the same amount, which lets steady states and
 terminal ingredients computed at the origin transfer to any setpoint.
+`step`, `jacobians` and `linearize` take leading batch axes, so the MPC
+linearises a whole trajectory, once per iterate, in one call.
 """
 
 from __future__ import annotations
@@ -80,10 +82,22 @@ class SecondOrderModel:
         return BoxBounds(-hi, hi)
 
     def _check(self):
-        if self.h <= 0 or self.u_max <= 0 or self.v_max <= 0:
+        if not (self.h > 0 and self.u_max > 0 and self.v_max > 0):
             raise InvalidInputError("step size and bounds must be positive")
         if self.dim not in (2, 3):
             raise InvalidInputError("dim must be 2 or 3")
+
+    def jacobians(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A = df/dx and B = df/du of the integrator p' = p + h v, v' = v + h u
+        at each point of a batch: (..., n_x) and (..., n_u) give
+        (..., n_x, n_x) and (..., n_x, n_u)."""
+        d = self.dim
+        batch = np.shape(x)[:-1]
+        A = np.tile(np.eye(2 * d), batch + (1, 1))
+        A[..., :d, d:] = self.h * np.eye(d)
+        B = np.zeros(batch + (2 * d, d))
+        B[..., d:, :] = self.h * np.eye(d)
+        return A, B
 
 
 @dataclass(frozen=True)
@@ -107,13 +121,6 @@ class DoubleIntegrator(SecondOrderModel):
         p, v = x[..., :d], x[..., d:]
         return np.concatenate([p + self.h * v, v + self.h * u], axis=-1)
 
-    def jacobians(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = self.dim
-        A = np.eye(2 * d)
-        A[:d, d:] = self.h * np.eye(d)
-        B = np.vstack([np.zeros((d, d)), self.h * np.eye(d)])
-        return A, B
-
 
 @dataclass(frozen=True)
 class DragDoubleIntegrator(SecondOrderModel):
@@ -127,7 +134,7 @@ class DragDoubleIntegrator(SecondOrderModel):
 
     def __post_init__(self):
         self._check()
-        if self.drag < 0:
+        if not self.drag >= 0:
             raise InvalidInputError("drag must be non-negative")
 
     def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -139,16 +146,13 @@ class DragDoubleIntegrator(SecondOrderModel):
         return np.concatenate([p + self.h * v, v + self.h * (u - self.drag * speed * v)], axis=-1)
 
     def jacobians(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        A, B = super().jacobians(x, u)
         d = self.dim
-        x = np.asarray(x, dtype=float)
-        v = x[d:]
-        speed = float(np.linalg.norm(v))
+        v = np.asarray(x, dtype=float)[..., d:]
+        speed = np.linalg.norm(v, axis=-1)[..., None, None]
         # d(||v|| v)/dv = ||v|| I + v v^T / ||v||, which vanishes at v = 0.
-        dvv = speed * np.eye(d) + (np.outer(v, v) / speed if speed > 0 else np.zeros((d, d)))
-        A = np.eye(2 * d)
-        A[:d, d:] = self.h * np.eye(d)
-        A[d:, d:] = np.eye(d) - self.h * self.drag * dvv
-        B = np.vstack([np.zeros((d, d)), self.h * np.eye(d)])
+        dvv = speed * np.eye(d) + v[..., :, None] * v[..., None, :] / np.where(speed > 0, speed, 1.0)
+        A[..., d:, d:] -= self.h * self.drag * dvv
         return A, B
 
 
@@ -160,10 +164,6 @@ class SteadyState:
     x: np.ndarray
     u: np.ndarray
     r: np.ndarray
-
-
-def step(model, x, u) -> np.ndarray:
-    return model.step(x, u)
 
 
 def position(model, x) -> np.ndarray:
@@ -193,10 +193,8 @@ def fd_jacobians(model, x, u, step_size: float = FD_STEP) -> tuple[np.ndarray, n
 
 
 def linearize(model, x, u) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of the step map, analytic when the model provides them."""
-    if hasattr(model, "jacobians"):
-        return model.jacobians(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-    return fd_jacobians(model, x, u)
+    """Jacobians of the step map at one point or at each point of a batch."""
+    return model.jacobians(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
 
 
 def steady_state_from_position(

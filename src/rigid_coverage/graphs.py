@@ -242,6 +242,8 @@ def henneberg_generate(n: int, seed: int, split_probability: float = 0.5) -> Hen
     """
     if n < 2:
         raise InvalidInputError(f"need at least 2 vertices, got {n}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     if not 0.0 <= split_probability <= 1.0:
         raise InvalidInputError(f"split probability must be in [0, 1], got {split_probability}")
     rng = np.random.default_rng(seed)

@@ -7,9 +7,10 @@ the gap between the artificial setpoint rbar = C xbar and the requested
 reference, and the distance of rbar from the desired bearing lines through
 neighbor anchor points.  The problem is solved by a primal active-set SQP
 (`solve_ocp`): each pass is a Newton step on the KKT system of the cost,
-the dynamics linearised along the iterate, and a working set of the box
-rows, the setpoint polygon and the terminal ellipsoid held as equalities
-just inside their bounds.  Steps stop on the first constraint they would
+the dynamics linearised along the iterate (all stages in one batched
+`linearize` call, once per iterate), and a working set of the box rows,
+the setpoint polygon and the terminal ellipsoid held as equalities just
+inside their bounds.  Steps stop on the first constraint they would
 cross, which joins the working set; rows whose multiplier turns negative
 leave it.  A start that is not near-feasible first goes through a
 Gauss-Newton phase 1 on the squared violation, which certifies
@@ -73,8 +74,8 @@ class CostWeights:
         S_r = np.asarray(self.S_r, dtype=float)
         if not 0.0 < self.mu <= 1.0:
             raise InvalidInputError(f"mu must lie in (0, 1], got {self.mu}")
-        if self.w_b < 0:
-            raise InvalidInputError("bearing weight must be non-negative")
+        if not 0.0 <= self.w_b < math.inf:
+            raise InvalidInputError(f"bearing weight must be non-negative and finite, got {self.w_b}")
         if np.any(np.linalg.eigvalsh(0.5 * (R + R.T)) <= 0):
             raise InvalidInputError("R must be positive definite")
         if np.any(np.linalg.eigvalsh(0.5 * (S_r + S_r.T)) <= 0):
@@ -191,6 +192,13 @@ class OcpSolution:
     kkt_residual: float = math.nan
 
 
+def _diagonal_blocks(n: int, r0: int, c0: int, rows: int, cols: int) -> tuple:
+    """Index of n blocks of rows x cols down a diagonal from (r0, c0):
+    `M[index] = blocks` writes blocks[l] at M[r0 + l rows, c0 + l cols]."""
+    l = np.arange(n)[:, None, None]
+    return r0 + l * rows + np.arange(rows)[:, None], c0 + l * cols + np.arange(cols)
+
+
 class _Template:
     """The part of an OCP fixed by its model, horizon, weights, terminal set,
     setpoint polygon and steady margin.
@@ -259,26 +267,19 @@ class _Template:
         L_P = _psd_sqrt(problem.terminal.P)
         L_S = _psd_sqrt(w.S_r)
         M = np.zeros((N * nx + N * nu + nx + d, self.nz))
-        r = 0
         # stage state terms (x_l - xbar), l = 0 uses the parameter x0
-        M[r : r + nx, self.ixb] = -L_Q
-        r += nx
-        for l in range(1, N):
-            M[r : r + nx, self.ix(l)] = L_Q
-            M[r : r + nx, self.ixb] = -L_Q
-            r += nx
+        M[_diagonal_blocks(N - 1, nx, self.ix_all.start, nx, nx)] = L_Q
+        M[: N * nx, self.ixb] = np.tile(-L_Q, (N, 1))
         # stage input terms (u_l - ubar)
-        for l in range(N):
-            M[r : r + nu, self.iu(l)] = L_R
-            M[r : r + nu, self.iub] = -L_R
-            r += nu
+        M[_diagonal_blocks(N, N * nx, 0, nu, nu)] = L_R
+        M[N * nx : N * (nx + nu), self.iub] = np.tile(-L_R, (N, 1))
         # terminal term (x_N - xbar)
+        r = N * (nx + nu)
         M[r : r + nx, self.ixN] = L_P
         M[r : r + nx, self.ixb] = -L_P
-        r += nx
         # reference offset term sqrt(mu) * (C xbar - r_ref)
         self.s_ref = math.sqrt(w.mu)
-        M[r : r + d, self.ixb] = self.s_ref * (L_S @ self.C)
+        M[r + nx :, self.ixb] = self.s_ref * (L_S @ self.C)
         self.M_struct = M
         self.L_Q = L_Q
         self.L_S = L_S
@@ -355,30 +356,23 @@ class _Template:
         """Identity blocks of the equality Jacobian; the whole Jacobian when
         the model's Jacobians do not depend on the state."""
         J = np.zeros((self.n_eq, self.nz))
-        for l in range(self.N):
-            J[l * self.nx : (l + 1) * self.nx, self.ix(l + 1)] = np.eye(self.nx)
+        J[: self.N * self.nx, self.ix_all] = np.eye(self.N * self.nx)  # x_{l+1} in row block l
         self.eq_struct = J
         self.eq_jac = None
-        if getattr(self.model, "constant_jacobians", False):
-            self.eq_jac = self.eq_jacobian_at(
-                np.zeros((self.N, self.nu)), np.zeros((self.N + 1, self.nx)),
-                np.zeros(self.nx), np.zeros(self.nu),
-            )
+        if self.model.constant_jacobians:  # then any point will do
+            N, nx, nu = self.N, self.nx, self.nu
+            self.eq_jac = self.eq_jacobian_at(np.zeros((N, nu)), np.zeros((N + 1, nx)), np.zeros(nx), np.zeros(nu))
 
     def eq_jacobian_at(self, u_seq, x_seq, xbar, ubar) -> np.ndarray:
-        """Equality Jacobian from the model linearized along the trajectory."""
+        """Equality Jacobian from one linearisation of the model at the N
+        stages and the steady pair together."""
+        N, nx = self.N, self.nx
+        A, B = linearize(self.model, np.vstack([x_seq[:N], xbar]), np.vstack([u_seq[:N], ubar]))
         J = self.eq_struct.copy()
-        nx = self.nx
-        for l in range(self.N):
-            A, B = linearize(self.model, x_seq[l], u_seq[l])
-            r = slice(l * nx, (l + 1) * nx)
-            if l >= 1:
-                J[r, self.ix(l)] = -A
-            J[r, self.iu(l)] = -B
-        A, B = linearize(self.model, xbar, ubar)
-        r = slice(self.N * nx, self.n_eq)
-        J[r, self.ixb] = np.eye(nx) - A
-        J[r, self.iub] = -B
+        J[_diagonal_blocks(N - 1, nx, self.ix_all.start, nx, nx)] = -A[1:N]  # x_0 is a parameter, not a variable
+        J[_diagonal_blocks(N, 0, 0, nx, self.nu)] = -B[:N]
+        J[N * nx :, self.ixb] = np.eye(nx) - A[N]
+        J[N * nx :, self.iub] = -B[N]
         return J
 
 
@@ -497,6 +491,11 @@ def _ineq_jacobian(ws: _Workspace, z: np.ndarray) -> np.ndarray:
     return np.vstack([ws.tpl.G, ws.tpl.ineq_jacobian_row_terminal(z)[None, :]])
 
 
+def _linearization(ws: _Workspace, z: np.ndarray) -> tuple:
+    """Dynamics gaps, equality and inequality Jacobians and cost gradient at z."""
+    return ws.eq_constraints(z), ws.eq_jacobian(z), _ineq_jacobian(ws, z), ws.cost_grad(z)
+
+
 def _solution(ws: _Workspace, z: np.ndarray, status: str, iterations: int = 0, kkt: float = math.nan) -> OcpSolution:
     u_seq, x_seq, xbar, ubar = ws.unpack(z)
     return OcpSolution(u_seq, x_seq, xbar, ubar, ws.tpl.C @ xbar, ws.cost(z), status, iterations, kkt)
@@ -594,15 +593,15 @@ def _independent_rows(C_J: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.nd
     return np.sort(np.array(keep, dtype=int))
 
 
-def _stationarity(ws: _Workspace, z: np.ndarray, work: np.ndarray):
-    """Stationarity residual at z with the multipliers of the dynamics and
-    the working set refit there by least squares; also the refit
-    inequality multipliers."""
-    grad = ws.cost_grad(z)
-    J_rows = np.vstack([ws.eq_jacobian(z), _ineq_jacobian(ws, z)[work]])
+def _stationarity(lin: tuple, work: np.ndarray):
+    """Stationarity residual at a linearised point with the multipliers of
+    the dynamics and the working set refit there by least squares; also the
+    refit inequality multipliers."""
+    _, C_J, J_all, grad = lin
+    J_rows = np.vstack([C_J, J_all[work]])
     mult, *_ = np.linalg.lstsq(J_rows.T, -grad, rcond=None)
     res = grad + J_rows.T @ mult
-    return float(np.linalg.norm(res, ord=np.inf)), mult[ws.tpl.n_eq :]
+    return float(np.linalg.norm(res, ord=np.inf)), mult[len(C_J) :]
 
 
 # passes a working set is held, once a point has passed, before the best
@@ -624,7 +623,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
 
     A stepped point passes when it is feasible, its dynamics gap and its
     stationarity residual, with multipliers refit there, are small, and no
-    refit multiplier is negative.  Passing at 1e-2 of the tolerance ends the
+    refit multiplier is negative; the next pass reuses its linearisation.  Passing at 1e-2 of the tolerance ends the
     loop; otherwise passes go on, and the best passing point is taken once
     the working set has been held for REFINE_PASSES.  Returns
     (z, kkt_residual, passes, solved).
@@ -638,12 +637,10 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
     lam_term = 0.0
     best = None
     held = 0
+    lin = _linearization(ws, z)
     while passes < opts.max_iter:
         passes += 1
-        J_all = _ineq_jacobian(ws, z)
-        c = ws.eq_constraints(z)
-        C_J = ws.eq_jacobian(z)
-        grad = ws.cost_grad(z)
+        c, C_J, J_all, grad = lin
         H = ws.H_cost + reg * tpl.eye + lam_term * tpl.H_term
         while True:
             nA = len(work)
@@ -680,12 +677,15 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
             alpha, row = _blocking_step(tpl, z, step, g, g_try, blocking)
             z = z + alpha * step
             g = tpl.ineq_values(z)
+            lin = _linearization(ws, z)
             work = np.union1d(work, [row])
             held = 0
             continue
-        # judge the stepped point on its own multipliers, not the stale ones
-        kkt, lam_fit = _stationarity(ws, z_try, work)
-        eq_try = float(np.linalg.norm(ws.eq_constraints(z_try), ord=np.inf))
+        # judge the stepped point on its own multipliers, not the stale ones;
+        # the next pass starts from the same linearisation
+        lin = _linearization(ws, z_try)
+        kkt, lam_fit = _stationarity(lin, work)
+        eq_try = float(np.linalg.norm(lin[0], ord=np.inf))
         if (
             eq_try <= opts.tol_equality
             and kkt <= opts.tol_stationarity
@@ -705,7 +705,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
             break
     if best is not None:
         return best[0], best[1], passes, True
-    return z, _stationarity(ws, z, work)[0], passes, False
+    return z, _stationarity(lin, work)[0], passes, False
 
 
 def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: SqpOptions | None = None) -> OcpSolution:

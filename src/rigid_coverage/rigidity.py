@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,15 @@ class Framework:
             if np.linalg.norm(pos[j] - pos[i]) <= SEPARATION_TOL:
                 raise DegenerateEdgeError(f"edge ({i}, {j}) endpoints within separation tolerance")
 
+    # Taken on first use and kept on the (frozen) instance, outside its
+    # fields, so that every rank test of one framework shares one SVD.
+    @cached_property
+    def _singular_values(self) -> np.ndarray:
+        """Singular values of the rigidity matrix, largest first; read-only."""
+        sv = np.linalg.svd(rigidity_matrix(self), compute_uv=False)
+        sv.setflags(write=False)
+        return sv
+
 
 @dataclass(frozen=True)
 class BearingVector:
@@ -128,12 +138,14 @@ class RankReport:
 
 
 def rigidity_rank(fw: Framework, tol: float = DEFAULT_RANK_TOL) -> RankReport:
-    """Numerical rank of the rigidity matrix via SVD.
+    """Numerical rank of the rigidity matrix from the framework's SVD.
 
-    Singular values below tol relative to the largest are treated as zero.
+    Singular values below tol relative to the largest are treated as zero;
+    tol must lie in (0, 1).
     """
-    R = rigidity_matrix(fw)
-    sv = np.linalg.svd(R, compute_uv=False)
+    if not 0.0 < tol < 1.0:
+        raise InvalidInputError(f"rank tolerance must lie in (0, 1), got {tol}")
+    sv = fw._singular_values
     d, n = fw.config.dim, fw.config.n
     max_rank = d * n - d - 1
     if sv.size == 0 or sv[0] == 0.0:

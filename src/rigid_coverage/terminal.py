@@ -236,6 +236,8 @@ def size_terminal_set(
     nonlinear closed loop is then verified on sampled directions scaled to
     the candidate boundary, shrinking by bisection when it fails.
     """
+    if not n_directions >= 1:
+        raise InvalidInputError(f"n_directions must be at least 1, got {n_directions}")
     radii = np.asarray(radii, dtype=float)
     cap = _constraint_zeta_bound(model, steady, K, P, bound_margin=bound_margin)
     if not np.isfinite(cap):

@@ -48,6 +48,16 @@ def test_rigidity_check_with_positions(tmp_path, capsys):
     assert report["rigid"] is True
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "1", "inf"])
+def test_rigidity_check_tolerance_outside_the_unit_interval_exits_1(tmp_path, capsys, tol):
+    path = tmp_path / "fw.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "positions": [[0, 0], [1, 0], [0, 1]]}))
+    assert main(["rigidity", "check", str(path), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rank tolerance must lie in (0, 1)")
+
+
 def test_rigidity_check_reports_violating_subset(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(NON_LAMAN))
@@ -104,6 +114,7 @@ RAGGED_REGION = [[0, 0], [1], [1, 1], [0, 1]]
 TEXT_REGION = [[0, 0], [1, "a"], [1, 1], [0, 1]]
 GRID = {"type": "grid", "values": [[1, 2], [3, 4]], "lo": [0, 0], "hi": [1, 1]}
 TRIANGLE = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+NAN, INF = float("nan"), float("inf")
 # each case: (key path, new value or DELETE) edits of the benchmark scenario
 BAD_CONFIGS = {
     "ragged region": [(["region"], RAGGED_REGION)],
@@ -131,6 +142,31 @@ BAD_CONFIGS = {
     "gaussian components not a list": [(["density"], {"type": "gaussian", "components": 5})],
     "graph generator not an object": [(["graph", "generate"], "x")],
     "zero horizon": [(["mpc", "horizon"], 0)],
+    "mpc not an object": [(["mpc"], 5)],
+    "weights not an object": [(["mpc", "weights"], [])],
+    "solver options not an object": [(["mpc", "solver"], [])],
+    "terminal not an object": [(["terminal"], 5)],
+    "NaN Q": [(["mpc", "weights", "Q"], NAN)],
+    "infinite R": [(["mpc", "weights", "R"], INF)],
+    "NaN bearing weight": [(["mpc", "weights", "w_b"], NAN)],
+    "negative generator seed": [(["graph", "generate", "seed"], -1)],
+    "NaN c_fraction": [(["terminal"], {"c_fraction": NAN})],
+    "negative n_directions": [(["terminal"], {"n_directions": -3})],
+    "zero n_directions": [(["terminal"], {"n_directions": 0})],
+    "fractional n_directions": [(["terminal"], {"n_directions": 1.5})],
+    "NaN step size": [(["robots", "model", "h"], NAN)],
+    "NaN drag": [(["robots", "model"], {"type": "drag_double_integrator", "drag": NAN})],
+    "NaN grid value": [(["density"], GRID), (["density", "values", 0], [NAN, 2])],
+    "infinite grid value": [(["density"], GRID), (["density", "values", 1], [3, INF])],
+    "grid lo of three components": [(["density"], GRID), (["density", "lo"], [0, 0, 0])],
+    "NaN gaussian mean": [(["density", "mean"], [NAN, 0.7])],
+    "NaN gaussian weight": [(["density", "weight"], NAN)],
+    "fractional steps": [(["steps"], 2.5)],
+    "boolean steps": [(["steps"], True)],
+    "fractional horizon": [(["mpc", "horizon"], 2.5)],
+    "fractional fault step": [(["faults"], [{"at_step": 1.5, "robot": 0}])],
+    "boolean fault robot": [(["faults"], [{"at_step": 1, "robot": True}])],
+    "fractional seed": [(["seed"], 1.5)],
 }
 
 

@@ -248,6 +248,59 @@ def test_removed_solver_options_are_unknown(key):
         config_from_dict(data)
 
 
+NAN = float("nan")
+GRID = {"type": "grid", "values": [[1, 2], [3, 4]], "lo": [0, 0], "hi": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["mpc"], 5, "mpc must be an object"),
+        (["mpc", "weights"], [], "mpc.weights must be an object"),
+        (["mpc", "solver"], [], "mpc.solver must be an object"),
+        (["terminal"], 5, "terminal must be an object"),
+        (["mpc", "weights", "Q"], NAN, "Q must be finite"),
+        (["mpc", "weights", "R"], float("inf"), "R must be finite"),
+        (["mpc", "weights", "w_b"], NAN, "bearing weight must be non-negative and finite"),
+        (["graph", "generate", "seed"], -1, "graph.generate.seed must be at least 0"),
+        (["terminal"], {"c_fraction": NAN}, r"terminal.c_fraction must lie in \(0, 1\)"),
+        (["terminal"], {"n_directions": -3}, "terminal.n_directions must be at least 1"),
+        (["terminal"], {"n_directions": 0}, "terminal.n_directions must be at least 1"),
+        (["terminal"], {"n_directions": 1.5}, "terminal.n_directions must be an integer"),
+        (["terminal"], {"seed": True}, "terminal.seed must be an integer"),
+        (["robots", "model", "h"], NAN, "step size and bounds must be positive"),
+        (["robots", "model"], {"type": "drag_double_integrator", "drag": NAN}, "drag must be non-negative"),
+        (["density"], dict(GRID, values=[[NAN, 2], [3, 4]]), "grid density values must be positive and finite"),
+        (["density"], dict(GRID, values=[[1, 2], [3, float("inf")]]), "grid density values must be positive"),
+        (["density"], dict(GRID, hi=[1, 1, 1]), "grid bounds lo and hi must be 2-vectors"),
+        (["density", "mean"], [NAN, 0.7], "component mean must be finite"),
+        (["density", "weight"], NAN, "component weights and variances must be positive"),
+        (["steps"], 2.5, "steps must be an integer"),
+        (["steps"], True, "steps must be an integer"),
+        (["mpc", "horizon"], 2.5, "mpc.horizon must be an integer"),
+        (["faults"], [{"at_step": 1.5, "robot": 0}], "at_step must be an integer"),
+        (["faults"], [{"at_step": 1, "robot": False}], "robot must be an integer"),
+        (["seed"], 1.5, "seed must be an integer"),
+    ],
+)
+def test_malformed_field_is_named(path, value, message):
+    data = make_scenario()
+    entry = data
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    with pytest.raises(InvalidInputError, match=f"^{message}"):
+        config_from_dict(data)
+
+
+def test_integral_floats_are_integers():
+    data = make_scenario(steps=7)
+    data["steps"], data["mpc"]["horizon"], data["seed"] = 7.0, 10.0, 42.0
+    cfg = config_from_dict(data)
+    assert (cfg.steps, cfg.horizon, cfg.seed) == (7, 10, 42)
+    assert type(cfg.steps) is int and type(cfg.horizon) is int
+
+
 def test_epsilon_validation():
     data = make_scenario()
     data["epsilon"] = -0.1

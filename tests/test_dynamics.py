@@ -88,6 +88,52 @@ class TestDragModel:
         assert np.allclose(ss.u, 0.0, atol=1e-10)
 
 
+def per_point_jacobians(model, x):
+    """The one-point Jacobian formula that the batched `jacobians` replaced,
+    kept as a reference."""
+    d = model.dim
+    v = x[d:]
+    speed = float(np.linalg.norm(v))
+    drag = getattr(model, "drag", 0.0)
+    dvv = speed * np.eye(d) + (np.outer(v, v) / speed if speed > 0 else np.zeros((d, d)))
+    A = np.eye(2 * d)
+    A[:d, d:] = model.h * np.eye(d)
+    A[d:, d:] = np.eye(d) - model.h * drag * dvv
+    B = np.vstack([np.zeros((d, d)), model.h * np.eye(d)])
+    return A, B
+
+
+class TestBatchedJacobians:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("cls", [DoubleIntegrator, DragDoubleIntegrator])
+    def test_batch_matches_each_point(self, cls, dim):
+        model = cls(dim=dim)
+        rng = np.random.default_rng(dim)
+        x = rng.uniform(-0.5, 0.5, (3, 5, 2 * dim))
+        u = rng.uniform(-1.0, 1.0, (3, 5, dim))
+        x[0, 1, dim:] = x[2, 4, dim:] = 0.0  # at rest the drag term vanishes
+        A, B = model.jacobians(x, u)
+        assert A.shape == (3, 5, 2 * dim, 2 * dim) and B.shape == (3, 5, 2 * dim, dim)
+        for idx in np.ndindex(3, 5):
+            A1, B1 = model.jacobians(x[idx], u[idx])
+            assert A1.shape == (2 * dim, 2 * dim) and B1.shape == (2 * dim, dim)
+            assert np.array_equal(A[idx], A1) and np.array_equal(B[idx], B1)
+            A_ref, B_ref = per_point_jacobians(model, x[idx])
+            assert np.array_equal(B1, B_ref)
+            if cls is DoubleIntegrator:
+                assert np.array_equal(A1, A_ref)
+            else:
+                np.testing.assert_allclose(A1, A_ref, rtol=1e-15, atol=0.0)
+            A_fd, B_fd = fd_jacobians(model, x[idx], u[idx])
+            assert np.max(np.abs(A1 - A_fd)) < 1e-6 and np.max(np.abs(B1 - B_fd)) < 1e-6
+
+    def test_linearize_takes_a_batch(self, drag_model):
+        x = np.random.default_rng(0).uniform(-0.4, 0.4, (7, 4))
+        A, B = linearize(drag_model, x.tolist(), np.zeros((7, 2)).tolist())
+        assert A.shape == (7, 4, 4) and B.shape == (7, 4, 2)
+        assert np.array_equal(A, drag_model.jacobians(x, np.zeros((7, 2)))[0])
+
+
 class TestSharedStructure:
     @pytest.mark.parametrize("model_name", ["double_integrator", "drag_model"])
     def test_position_invariance(self, model_name, request):

@@ -229,6 +229,8 @@ class TestHenneberg:
             henneberg_generate(1, seed=0)
         with pytest.raises(InvalidInputError):
             henneberg_generate(5, seed=0, split_probability=1.5)
+        with pytest.raises(InvalidInputError, match="seed must be non-negative"):
+            henneberg_generate(5, seed=-1)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(min_value=2, max_value=14), seed=st.integers(0, 10_000),

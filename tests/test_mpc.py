@@ -680,6 +680,45 @@ def _loop_linear_ineq(problem):
     return np.vstack(rows), np.asarray(offs)
 
 
+def _loop_eq_jacobian(tpl, u_seq, x_seq, xbar, ubar):
+    """Stage-by-stage assembly of the equality Jacobian, one `jacobians`
+    call per stage and one for the steady pair."""
+    nx, N = tpl.nx, tpl.N
+    J = np.zeros((tpl.n_eq, tpl.nz))
+    for l in range(N):
+        A, B = tpl.model.jacobians(x_seq[l], u_seq[l])
+        r = slice(l * nx, (l + 1) * nx)
+        J[r, tpl.ix(l + 1)] = np.eye(nx)
+        if l >= 1:
+            J[r, tpl.ix(l)] = -A
+        J[r, tpl.iu(l)] = -B
+    A, B = tpl.model.jacobians(xbar, ubar)
+    J[N * nx :, tpl.ixb] = np.eye(nx) - A
+    J[N * nx :, tpl.iub] = -B
+    return J
+
+
+def _loop_cost_rows(problem):
+    """Stage-by-stage construction of the structural cost rows M_struct."""
+    tpl = mpc._workspace(problem).tpl
+    w, N, nx, nu = problem.weights, tpl.N, tpl.nx, tpl.nu
+    L_Q, L_R, L_P = (mpc._psd_sqrt(Q) for Q in (w.Q, w.R, problem.terminal.P))
+    M = np.zeros_like(tpl.M_struct)
+    M[:nx, tpl.ixb] = -L_Q
+    for l in range(1, N):
+        M[l * nx : (l + 1) * nx, tpl.ix(l)] = L_Q
+        M[l * nx : (l + 1) * nx, tpl.ixb] = -L_Q
+    for l in range(N):
+        r = N * nx + l * nu
+        M[r : r + nu, tpl.iu(l)] = L_R
+        M[r : r + nu, tpl.iub] = -L_R
+    r = N * (nx + nu)
+    M[r : r + nx, tpl.ixN] = L_P
+    M[r : r + nx, tpl.ixb] = -L_P
+    M[r + nx :, tpl.ixb] = np.sqrt(w.mu) * (mpc._psd_sqrt(w.S_r) @ problem.model.C)
+    return M
+
+
 class _SkewedBoxes(DoubleIntegrator):
     """Asymmetric boxes with one-sided faces, so that the order and the
     presence of each face's row show."""
@@ -714,6 +753,21 @@ class TestVectorisedLayout:
         tpl = mpc._workspace(problem).tpl
         assert np.array_equal(tpl.G, G)
         assert np.array_equal(tpl.h, h)
+
+    def test_cost_rows_match_the_loop(self, problem):
+        assert np.array_equal(mpc._workspace(problem).tpl.M_struct, _loop_cost_rows(problem))
+
+    @pytest.mark.parametrize("horizon", [1, 2, 10, 40])
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_equality_jacobian_matches_the_stage_loop(
+        self, horizon, linear, double_integrator, drag_model, terminal_double, terminal_drag
+    ):
+        model, ts = (double_integrator, terminal_double) if linear else (drag_model, terminal_drag)
+        ws = mpc._workspace(make_problem(model, ts, [0.2, 0.2, 0.1, -0.05], [0.6, 0.5], horizon=horizon))
+        z = np.random.default_rng(horizon).uniform(-0.4, 0.4, ws.tpl.nz)
+        z[ws.tpl.ix(1)][2:] = 0.0  # a stage at rest
+        J = ws.tpl.eq_jacobian_at(*ws.unpack(z))
+        np.testing.assert_allclose(J, _loop_eq_jacobian(ws.tpl, *ws.unpack(z)), rtol=1e-15, atol=0.0)
 
     def test_pack_unpack_and_dynamics_gaps_match_the_loop(self, problem):
         ws = mpc._workspace(problem)
@@ -754,6 +808,28 @@ class TestConstantJacobian:
         else:
             assert ws.tpl.eq_jac is None
             assert not np.array_equal(J1, J2)
+
+    def test_drag_solve_linearises_each_iterate_once(self, monkeypatch, drag_model, terminal_drag):
+        builds, calls = [], []
+        build, linearize = mpc._Template.eq_jacobian_at, mpc.linearize
+
+        def recorded_build(tpl, *args):
+            builds.append(b"".join(np.ascontiguousarray(a, dtype=float).tobytes() for a in args))
+            return build(tpl, *args)
+
+        def counted_linearize(*args):
+            calls.append(1)
+            return linearize(*args)
+
+        monkeypatch.setattr(mpc._Template, "eq_jacobian_at", recorded_build)
+        monkeypatch.setattr(mpc, "linearize", counted_linearize)
+        prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
+                            region=square_region(), margin=0.02)
+        sol = solve_ocp(prob)
+        assert sol.status == "solved" and sol.iterations >= 3
+        assert len(builds) >= sol.iterations
+        assert len(set(builds)) == len(builds)
+        assert len(calls) == len(builds)
 
     def test_template_arrays_are_read_only(self, double_integrator, terminal_double):
         prob = make_problem(double_integrator, terminal_double, np.zeros(4), [0.5, 0.5],

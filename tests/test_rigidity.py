@@ -1,4 +1,5 @@
 """Bearing rigidity: bearing function, rigidity matrix, rank analysis."""
+import dataclasses
 import json
 
 import numpy as np
@@ -125,6 +126,25 @@ class TestRank:
             report = rigidity_rank(framework)
             assert report.rank == 2 * n - 3
             assert is_infinitesimally_bearing_rigid(framework)
+
+    def test_rank_tests_share_one_read_only_svd(self, monkeypatch):
+        framework = fw(TRIANGLE, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        report = rigidity_rank(framework)
+        assert is_infinitesimally_bearing_rigid(framework) and rigidity_rank(framework, 1e-3).rank == 3
+        assert len(calls) == 1
+        assert report.singular_values is framework._singular_values
+        assert not framework._singular_values.flags.writeable
+        assert [f.name for f in dataclasses.fields(framework)] == ["graph", "config"]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, float("nan"), float("inf")])
+    def test_tolerance_outside_the_unit_interval_is_rejected(self, tol):
+        framework = fw(TRIANGLE, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for check in (rigidity_rank, is_infinitesimally_bearing_rigid):
+            with pytest.raises(InvalidInputError, match="tolerance"):
+                check(framework, tol)
 
 
 class TestTrivialMotions:

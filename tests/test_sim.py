@@ -220,6 +220,22 @@ def test_one_framework_per_step(monkeypatch):
     assert len(built) == 8 + 2 + 1
 
 
+def test_one_rigidity_svd_per_measurement(monkeypatch):
+    # 8 step measurements and the summary's; the repair event at the fault
+    # reads the SVD of its step's framework instead of taking another
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    trace = run(config_from_dict(make_scenario(mu=0.7, steps=8, faults=[{"at_step": 3, "robot": 2}])))
+    assert len(calls) == 8 + 1
+    assert trace.events[0]["rigid"] is True
+
+
 def test_thread_env_validation(monkeypatch):
     monkeypatch.setenv("RIGID_COVERAGE_THREADS", "many")
     with pytest.raises(InvalidInputError, match="RIGID_COVERAGE_THREADS"):

@@ -4,6 +4,7 @@ import pytest
 
 from rigid_coverage.dynamics import steady_state_from_position
 from rigid_coverage.errors import (
+    InvalidInputError,
     InvalidScalingError,
     NotStabilizableError,
     TerminalSetEmptyError,
@@ -149,3 +150,9 @@ class TestTerminalSet:
         P = np.eye(4)
         with pytest.raises(TerminalSetEmptyError):
             size_terminal_set(double_integrator, ss, K, P, np.eye(4), np.eye(2))
+
+    @pytest.mark.parametrize("n_directions", [0, -3, float("nan")])
+    def test_no_sampled_direction_is_rejected(self, double_integrator, n_directions):
+        # with no direction the decrease condition would never be checked
+        with pytest.raises(InvalidInputError, match="n_directions must be at least 1"):
+            build_terminal_set(double_integrator, np.eye(4), np.eye(2), n_directions=n_directions)

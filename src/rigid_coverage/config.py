@@ -15,10 +15,10 @@ A config file is a single JSON object:
   mpc       {"horizon", ["solver": {...}], and either a nested
              "weights": {"Q", "R", "S_r", "w_b", "mu"} block or the same
              keys inline}
-  terminal  {["Q"], ["R"], ["c_fraction"], ["n_directions"], ["seed"]}
+  terminal  {["Q"], ["R"], ["c_fraction"]}
   faults    [{"at_step", "robot"}, ...]
   steps     number of control steps
-  seed      global seed (graph generation / terminal sampling fallback)
+  seed      global seed (graph generation)
   epsilon   inward shrink margin for the feasible-setpoint polygon and the
             artificial steady pair
 
@@ -66,8 +66,6 @@ class TerminalOptions:
     Q: np.ndarray | None = None
     R: np.ndarray | None = None
     c_fraction: float = 0.5
-    n_directions: int = 512
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,11 +90,11 @@ class SimConfig:
 
 
 def _number(value, name: str) -> float:
-    """A real scalar config entry."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{name} must be a number, got {value!r}") from exc
+    """A real scalar config entry; booleans and strings are rejected, not
+    converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, name: str, least: int = 0) -> int:
@@ -124,6 +122,13 @@ def _block(data: dict, key: str, where: str = "") -> dict:
     if not isinstance(value, dict):
         raise InvalidInputError(f"{where}{key} must be an object, got {value!r}")
     return value
+
+
+def _check_keys(block: dict, allowed, what: str):
+    """Reject the keys of block that name no field in allowed."""
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise InvalidInputError(f"unknown {what} {sorted(unknown)}")
 
 
 def _array(block, key: str, where: str) -> np.ndarray:
@@ -323,19 +328,15 @@ def config_from_dict(data: dict) -> SimConfig:
         mu=_number(w_block.get("mu", 1.0), "mu"),
     )
     solver_block = _block(mpc_block, "solver", "mpc.")
-    allowed = set(SqpOptions.__dataclass_fields__)
-    unknown = set(solver_block) - allowed
-    if unknown:
-        raise InvalidInputError(f"unknown solver options {sorted(unknown)}")
+    _check_keys(solver_block, SqpOptions.__dataclass_fields__, "solver options")
     solver = SqpOptions(**solver_block)
 
     term_block = _block(data, "terminal")
+    _check_keys(term_block, TerminalOptions.__dataclass_fields__, "terminal options")
     terminal = TerminalOptions(
         Q=None if "Q" not in term_block else _as_matrix(term_block["Q"], n_x, "terminal Q"),
         R=None if "R" not in term_block else _as_matrix(term_block["R"], n_u, "terminal R"),
         c_fraction=_number(term_block.get("c_fraction", 0.5), "terminal.c_fraction"),
-        n_directions=_integer(term_block.get("n_directions", 512), "terminal.n_directions", least=1),
-        seed=_integer(term_block.get("seed", seed), "terminal.seed"),
     )
     if not 0.0 < terminal.c_fraction < 1.0:
         raise InvalidInputError(f"terminal.c_fraction must lie in (0, 1), got {terminal.c_fraction}")

@@ -6,6 +6,12 @@ shifts the successor by the same amount, which lets steady states and
 terminal ingredients computed at the origin transfer to any setpoint.
 `step`, `jacobians` and `linearize` take leading batch axes, so the MPC
 linearises a whole trajectory, once per iterate, in one call.
+
+Steady states are at rest (v = 0, u = 0), where the drag term and its
+Jacobian vanish.  A deviation (e, du) from one therefore steps to
+A e + B du + phi(e) with phi(e) = (0, -h drag |e_v| e_v); the terminal
+set's decrease certificate bounds this remainder, with drag = 0 for the
+plain double integrator.
 """
 
 from __future__ import annotations
@@ -105,6 +111,7 @@ class DoubleIntegrator(SecondOrderModel):
     """p' = p + h v,  v' = v + h u."""
 
     constant_jacobians: ClassVar[bool] = True
+    drag: ClassVar[float] = 0.0
 
     h: float = 0.1
     u_max: float = 1.0
@@ -228,52 +235,3 @@ def steady_state_from_position(
         x = x + delta[: model.n_x]
         u = u + delta[model.n_x :]
     raise NoSteadyStateError(f"no steady state found at r={r} within {max_iter} iterations")
-
-
-def _sample_box(rng, bounds: BoxBounds, fallback: float = 10.0) -> np.ndarray:
-    lo = np.where(np.isfinite(bounds.lower), bounds.lower, -fallback)
-    hi = np.where(np.isfinite(bounds.upper), bounds.upper, fallback)
-    return rng.uniform(lo, hi)
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    passed: bool
-    worst_violation: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def position_invariance_check(
-    model,
-    n_samples: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> InvarianceReport:
-    """Empirically verify f(x + psi(dp), u) = f(x, u) + psi(dp)."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        x = _sample_box(rng, model.state_bounds)
-        u = _sample_box(rng, model.input_bounds)
-        dp = rng.uniform(-10, 10, model.dim)
-        shift = position_shift(model, dp)
-        gap = np.linalg.norm(model.step(x + shift, u) - (model.step(x, u) + shift), ord=np.inf)
-        worst = max(worst, float(gap))
-    return InvarianceReport(worst < tol, worst)
-
-
-def lipschitz_estimate(model, n_samples: int = 1000, seed: int = 0) -> float:
-    """Empirical bound on ||f(x1,u) - f(x2,u)|| / ||x1 - x2|| over the box."""
-    rng = np.random.default_rng(seed)
-    bound = 0.0
-    for _ in range(n_samples):
-        x1 = _sample_box(rng, model.state_bounds, fallback=1.0)
-        x2 = _sample_box(rng, model.state_bounds, fallback=1.0)
-        u = _sample_box(rng, model.input_bounds)
-        gap = np.linalg.norm(x1 - x2)
-        if gap < 1e-12:
-            continue
-        bound = max(bound, float(np.linalg.norm(model.step(x1, u) - model.step(x2, u)) / gap))
-    return bound

@@ -72,6 +72,9 @@ class CostWeights:
         Q = np.asarray(self.Q, dtype=float)
         R = np.asarray(self.R, dtype=float)
         S_r = np.asarray(self.S_r, dtype=float)
+        for name, M in (("Q", Q), ("R", R), ("S_r", S_r)):
+            if not np.all(np.isfinite(M)):
+                raise InvalidInputError(f"{name} must be finite")
         if not 0.0 < self.mu <= 1.0:
             raise InvalidInputError(f"mu must lie in (0, 1], got {self.mu}")
         if not 0.0 <= self.w_b < math.inf:

@@ -247,8 +247,6 @@ def run(config: SimConfig) -> SimTrace:
             weights.Q if opts.Q is None else opts.Q,
             weights.R if opts.R is None else opts.R,
             c_fraction=opts.c_fraction,
-            n_directions=opts.n_directions,
-            seed=opts.seed,
             stage_Q=weights.Q,
             stage_R=weights.R,
         )

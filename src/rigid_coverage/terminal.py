@@ -5,10 +5,13 @@ algebraic Riccati equation (fixed-point recursion).  The terminal cost
 matrix P solves a scaled discrete Lyapunov equation so that P decreases by
 at least the full stage cost along the closed loop, with slack c to absorb
 nonlinear remainders.  The terminal region is the sublevel set
-{x : (x - x_ss)' P (x - x_ss) <= zeta}; zeta combines the exact bound from
-the box constraints with a sampled bisection for the cost-decrease
-condition.  Position invariance of the models makes one (K, P, zeta) valid
-at every setpoint.
+{x : (x - x_ss)' P (x - x_ss) <= zeta}.  zeta is the smaller of two closed
+forms: the exact level at which the box constraints bind, and a certified
+level for the cost decrease, from one eigenvalue test on the linear closed
+loop and a bound on the drag remainder on the ellipsoid (the
+quasi-infinite-horizon construction of Chen and Allgower, Automatica 1998).
+Position invariance of the models makes one (K, P, zeta) valid at every
+setpoint.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from .errors import (
 RICCATI_TOL = 1e-10
 RICCATI_MAX_ITER = 10_000
 LYAPUNOV_RESIDUAL_TOL = 1e-10
-DECREASE_MARGIN = 1e-9
+# relative headroom the terminal controller keeps inside every box face
+BOUND_MARGIN = 1e-3
+# decrease eigenvalues in [-DECREASE_ROUNDOFF, 0) are round-off of a semidefinite D
+DECREASE_ROUNDOFF = 1e-12
 
 
 def _check_weights(Q: np.ndarray, R: np.ndarray):
@@ -151,13 +157,11 @@ def _finite_rows(bounds_lower, bounds_upper, transform):
     return rows
 
 
-def _constraint_zeta_bound(
-    model, steady: SteadyState, K: np.ndarray, P: np.ndarray, bound_margin: float = 0.0
-) -> float:
+def _constraint_zeta_bound(model, steady: SteadyState, K: np.ndarray, P: np.ndarray) -> float:
     """Largest level set whose every point satisfies the box constraints
     under the terminal controller; exact for quadratic forms.
 
-    bound_margin shrinks each face by a relative amount so that the local
+    Each face is shrunk by BOUND_MARGIN (relative) so that the local
     controller keeps strict headroom inside the boxes.
     """
     n_x = model.n_x
@@ -172,48 +176,47 @@ def _constraint_zeta_bound(
     for a, b in rows:
         if b < 0:
             raise TerminalSetEmptyError("steady state violates the box constraints")
-        b_eff = b * (1.0 - bound_margin)
+        b_eff = b * (1.0 - BOUND_MARGIN)
         quad = float(a @ P_inv @ a)
         if quad > 1e-300:
             bound = min(bound, b_eff**2 / quad)
     return bound
 
 
-def _sample_deviations(P: np.ndarray, n_directions: int, seed: int) -> np.ndarray:
-    """Unit-level deviations e with e' P e = 1, from seeded random directions."""
-    rng = np.random.default_rng(seed)
-    n = P.shape[0]
-    dirs = rng.standard_normal((n_directions, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+def _decrease_level(model, steady: SteadyState, K: np.ndarray, P: np.ndarray, Q, R) -> float:
+    """Largest level alpha on which V(e+) - V(e) <= -(e'Q e + du'R du) is
+    certified for every e with e'P e <= alpha, du = K e.
+
+    With A_K = A + B K, D = P - A_K'P A_K - (Q + K'R K) and P = L L', the
+    linear part gives e'D e >= lam e'P e with lam = lambda_min(L^-1 D L^-T).
+    At rest the step remainder is phi(e) = (0, -gamma |e_v| e_v) with
+    gamma = h drag, and on the level set
+      |e_v|^2 <= kappa alpha,              kappa = lambda_max((P^-1)_vv),
+      |2 phi'P A_K e| <= b alpha^1.5,      b = 2 gamma m kappa, m = ||(P A_K)_v L^-T||,
+      phi'P phi <= a alpha^2,              a = lambda_max(P_vv) gamma^2 kappa^2,
+    so the decrease holds while lam - b sqrt(alpha) - a alpha >= 0.
+    """
+    A, B = linearize(model, steady.x, steady.u)
+    A_K = A + B @ K
+    D = P - A_K.T @ P @ A_K - (Q + K.T @ R @ K)
     L = np.linalg.cholesky(P)
-    return np.linalg.solve(L.T, dirs.T).T
-
-
-def _decrease_holds(
-    model,
-    steady: SteadyState,
-    K: np.ndarray,
-    P: np.ndarray,
-    Q: np.ndarray,
-    R: np.ndarray,
-    unit_devs: np.ndarray,
-    zeta: float,
-    radii: np.ndarray,
-    margin: float,
-) -> bool:
-    for rho in radii:
-        e = np.sqrt(zeta) * rho * unit_devs
-        x = steady.x + e
-        du = e @ K.T
-        u = steady.u + du
-        x_next = model.step(x, u)
-        e_next = x_next - steady.x
-        v_now = np.einsum("ij,jk,ik->i", e, P, e)
-        v_next = np.einsum("ij,jk,ik->i", e_next, P, e_next)
-        stage = np.einsum("ij,jk,ik->i", e, Q, e) + np.einsum("ij,jk,ik->i", du, R, du)
-        if np.any(v_next - v_now > -stage + margin):
-            return False
-    return True
+    L_inv = np.linalg.inv(L)
+    lam = float(np.linalg.eigvalsh(L_inv @ D @ L_inv.T)[0])
+    if lam < -DECREASE_ROUNDOFF:
+        raise TerminalSetEmptyError(
+            f"the terminal cost does not decrease by the stage cost (lambda_min {lam:.3e} < 0)"
+        )
+    lam = max(lam, 0.0)
+    gamma = model.h * model.drag
+    if gamma == 0.0:
+        return np.inf
+    v = slice(model.dim, model.n_x)
+    kappa = np.linalg.norm(L_inv[:, v], 2) ** 2  # = lambda_max((P^-1)_vv)
+    m = np.linalg.norm((P @ A_K)[v] @ L_inv.T, 2)
+    p = np.linalg.norm(L[v], 2) ** 2  # = lambda_max(P_vv)
+    b = 2.0 * gamma * m * kappa
+    a = p * (gamma * kappa) ** 2
+    return (2.0 * lam / (b + np.sqrt(b * b + 4.0 * a * lam))) ** 2
 
 
 def size_terminal_set(
@@ -223,41 +226,17 @@ def size_terminal_set(
     P: np.ndarray,
     Q: np.ndarray,
     R: np.ndarray,
-    n_directions: int = 512,
-    radii=(0.25, 0.5, 0.75, 0.9, 1.0),
-    bisect_iters: int = 40,
-    seed: int = 0,
-    margin: float = DECREASE_MARGIN,
-    bound_margin: float = 1e-3,
 ) -> float:
-    """Level zeta for the terminal region.
+    """Level zeta for the terminal region, in closed form.
 
-    Box constraints cap zeta in closed form; the Lyapunov decrease of the
-    nonlinear closed loop is then verified on sampled directions scaled to
-    the candidate boundary, shrinking by bisection when it fails.
+    zeta is the smaller of the box cap, under which the terminal controller
+    keeps every state and input in its box, and the level up to which the
+    Lyapunov decrease against the stage weights Q, R is certified.
     """
-    if not n_directions >= 1:
-        raise InvalidInputError(f"n_directions must be at least 1, got {n_directions}")
-    radii = np.asarray(radii, dtype=float)
-    cap = _constraint_zeta_bound(model, steady, K, P, bound_margin=bound_margin)
+    cap = _constraint_zeta_bound(model, steady, K, P)
     if not np.isfinite(cap):
         cap = 1e6
-    unit_devs = _sample_deviations(P, n_directions, seed)
-
-    def ok(z: float) -> bool:
-        return _decrease_holds(model, steady, K, P, Q, R, unit_devs, z, radii, margin)
-
-    if ok(cap):
-        zeta = cap
-    else:
-        lo, hi = 0.0, cap
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        zeta = lo
+    zeta = min(cap, _decrease_level(model, steady, K, P, Q, R))
     # levels at rounding scale are useless as terminal regions
     if zeta <= 1e-12:
         raise TerminalSetEmptyError("no positive terminal level satisfies the decrease condition")
@@ -270,8 +249,6 @@ def build_terminal_set(
     R: np.ndarray,
     c_fraction: float = 0.5,
     position=None,
-    n_directions: int = 512,
-    seed: int = 0,
     stage_Q: np.ndarray | None = None,
     stage_R: np.ndarray | None = None,
 ) -> TerminalSet:
@@ -279,7 +256,8 @@ def build_terminal_set(
 
     Q, R shape the local controller and the Lyapunov recursion; stage_Q and
     stage_R (defaulting to Q, R) are the running-cost weights against which
-    the decrease condition is certified.
+    the decrease condition is certified; weights the terminal cost cannot
+    certify raise TerminalSetEmptyError.
     """
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -297,9 +275,7 @@ def build_terminal_set(
     c = c_fraction * (1.0 - rho**2)
     Q_star = Q + K.T @ R @ K
     P = lyapunov_P(A_K, Q_star, c)
-    zeta = size_terminal_set(
-        model, steady, K, P, stage_Q, stage_R, n_directions=n_directions, seed=seed
-    )
+    zeta = size_terminal_set(model, steady, K, P, stage_Q, stage_R)
     return TerminalSet(K, P, zeta, c, steady, stage_Q, stage_R)
 
 

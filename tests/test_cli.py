@@ -151,9 +151,12 @@ BAD_CONFIGS = {
     "NaN bearing weight": [(["mpc", "weights", "w_b"], NAN)],
     "negative generator seed": [(["graph", "generate", "seed"], -1)],
     "NaN c_fraction": [(["terminal"], {"c_fraction": NAN})],
+    # the terminal block takes only Q, R and c_fraction: other keys fail whatever their value
     "negative n_directions": [(["terminal"], {"n_directions": -3})],
     "zero n_directions": [(["terminal"], {"n_directions": 0})],
     "fractional n_directions": [(["terminal"], {"n_directions": 1.5})],
+    "terminal seed": [(["terminal"], {"seed": 0})],
+    "misspelt terminal key": [(["terminal"], {"c_fracton": 0.5})],
     "NaN step size": [(["robots", "model", "h"], NAN)],
     "NaN drag": [(["robots", "model"], {"type": "drag_double_integrator", "drag": NAN})],
     "NaN grid value": [(["density"], GRID), (["density", "values", 0], [NAN, 2])],
@@ -167,6 +170,8 @@ BAD_CONFIGS = {
     "fractional fault step": [(["faults"], [{"at_step": 1.5, "robot": 0}])],
     "boolean fault robot": [(["faults"], [{"at_step": 1, "robot": True}])],
     "fractional seed": [(["seed"], 1.5)],
+    "boolean step size": [(["robots", "model", "h"], True)],
+    "text mu": [(["mpc", "weights", "mu"], "0.5")],
 }
 
 

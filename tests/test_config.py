@@ -264,10 +264,10 @@ GRID = {"type": "grid", "values": [[1, 2], [3, 4]], "lo": [0, 0], "hi": [1, 1]}
         (["mpc", "weights", "w_b"], NAN, "bearing weight must be non-negative and finite"),
         (["graph", "generate", "seed"], -1, "graph.generate.seed must be at least 0"),
         (["terminal"], {"c_fraction": NAN}, r"terminal.c_fraction must lie in \(0, 1\)"),
-        (["terminal"], {"n_directions": -3}, "terminal.n_directions must be at least 1"),
-        (["terminal"], {"n_directions": 0}, "terminal.n_directions must be at least 1"),
-        (["terminal"], {"n_directions": 1.5}, "terminal.n_directions must be an integer"),
-        (["terminal"], {"seed": True}, "terminal.seed must be an integer"),
+        (["terminal"], {"n_directions": 512}, r"unknown terminal options \['n_directions'\]"),
+        (["terminal"], {"seed": 0}, r"unknown terminal options \['seed'\]"),
+        (["terminal"], {"c_fracton": 0.5}, r"unknown terminal options \['c_fracton'\]"),
+        (["terminal"], {"n_dirs": 5, "bogus": 1}, r"unknown terminal options \['bogus', 'n_dirs'\]"),
         (["robots", "model", "h"], NAN, "step size and bounds must be positive"),
         (["robots", "model"], {"type": "drag_double_integrator", "drag": NAN}, "drag must be non-negative"),
         (["density"], dict(GRID, values=[[NAN, 2], [3, 4]]), "grid density values must be positive and finite"),
@@ -281,6 +281,8 @@ GRID = {"type": "grid", "values": [[1, 2], [3, 4]], "lo": [0, 0], "hi": [1, 1]}
         (["faults"], [{"at_step": 1.5, "robot": 0}], "at_step must be an integer"),
         (["faults"], [{"at_step": 1, "robot": False}], "robot must be an integer"),
         (["seed"], 1.5, "seed must be an integer"),
+        (["robots", "model", "h"], True, "h must be a number, got True"),
+        (["mpc", "weights", "mu"], "0.5", "mu must be a number, got '0.5'"),
     ],
 )
 def test_malformed_field_is_named(path, value, message):

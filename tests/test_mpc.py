@@ -91,6 +91,14 @@ class TestWeights:
         with pytest.raises(InvalidInputError):
             CostWeights(Q=-np.eye(4), R=SCENARIO_R, S_r=SCENARIO_S)
 
+    @pytest.mark.parametrize("name", ["Q", "R", "S_r"])
+    def test_non_finite_matrix_is_named(self, name):
+        # eigvalsh on a NaN matrix raises LinAlgError, not a typed error
+        weights = {"Q": SCENARIO_Q, "R": SCENARIO_R, "S_r": SCENARIO_S}
+        weights[name] = np.full_like(weights[name], np.nan)
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
+            CostWeights(**weights)
+
 
 class TestProblemValidation:
     def test_x0_outside_state_box(self, double_integrator, terminal_double):

@@ -23,7 +23,7 @@ A config file is a single JSON object:
             artificial steady pair
 
 Matrix-valued entries (Q, R, S_r) accept a scalar (multiple of identity),
-a list (diagonal), or a nested list (full matrix).
+a list (diagonal), or a nested list (full matrix, which must be symmetric).
 """
 
 from __future__ import annotations

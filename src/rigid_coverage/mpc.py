@@ -12,7 +12,8 @@ the dynamics linearised along the iterate (all stages in one batched
 the setpoint polygon and the terminal ellipsoid held as equalities just
 inside their bounds.  Steps stop on the first constraint they would
 cross, which joins the working set; rows whose multiplier turns negative
-leave it.  A start that is not near-feasible first goes through a
+leave it, and the same multipliers certify stationarity at the stepped
+point.  A start that is not near-feasible first goes through a
 Gauss-Newton phase 1 on the squared violation, which certifies
 infeasibility when the violation stops falling while still positive.
 
@@ -46,9 +47,10 @@ from .errors import (
     RecursiveFeasibilityError,
 )
 from .geometry import ConvexRegion
-from .terminal import TerminalSet
+from .terminal import TerminalSet, is_symmetric
 
 BEARING_UNIT_TOL = 1e-9
+LINESEARCH_STEPS = 40  # trial steps of one phase-1 pass, the full step first
 
 
 def _psd_sqrt(Q: np.ndarray) -> np.ndarray:
@@ -69,12 +71,15 @@ class CostWeights:
     mu: float = 1.0
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        S_r = np.asarray(self.S_r, dtype=float)
-        for name, M in (("Q", Q), ("R", R), ("S_r", S_r)):
+        for name in ("Q", "R", "S_r"):
+            M = np.array(getattr(self, name), dtype=float)  # an own, read-only copy
             if not np.all(np.isfinite(M)):
                 raise InvalidInputError(f"{name} must be finite")
+            if not is_symmetric(M):
+                raise InvalidInputError(f"{name} must be symmetric")
+            M.setflags(write=False)
+            object.__setattr__(self, name, M)
+        Q, R, S_r = self.Q, self.R, self.S_r
         if not 0.0 < self.mu <= 1.0:
             raise InvalidInputError(f"mu must lie in (0, 1], got {self.mu}")
         if not 0.0 <= self.w_b < math.inf:
@@ -85,10 +90,6 @@ class CostWeights:
             raise InvalidInputError("S_r must be positive definite")
         if np.any(np.linalg.eigvalsh(0.5 * (Q + Q.T)) < -1e-12):
             raise InvalidInputError("Q must be positive semidefinite")
-        for name, M in (("Q", Q), ("R", R), ("S_r", S_r)):
-            M = M.copy()
-            M.setflags(write=False)
-            object.__setattr__(self, name, M)
 
 
 def bearing_projector(g: np.ndarray) -> np.ndarray:
@@ -169,7 +170,6 @@ class SqpOptions:
     # the dynamics' round-off strictly inside every constraint
     backoff: float = 2e-4
     regularization: float = 1e-9
-    max_linesearch: int = 40  # step halvings of one phase-1 pass
 
     def __post_init__(self):
         for f in fields(self):
@@ -550,7 +550,7 @@ def _phase1(ws: _Workspace, z: np.ndarray, opts: SqpOptions):
         step = np.linalg.lstsq(np.vstack([J, L]), np.concatenate([-r, np.zeros(len(L))]), rcond=None)[0]
         slope = 2.0 * float(r @ (J @ step))
         alpha = 1.0
-        for _ in range(opts.max_linesearch if slope < -1e-6 * phi else 0):
+        for _ in range(LINESEARCH_STEPS if slope < -1e-6 * phi else 0):
             trial = _violation(ws, z + alpha * step, opts.backoff)
             if trial[3] <= phi + 1e-4 * alpha * slope:
                 break
@@ -596,15 +596,11 @@ def _independent_rows(C_J: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.nd
     return np.sort(np.array(keep, dtype=int))
 
 
-def _stationarity(lin: tuple, work: np.ndarray):
-    """Stationarity residual at a linearised point with the multipliers of
-    the dynamics and the working set refit there by least squares; also the
-    refit inequality multipliers."""
+def _kkt_residual(lin: tuple, work: np.ndarray, mult: np.ndarray) -> float:
+    """||grad f + C_J' nu + G_A' lam||_inf at a linearised point; mult = (nu, lam)."""
     _, C_J, J_all, grad = lin
-    J_rows = np.vstack([C_J, J_all[work]])
-    mult, *_ = np.linalg.lstsq(J_rows.T, -grad, rcond=None)
-    res = grad + J_rows.T @ mult
-    return float(np.linalg.norm(res, ord=np.inf)), mult[len(C_J) :]
+    res = grad + C_J.T @ mult[: len(C_J)] + J_all[work].T @ mult[len(C_J) :]
+    return float(np.linalg.norm(res, ord=np.inf))
 
 
 # passes a working set is held, once a point has passed, before the best
@@ -617,18 +613,19 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
 
     Each pass is one Newton step on the KKT system of the cost, the
     linearised dynamics and the working set, whose rows are held at
-    g = -backoff.  A row whose multiplier comes out negative leaves the
-    set, provided it is satisfied, and so does a row that the dynamics and
-    the other rows already fix; the step is then solved again.  The
-    terminal row is the only curved inequality, so its multiplier-weighted
-    Hessian joins the cost Hessian.  A step that would carry a row outside
-    the set past g = 0 stops on the first such row, which joins the set.
+    g = -backoff; it gives the multipliers (nu, lam) too.  A row whose lam
+    is negative leaves the set, provided it is satisfied, and so does a row
+    that the dynamics and the other rows already fix; the step is then
+    solved again.  The terminal row is the only curved inequality, so its
+    lam-weighted Hessian joins the cost Hessian.  A step that would carry a
+    row outside the set past g = 0 stops on the first such row, which joins.
 
-    A stepped point passes when it is feasible, its dynamics gap and its
-    stationarity residual, with multipliers refit there, are small, and no
-    refit multiplier is negative; the next pass reuses its linearisation.  Passing at 1e-2 of the tolerance ends the
-    loop; otherwise passes go on, and the best passing point is taken once
-    the working set has been held for REFINE_PASSES.  Returns
+    A stepped point passes when it is feasible, its dynamics gap is small,
+    no lam is negative and its stationarity residual with (nu, lam) is
+    small; the next pass reuses its linearisation.  Passing at 1e-2 of the
+    tolerance ends the loop; otherwise passes go on, and the best passing
+    point is taken once the working set has been held for REFINE_PASSES.
+    Passes that run out report the residual at the last point.  Returns
     (z, kkt_residual, passes, solved).
     """
     tpl = ws.tpl
@@ -637,6 +634,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
     term_idx = tpl.G.shape[0]
     g = tpl.ineq_values(z)
     work = np.flatnonzero(g >= -opts.backoff - 1e-9)
+    mult = np.zeros(n_eq + len(work))  # (nu, lam) of the last KKT solve
     lam_term = 0.0
     best = None
     held = 0
@@ -670,8 +668,9 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
                 break
             work = work[keep]
             held = 0
-        pos = list(work).index(term_idx) if term_idx in work else -1
-        lam_term = max(float(lam[pos]), 0.0) if pos >= 0 else 0.0
+        mult = sol[nz:]
+        # the working rows stay sorted, so the terminal row is the last one
+        lam_term = max(float(lam[-1]), 0.0) if nA and work[-1] == term_idx else 0.0
         step = sol[:nz]
         z_try = z + step
         g_try = tpl.ineq_values(z_try)
@@ -682,17 +681,18 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
             g = tpl.ineq_values(z)
             lin = _linearization(ws, z)
             work = np.union1d(work, [row])
+            mult = np.insert(mult, n_eq + int(np.searchsorted(work, row)), 0.0)  # it joins at lam = 0
             held = 0
             continue
-        # judge the stepped point on its own multipliers, not the stale ones;
+        # judge the stepped point with the multipliers that stepped there;
         # the next pass starts from the same linearisation
         lin = _linearization(ws, z_try)
-        kkt, lam_fit = _stationarity(lin, work)
+        kkt = _kkt_residual(lin, work, mult)
         eq_try = float(np.linalg.norm(lin[0], ord=np.inf))
         if (
             eq_try <= opts.tol_equality
             and kkt <= opts.tol_stationarity
-            and (len(lam_fit) == 0 or float(np.min(lam_fit)) >= -1e-9)
+            and bool(np.all(lam >= -1e-9))
             and float(np.max(g_try)) <= 1e-12
         ):
             # good enough, but another pass usually reaches machine precision
@@ -708,7 +708,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
             break
     if best is not None:
         return best[0], best[1], passes, True
-    return z, _stationarity(lin, work)[0], passes, False
+    return z, _kkt_residual(lin, work, mult), passes, False
 
 
 def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: SqpOptions | None = None) -> OcpSolution:

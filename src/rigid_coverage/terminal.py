@@ -38,8 +38,15 @@ BOUND_MARGIN = 1e-3
 DECREASE_ROUNDOFF = 1e-12
 
 
+def is_symmetric(M: np.ndarray) -> bool:
+    """Symmetry test of every weight matrix, up to numpy's default
+    tolerances: `eigh`, and so every square root of a weight, reads one
+    triangle only."""
+    return np.allclose(M, M.T)
+
+
 def _check_weights(Q: np.ndarray, R: np.ndarray):
-    if not np.allclose(Q, Q.T) or not np.allclose(R, R.T):
+    if not is_symmetric(Q) or not is_symmetric(R):
         raise InvalidInputError("Q and R must be symmetric")
     if np.any(np.linalg.eigvalsh(Q) < -1e-12):
         raise InvalidInputError("Q must be positive semidefinite")

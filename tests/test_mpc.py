@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rigid_coverage import mpc
 from rigid_coverage.config import config_from_dict
@@ -97,6 +97,15 @@ class TestWeights:
         weights = {"Q": SCENARIO_Q, "R": SCENARIO_R, "S_r": SCENARIO_S}
         weights[name] = np.full_like(weights[name], np.nan)
         with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
+            CostWeights(**weights)
+
+    @pytest.mark.parametrize("name", ["Q", "R", "S_r"])
+    def test_asymmetric_matrix_is_named(self, name):
+        weights = {"Q": SCENARIO_Q, "R": SCENARIO_R, "S_r": SCENARIO_S}
+        asymmetric = weights[name].copy()
+        asymmetric[0, 1] += 0.5
+        weights[name] = asymmetric
+        with pytest.raises(InvalidInputError, match=f"^{name} must be symmetric"):
             CostWeights(**weights)
 
 
@@ -413,6 +422,25 @@ class TestWarmStart:
         with pytest.raises(RecursiveFeasibilityError):
             shift_warm_start(other, sol)
 
+    @pytest.mark.parametrize("drag", [False, True])
+    def test_shifted_warm_start_solve_takes_no_least_squares(
+        self, monkeypatch, drag, double_integrator, drag_model, terminal_double, terminal_drag,
+    ):
+        # the shifted candidate is feasible, so phase 1 does not run, and the
+        # stop test reads the multipliers of the KKT solve it stepped with
+        model, ts = (drag_model, terminal_drag) if drag else (double_integrator, terminal_double)
+        x0 = np.array([0.2, 0.2, 0.0, 0.0])
+        prev = solve_ocp(make_problem(model, ts, x0, [0.6, 0.5], region=square_region(), margin=0.02))
+        prob = make_problem(model, ts, model.step(x0, prev.u_seq[0]), [0.6, 0.5], region=square_region(), margin=0.02)
+        warm = shift_warm_start(prob, prev)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        sol = solve_ocp(prob, warm=warm)
+        assert sol.status == "solved"
+        assert sol.iterations >= 1
+        assert calls == []
+
     def test_cold_start_is_feasible(self, double_integrator, terminal_double):
         prob = make_problem(double_integrator, terminal_double,
                             np.array([0.3, 0.4, 0.2, -0.1]), [0.9, 0.8])
@@ -498,8 +526,11 @@ def _template_state(tpl):
     }
 
 
-def _solution_bytes(sol):
-    return [np.asarray(a).tobytes() for a in (sol.u_seq, sol.x_seq, sol.xbar, sol.ubar, sol.cost, sol.kkt_residual)]
+SOLUTION_FIELDS = ("u_seq", "x_seq", "xbar", "ubar", "cost")
+
+
+def _solution_bytes(sol, names=SOLUTION_FIELDS + ("kkt_residual",)):
+    return [np.asarray(getattr(sol, name)).tobytes() for name in names]
 
 
 class TestTemplateCache:
@@ -891,10 +922,11 @@ class TestAgainstPenaltySqp:
             assert sol.status == "solved"
             assert sol.kkt_residual <= options.tol_stationarity
             # the reference's first active-set pass ended the solve without
-            # dropping a multiplier or crossing a row
+            # dropping a multiplier or crossing a row; the residuals differ,
+            # since the reference refits its multipliers by least squares
             if ref is not None and ref.iterations == 1 and not (reference.np.dropped or reference.np.crossed):
                 same += 1
-                assert _solution_bytes(sol) == _solution_bytes(ref)
+                assert _solution_bytes(sol, SOLUTION_FIELDS) == _solution_bytes(ref, SOLUTION_FIELDS)
         assert len(faulted_run_solves) == 6 * 12 + 5 * 18
         assert same >= 0.9 * len(faulted_run_solves)
 
@@ -996,6 +1028,11 @@ class TestClosedLoopProperty:
     """
 
     @settings(max_examples=20, deadline=None)
+    # blocking a step at g = -backoff instead of g = 0 cycles on this start:
+    # both models spend all 150 passes on the first solve, the double
+    # integrator with a dynamics gap left (OcpInfeasibleError)
+    @example(drag=False, horizon=3, position=(0.5, 0.5), velocity=(0.0, 0.375), r_ref=(0.0, 1.0), mu=1.0, bearings=[])
+    @example(drag=True, horizon=3, position=(0.5, 0.5), velocity=(0.0, 0.375), r_ref=(0.0, 1.0), mu=1.0, bearings=[])
     @given(
         drag=st.booleans(),
         horizon=st.integers(3, 12),

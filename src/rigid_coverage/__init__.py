@@ -39,7 +39,6 @@ from .errors import (
     InvalidInputError,
     InvalidScalingError,
     InvalidStepError,
-    NoSteadyStateError,
     NotStabilizableError,
     NumericalBreakdownError,
     OcpInfeasibleError,

@@ -41,7 +41,7 @@ from .coverage import (
     UniformDensity,
 )
 from .dynamics import DoubleIntegrator, DragDoubleIntegrator
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer
 from .geometry import ConvexRegion, parse_points
 from .graphs import Graph, graph_from_dict, henneberg_generate, laman_check
 from .mpc import CostWeights, SqpOptions
@@ -95,17 +95,6 @@ def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInputError(f"{name} must be a number, got {value!r}")
     return float(value)
-
-
-def _integer(value, name: str, least: int = 0) -> int:
-    """An integral scalar config entry of at least `least`; booleans and
-    numbers with a fractional part are rejected, not truncated."""
-    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise InvalidInputError(f"{name} must be at least {least}, got {value!r}")
-    return int(value)
 
 
 def _floats(value, name: str) -> np.ndarray:

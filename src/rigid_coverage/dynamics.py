@@ -22,11 +22,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidInputError, NoSteadyStateError
+from .errors import InvalidInputError
 
 FD_STEP = 1e-6
-STEADY_TOL = 1e-9
-STEADY_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -204,34 +202,12 @@ def linearize(model, x, u) -> tuple[np.ndarray, np.ndarray]:
     return model.jacobians(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
 
 
-def steady_state_from_position(
-    model,
-    r: np.ndarray,
-    tol: float = STEADY_TOL,
-    max_iter: int = STEADY_MAX_ITER,
-) -> SteadyState:
-    """Solve f(x, u) = x, C x = r by Newton's method from (r, 0, 0)."""
+def steady_state_from_position(model, r: np.ndarray) -> SteadyState:
+    """The steady pair with output r: rest at r, x = (r, 0) and u = 0, which
+    both models hold exactly."""
     r = np.asarray(r, dtype=float)
     if r.shape != (model.dim,):
         raise InvalidInputError(f"position must have shape ({model.dim},)")
-    C = model.C
-    x = np.concatenate([r, np.zeros(model.n_x - model.dim)])
-    u = np.zeros(model.n_u)
-    for _ in range(max_iter):
-        res = np.concatenate([model.step(x, u) - x, C @ x - r])
-        if np.linalg.norm(res, ord=np.inf) < tol:
-            return SteadyState(x, u, r)
-        A, B = linearize(model, x, u)
-        J = np.block(
-            [
-                [A - np.eye(model.n_x), B],
-                [C, np.zeros((model.dim, model.n_u))],
-            ]
-        )
-        try:
-            delta = np.linalg.lstsq(J, -res, rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
-            raise NoSteadyStateError(f"Newton step failed: {exc}") from exc
-        x = x + delta[: model.n_x]
-        u = u + delta[model.n_x :]
-    raise NoSteadyStateError(f"no steady state found at r={r} within {max_iter} iterations")
+    if not np.all(np.isfinite(r)):
+        raise InvalidInputError(f"position must be finite, got {r.tolist()}")
+    return SteadyState(position_shift(model, r), np.zeros(model.n_u), r)

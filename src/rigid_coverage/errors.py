@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check of
+entries read from outside the program."""
+
+import numbers
 
 
 class RigidCoverageError(Exception):
@@ -41,10 +44,6 @@ class InvalidScalingError(RigidCoverageError, ValueError):
     """Lyapunov scaling parameter violates its spectral-radius bound."""
 
 
-class NoSteadyStateError(RigidCoverageError, RuntimeError):
-    """Newton's method found no steady state for the requested output."""
-
-
 class TerminalSetEmptyError(RigidCoverageError, RuntimeError):
     """No positive invariant-set level satisfies the constraints."""
 
@@ -63,3 +62,14 @@ class RecursiveFeasibilityError(RigidCoverageError, RuntimeError):
 
 class NumericalBreakdownError(RigidCoverageError, RuntimeError):
     """A self-check on numerical output failed."""
+
+
+def _integer(value, name: str, least: int = 0) -> int:
+    """An integral scalar entry of at least `least`; booleans and numbers
+    with a fractional part are rejected, not truncated."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidInputError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)

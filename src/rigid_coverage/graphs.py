@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidStepError
+from .errors import InvalidInputError, InvalidStepError, _integer
 
 
 def _normalize_edge(edge) -> tuple[int, int]:
@@ -291,9 +291,9 @@ def graph_from_json(text: str) -> Graph:
 def graph_from_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InvalidInputError('graph JSON must carry "n" and "edges"')
+    n = _integer(data["n"], "graph n", least=1)
     try:
-        n = int(data["n"])
-        edges = frozenset((int(i), int(j)) for i, j in data["edges"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"malformed graph: {exc}") from exc
-    return Graph(n, edges)
+        pairs = [(i, j) for i, j in data["edges"]]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed graph edges: {exc}") from exc
+    return Graph(n, frozenset((_integer(i, "graph vertex"), _integer(j, "graph vertex")) for i, j in pairs))

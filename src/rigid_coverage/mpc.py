@@ -47,7 +47,7 @@ from .errors import (
     RecursiveFeasibilityError,
 )
 from .geometry import ConvexRegion
-from .terminal import TerminalSet, is_symmetric
+from .terminal import TerminalSet, check_weight
 
 BEARING_UNIT_TOL = 1e-9
 LINESEARCH_STEPS = 40  # trial steps of one phase-1 pass, the full step first
@@ -73,23 +73,13 @@ class CostWeights:
     def __post_init__(self):
         for name in ("Q", "R", "S_r"):
             M = np.array(getattr(self, name), dtype=float)  # an own, read-only copy
-            if not np.all(np.isfinite(M)):
-                raise InvalidInputError(f"{name} must be finite")
-            if not is_symmetric(M):
-                raise InvalidInputError(f"{name} must be symmetric")
+            check_weight(M, name, definite=name != "Q")
             M.setflags(write=False)
             object.__setattr__(self, name, M)
-        Q, R, S_r = self.Q, self.R, self.S_r
         if not 0.0 < self.mu <= 1.0:
             raise InvalidInputError(f"mu must lie in (0, 1], got {self.mu}")
         if not 0.0 <= self.w_b < math.inf:
             raise InvalidInputError(f"bearing weight must be non-negative and finite, got {self.w_b}")
-        if np.any(np.linalg.eigvalsh(0.5 * (R + R.T)) <= 0):
-            raise InvalidInputError("R must be positive definite")
-        if np.any(np.linalg.eigvalsh(0.5 * (S_r + S_r.T)) <= 0):
-            raise InvalidInputError("S_r must be positive definite")
-        if np.any(np.linalg.eigvalsh(0.5 * (Q + Q.T)) < -1e-12):
-            raise InvalidInputError("Q must be positive semidefinite")
 
 
 def bearing_projector(g: np.ndarray) -> np.ndarray:

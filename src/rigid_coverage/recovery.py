@@ -20,6 +20,7 @@ from .errors import (
     InvalidInputError,
     RecoveryInfeasibleError,
     UnsupportedDimensionError,
+    _integer,
 )
 from .graphs import Graph, _PebbleGame, laman_check
 
@@ -238,8 +239,8 @@ def plan_from_json(text: str) -> RecoveryPlan:
             i_s, _, j_s = key.partition(":")
             cv = value["contraction_vertex"]
             entries[(int(i_s), int(j_s))] = ClosingRanks(
-                frozenset((int(a), int(b)) for a, b in value["new_edges"]),
-                None if cv is None else int(cv),
+                frozenset((_integer(a, "plan vertex"), _integer(b, "plan vertex")) for a, b in value["new_edges"]),
+                None if cv is None else _integer(cv, "contraction vertex"),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed plan entry: {exc}") from exc

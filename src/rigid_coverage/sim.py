@@ -7,10 +7,9 @@ Each step runs three phases, and each returns what the next one reads:
   error and the rigidity rank on that partition and on one bearing
   framework of the positions.  It returns whether the references were
   updated, and the measurement.
-- ``_decentralized`` returns one tracking solution per robot, from one map
-  over the solves: the builtin map, or that of the one thread pool a run
-  opens when RIGID_COVERAGE_THREADS > 0.  A solve reads only its problem
-  and its robot's previous solution, so both maps agree.
+- ``_decentralized`` solves each robot's tracking problem in turn, warm
+  started from that robot's previous solution.  A solve reads only its
+  problem and that solution, never another robot's result of the step.
 - ``_apply`` checks the input and state boxes, advances every robot by its
   first input and returns the step's record, taken before the advance.
 
@@ -27,9 +26,6 @@ correspond to the currently alive robots in ascending original-id order.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,8 +46,6 @@ from .rigidity import (
     rigidity_rank,
 )
 from .terminal import build_terminal_set
-
-THREADS_ENV_VAR = "RIGID_COVERAGE_THREADS"
 
 
 @dataclass
@@ -103,19 +97,6 @@ class _Measure:
     H: float
     bearing_error: float
     rank: RankReport | None
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None or raw.strip() == "":
-        return 0
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise InvalidInputError(f"{THREADS_ENV_VAR} must be non-negative")
-    return value
 
 
 def _bearings(fw: Framework) -> dict:
@@ -176,33 +157,28 @@ def _centralized(team: _Team, config: SimConfig, k: int, fault, events: list) ->
     return updated, measure
 
 
-def _decentralized(team: _Team, config: SimConfig, terminals: dict, shrunk, solve_map) -> list:
-    """One tracking problem per robot, solved through `solve_map`."""
+def _decentralized(team: _Team, config: SimConfig, terminals: dict, shrunk) -> list:
+    """Each robot's tracking problem, solved warm from its previous solution."""
     g_des = team.g_des
-    problems = []
-    for li, oid in enumerate(team.alive):
+    sols = []
+    for li, (oid, prev) in enumerate(zip(team.alive, team.prev_sols)):
         model = config.models[oid]
         neigh = team.graph.neighbors(li)
-        problems.append(
-            OcpProblem(
-                model=model,
-                horizon=config.horizon,
-                weights=config.weights,
-                terminal=terminals[model],
-                x0=team.states[li],
-                r_ref=team.refs[li],
-                desired_bearings=tuple((j, g_des[(li, j)] if li < j else -g_des[(j, li)]) for j in neigh),
-                neighbor_anchors={j: team.refs[j] for j in neigh},
-                setpoint_region=shrunk,
-                steady_margin=config.epsilon,
-            )
+        problem = OcpProblem(
+            model=model,
+            horizon=config.horizon,
+            weights=config.weights,
+            terminal=terminals[model],
+            x0=team.states[li],
+            r_ref=team.refs[li],
+            desired_bearings=tuple((j, g_des[(li, j)] if li < j else -g_des[(j, li)]) for j in neigh),
+            neighbor_anchors={j: team.refs[j] for j in neigh},
+            setpoint_region=shrunk,
+            steady_margin=config.epsilon,
         )
-
-    def solve(problem, prev):
         warm = shift_warm_start(problem, prev) if prev is not None else None
-        return solve_ocp(problem, warm=warm, options=config.solver)
-
-    return list(solve_map(solve, problems, team.prev_sols))
+        sols.append(solve_ocp(problem, warm=warm, options=config.solver))
+    return sols
 
 
 def _apply(team: _Team, config: SimConfig, k: int, updated: bool, measure: _Measure, sols: list) -> StepRecord:
@@ -239,7 +215,6 @@ def _apply(team: _Team, config: SimConfig, k: int, updated: bool, measure: _Meas
 
 def run(config: SimConfig) -> SimTrace:
     """Execute the closed loop and return the full trace."""
-    threads = _thread_count()
     weights, opts = config.weights, config.terminal
     terminals = {
         model: build_terminal_set(
@@ -258,12 +233,10 @@ def run(config: SimConfig) -> SimTrace:
     team = _Team(list(range(n0)), config.initial_states.copy(), config.graph, plan, [None] * n0)
     faults_by_step = {f.at_step: f for f in config.faults}
     records, events = [], []
-    with ThreadPoolExecutor(max_workers=threads) if threads > 0 else nullcontext() as pool:
-        solve_map = map if pool is None else pool.map
-        for k in range(config.steps):
-            updated, measure = _centralized(team, config, k, faults_by_step.get(k), events)
-            sols = _decentralized(team, config, terminals, shrunk, solve_map)
-            records.append(_apply(team, config, k, updated, measure, sols))
+    for k in range(config.steps):
+        updated, measure = _centralized(team, config, k, faults_by_step.get(k), events)
+        sols = _decentralized(team, config, terminals, shrunk)
+        records.append(_apply(team, config, k, updated, measure, sols))
 
     positions = team.states[:, :2]
     final = _measure(team, voronoi_partition(positions, config.region), config.density)

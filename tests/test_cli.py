@@ -69,7 +69,15 @@ def test_rigidity_check_reports_violating_subset(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "graph",
-    [{"n": "x", "edges": []}, {"n": 3, "edges": [[1, "a"]]}, {"n": 3, "edges": [[0]]}, {"n": 3}],
+    [
+        {"n": "x", "edges": []},
+        {"n": 3, "edges": [[1, "a"]]},
+        {"n": 3, "edges": [[0]]},
+        {"n": 3},
+        {"n": 3.9, "edges": [[0, 1.7], [True, 2], [0, 2]]},
+        {"n": 3, "edges": [[0, 1.7], [1, 2], [0, 2]]},
+        {"n": 3, "edges": [[True, 2], [0, 1], [0, 2]]},
+    ],
 )
 @pytest.mark.parametrize("command", [["rigidity", "check", "{path}"], ["recover", "--graph", "{path}", "--lose", "0"]])
 def test_malformed_graph_exits_1(tmp_path, capsys, graph, command):
@@ -114,6 +122,8 @@ RAGGED_REGION = [[0, 0], [1], [1, 1], [0, 1]]
 TEXT_REGION = [[0, 0], [1, "a"], [1, 1], [0, 1]]
 GRID = {"type": "grid", "values": [[1, 2], [3, 4]], "lo": [0, 0], "hi": [1, 1]}
 TRIANGLE = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+# Laman on 6 vertices, so that only the integer check can reject a graph made from it
+FAN6 = [[0, 4], [0, 1], [0, 2], [0, 3], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]]
 NAN, INF = float("nan"), float("inf")
 # each case: (key path, new value or DELETE) edits of the benchmark scenario
 BAD_CONFIGS = {
@@ -138,6 +148,9 @@ BAD_CONFIGS = {
     ],
     "ragged initial positions": [(["robots", "initial_positions", 3], [0.3])],
     "non-numeric steps": [(["steps"], "x")],
+    "fractional graph vertex": [(["graph"], {"n": 6, "edges": [[0, 4.9]] + FAN6[1:]})],
+    "fractional graph vertex count": [(["graph"], {"n": 6.5, "edges": FAN6})],
+    "boolean graph vertex": [(["graph"], {"n": 6, "edges": FAN6[:5] + [[True, 2]] + FAN6[6:]})],
     "non-numeric solver option": [(["mpc", "solver"], {"max_iter": "x"})],
     "gaussian components not a list": [(["density"], {"type": "gaussian", "components": 5})],
     "graph generator not an object": [(["graph", "generate"], "x")],

@@ -292,6 +292,9 @@ GRID = {"type": "grid", "values": [[1, 2], [3, 4]], "lo": [0, 0], "hi": [1, 1]}
         (["seed"], 1.5, "seed must be an integer"),
         (["robots", "model", "h"], True, "h must be a number, got True"),
         (["mpc", "weights", "mu"], "0.5", "mu must be a number, got '0.5'"),
+        (["graph"], {"n": 6.5, "edges": []}, "graph n must be an integer, got 6.5"),
+        (["graph"], {"n": 6, "edges": [[0, 1.7]]}, "graph vertex must be an integer, got 1.7"),
+        (["graph"], {"n": 6, "edges": [[True, 2]]}, "graph vertex must be an integer, got True"),
     ],
 )
 def test_malformed_field_is_named(path, value, message):

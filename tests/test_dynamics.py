@@ -17,7 +17,7 @@ from rigid_coverage.dynamics import (
     position_shift,
     steady_state_from_position,
 )
-from rigid_coverage.errors import InvalidInputError, NoSteadyStateError
+from rigid_coverage.errors import InvalidInputError
 
 
 def _sample_box(rng, bounds: BoxBounds, fallback: float = 10.0) -> np.ndarray:
@@ -120,6 +120,28 @@ class TestDragModel:
         assert np.allclose(ss.u, 0.0, atol=1e-10)
 
 
+class TestSteadyState:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("cls", [DoubleIntegrator, DragDoubleIntegrator])
+    def test_rest_at_r_is_an_exact_fixed_point(self, cls, dim):
+        model = cls(dim=dim)
+        rng = np.random.default_rng(dim)
+        for r in [*rng.uniform(-10, 10, (20, dim)), np.full(dim, 1e300), np.full(dim, -0.0)]:
+            ss = steady_state_from_position(model, r)
+            assert np.array_equal(ss.x, np.concatenate([r, np.zeros(dim)])) and np.array_equal(ss.u, np.zeros(dim))
+            assert np.array_equal(model.step(ss.x, ss.u), ss.x) and np.array_equal(model.C @ ss.x, r)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_is_rejected(self, drag_model, value):
+        with pytest.raises(InvalidInputError, match="^position must be finite"):
+            steady_state_from_position(drag_model, np.array([0.2, value]))
+
+    @pytest.mark.parametrize("r", [np.zeros(3), np.zeros((1, 2)), 0.5])
+    def test_misshaped_position_is_rejected(self, double_integrator, r):
+        with pytest.raises(InvalidInputError, match=r"^position must have shape \(2,\)"):
+            steady_state_from_position(double_integrator, r)
+
+
 def per_point_jacobians(model, x):
     """The one-point Jacobian formula that the batched `jacobians` replaced,
     kept as a reference."""
@@ -206,7 +228,7 @@ class TestSharedStructure:
         assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
 
     def test_concurrent_first_access_agrees(self):
-        # the simulator's solver threads share one model instance
+        # threads of a caller that share one model instance read one C and one box
         model = DoubleIntegrator(v_max=0.7)
         start = threading.Barrier(8)
 

@@ -256,6 +256,10 @@ class TestHenneberg:
         {"n": 3, "edges": [[0, 3]]},
         {"edges": []},
         [3, []],
+        {"n": 3.9, "edges": [[0, 1], [0, 2], [1, 2]]},
+        {"n": True, "edges": []},
+        {"n": 3, "edges": [[0, 1.7], [1, 2], [0, 2]]},
+        {"n": 3, "edges": [[True, 2], [0, 1], [0, 2]]},
     ],
 )
 def test_graph_from_dict_raises_typed_errors(data):

@@ -394,6 +394,10 @@ class TestRecoveryPlan:
             '{"0:1": {"contraction_vertex": "a", "new_edges": []}}',
             '{"0:1": {"contraction_vertex": null, "new_edges": [[0]]}}',
             '{"0:1": {"contraction_vertex": null, "new_edges": [7]}}',
+            '{"0:1": {"contraction_vertex": 1.5, "new_edges": []}}',
+            '{"0:1": {"contraction_vertex": true, "new_edges": []}}',
+            '{"0:1": {"contraction_vertex": null, "new_edges": [[0, 2.5]]}}',
+            '{"0:1": {"contraction_vertex": null, "new_edges": [[false, 2]]}}',
             '{"0:1": []}',
         ],
     )

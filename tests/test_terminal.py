@@ -4,6 +4,7 @@ import pytest
 
 from rigid_coverage.dynamics import DoubleIntegrator, DragDoubleIntegrator, steady_state_from_position
 from rigid_coverage.errors import (
+    InvalidInputError,
     InvalidScalingError,
     NotStabilizableError,
     TerminalSetEmptyError,
@@ -55,6 +56,20 @@ class TestRiccati:
         B = np.zeros((2, 1))
         K = lqr_gain(A, B, np.zeros((2, 2)), np.eye(1))
         assert np.allclose(K, 0.0)
+
+    @pytest.mark.parametrize(
+        "Q, R, message",
+        [
+            (np.nan, np.eye(2), "Q must be finite"),
+            (np.diag([np.inf, 1.0, 1.0, 1.0]), np.eye(2), "Q must be finite"),
+            (np.eye(4), np.array([[1.0, 0.5], [0.0, 1.0]]), "R must be symmetric"),
+            (-np.eye(4), np.eye(2), "Q must be positive semidefinite"),
+            (np.eye(4), np.zeros((2, 2)), "R must be positive definite"),
+        ],
+    )
+    def test_bad_weights_are_named(self, double_integrator, Q, R, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            build_terminal_set(double_integrator, Q, R)
 
     def test_unstabilizable_raises(self):
         A = 2.0 * np.eye(2)

@@ -4,8 +4,9 @@ States stack position then velocity, x = (p, v); inputs are accelerations.
 Both models are invariant to position shifts: adding (dp, 0) to the state
 shifts the successor by the same amount, which lets steady states and
 terminal ingredients computed at the origin transfer to any setpoint.
-`step`, `jacobians` and `linearize` take leading batch axes, so the MPC
-linearises a whole trajectory, once per iterate, in one call.
+`step`, `jacobians`, `state_curvature` and `linearize` take leading batch
+axes, so the MPC linearises a whole trajectory, once per iterate, in one
+call, and adds the dynamics' curvature to its Hessian in another.
 
 Steady states are at rest (v = 0, u = 0), where the drag term and its
 Jacobian vanish.  A deviation (e, du) from one therefore steps to
@@ -103,6 +104,12 @@ class SecondOrderModel:
         B[..., d:, :] = self.h * np.eye(d)
         return A, B
 
+    def state_curvature(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_i w_i d2 f_i / dx2 at each point of a batch: (..., n_x) states
+        and weights give (..., n_x, n_x).  The step map is linear in u, so
+        this is its whole weighted Hessian; the integrator's is zero."""
+        return np.zeros(np.shape(x) + (self.n_x,))
+
 
 @dataclass(frozen=True)
 class DoubleIntegrator(SecondOrderModel):
@@ -159,6 +166,22 @@ class DragDoubleIntegrator(SecondOrderModel):
         dvv = speed * np.eye(d) + v[..., :, None] * v[..., None, :] / np.where(speed > 0, speed, 1.0)
         A[..., d:, d:] -= self.h * self.drag * dvv
         return A, B
+
+    def state_curvature(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        K = super().state_curvature(x, w)
+        d = self.dim
+        v = np.asarray(x, dtype=float)[..., d:]
+        w = np.asarray(w, dtype=float)[..., d:]  # the position rows are linear
+        speed = np.linalg.norm(v, axis=-1, keepdims=True)
+        # sum_i w_i d2(||v|| v_i)/dv2 = (w.n) (I - n n') + w n' + n w' with
+        # n = v / ||v||; n = 0 at rest, where ||v|| v has no second derivative
+        n = v / np.where(speed > 0, speed, 1.0)
+        wn = np.sum(w * n, axis=-1)[..., None, None]
+        outer = w[..., :, None] * n[..., None, :]
+        K[..., d:, d:] = -self.h * self.drag * (
+            wn * (np.eye(d) - n[..., :, None] * n[..., None, :]) + (outer + np.swapaxes(outer, -1, -2))
+        )
+        return K
 
 
 RobotModel = DoubleIntegrator | DragDoubleIntegrator

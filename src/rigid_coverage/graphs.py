@@ -35,9 +35,10 @@ class Graph:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError(f"vertex count must be positive, got {self.n}")
-        normalized = frozenset(_normalize_edge(e) for e in self.edges)
+        object.__setattr__(self, "n", _integer(self.n, "vertex count", least=1))
+        normalized = frozenset(
+            _normalize_edge((_integer(e[0], "edge endpoint"), _integer(e[1], "edge endpoint"))) for e in self.edges
+        )
         for i, j in normalized:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise InvalidInputError(f"edge ({i}, {j}) out of range for n={self.n}")

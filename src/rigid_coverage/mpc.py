@@ -1,19 +1,20 @@
 """Tracking controller with artificial references and bearing maintenance.
 
 Each robot solves a finite-horizon optimal control problem over its input
-sequence, shooting states, and an artificial steady pair (xbar, ubar).  The
-cost penalizes distance to the artificial steady state along the horizon,
-the gap between the artificial setpoint rbar = C xbar and the requested
-reference, and the distance of rbar from the desired bearing lines through
-neighbor anchor points.  The problem is solved by a primal active-set SQP
-(`solve_ocp`): each pass is a Newton step on the KKT system of the cost,
-the dynamics linearised along the iterate (all stages in one batched
-`linearize` call, once per iterate), and a working set of the box rows,
-the setpoint polygon and the terminal ellipsoid held as equalities just
-inside their bounds.  Steps stop on the first constraint they would
-cross, which joins the working set; rows whose multiplier turns negative
-leave it, and the same multipliers certify stationarity at the stepped
-point.  A start that is not near-feasible first goes through a
+sequence, shooting states, and an artificial steady pair (xbar, ubar).
+The cost penalizes distance to the artificial steady state along the
+horizon, the gap between the artificial setpoint rbar = C xbar and the
+requested reference, and the distance of rbar from the desired bearing
+lines through neighbor anchor points.  The problem is solved by a primal
+active-set SQP (`solve_ocp`): each pass is a Newton step on the KKT system
+of the Lagrangian, with the dynamics linearised along the iterate (all
+stages in one batched `linearize` call, once per iterate) and their
+multiplier-weighted curvature in its Hessian; a working set of the box
+rows, the setpoint polygon and the terminal ellipsoid is held as
+equalities just inside their bounds.  Steps stop on the first constraint
+they would cross, which joins the working set; rows whose multiplier turns
+negative leave it, and the same multipliers certify stationarity at the
+stepped point.  A start that is not near-feasible first goes through a
 Gauss-Newton phase 1 on the squared violation, which certifies
 infeasibility when the violation stops falling while still positive.
 
@@ -368,6 +369,15 @@ class _Template:
         J[N * nx :, self.iub] = -B[N]
         return J
 
+    def add_dynamics_curvature(self, H: np.ndarray, z: np.ndarray, nu: np.ndarray):
+        """Add nu . d2c/dz2 of the dynamics rows to H in place.  Row block l is c = x_{l+1} - f(x_l, u_l),
+        so the model's nu-weighted curvature is subtracted at x_1 .. x_{N-1} and xbar (x_N enters linearly)."""
+        N, nx = self.N, self.nx
+        x = z[self.ix_all.start : self.ixb.stop].reshape(N + 1, nx)  # x_1 .. x_N, xbar
+        K = self.model.state_curvature(np.delete(x, N - 1, axis=0), nu.reshape(N + 1, nx)[1:])
+        H[_diagonal_blocks(N - 1, self.ix_all.start, self.ix_all.start, nx, nx)] -= K[: N - 1]
+        H[self.ixb, self.ixb] -= K[N - 1]
+
 
 TEMPLATE_CACHE_SIZE = 8
 _templates: OrderedDict = OrderedDict()
@@ -484,9 +494,12 @@ def _ineq_jacobian(ws: _Workspace, z: np.ndarray) -> np.ndarray:
     return np.vstack([ws.tpl.G, ws.tpl.ineq_jacobian_row_terminal(z)[None, :]])
 
 
-def _linearization(ws: _Workspace, z: np.ndarray) -> tuple:
-    """Dynamics gaps, equality and inequality Jacobians and cost gradient at z."""
-    return ws.eq_constraints(z), ws.eq_jacobian(z), _ineq_jacobian(ws, z), ws.cost_grad(z)
+def _linearization(ws: _Workspace, z: np.ndarray, work: np.ndarray) -> tuple:
+    """Dynamics gaps, equality Jacobian, the sorted working set's rows (terminal last) and cost gradient at z."""
+    G_A = ws.tpl.G[work[work < len(ws.tpl.h)]]
+    if len(G_A) < len(work):
+        G_A = np.vstack([G_A, ws.tpl.ineq_jacobian_row_terminal(z)])
+    return ws.eq_constraints(z), ws.eq_jacobian(z), G_A, ws.cost_grad(z)
 
 
 def _solution(ws: _Workspace, z: np.ndarray, status: str, iterations: int = 0, kkt: float = math.nan) -> OcpSolution:
@@ -586,10 +599,10 @@ def _independent_rows(C_J: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.nd
     return np.sort(np.array(keep, dtype=int))
 
 
-def _kkt_residual(lin: tuple, work: np.ndarray, mult: np.ndarray) -> float:
+def _kkt_residual(lin: tuple, mult: np.ndarray) -> float:
     """||grad f + C_J' nu + G_A' lam||_inf at a linearised point; mult = (nu, lam)."""
-    _, C_J, J_all, grad = lin
-    res = grad + C_J.T @ mult[: len(C_J)] + J_all[work].T @ mult[len(C_J) :]
+    _, C_J, G_A, grad = lin
+    res = grad + C_J.T @ mult[: len(C_J)] + G_A.T @ mult[len(C_J) :]
     return float(np.linalg.norm(res, ord=np.inf))
 
 
@@ -606,9 +619,10 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
     g = -backoff; it gives the multipliers (nu, lam) too.  A row whose lam
     is negative leaves the set, provided it is satisfied, and so does a row
     that the dynamics and the other rows already fix; the step is then
-    solved again.  The terminal row is the only curved inequality, so its
-    lam-weighted Hessian joins the cost Hessian.  A step that would carry a
-    row outside the set past g = 0 stops on the first such row, which joins.
+    solved again.  The Hessian is the Lagrangian's: the terminal row (the
+    only curved inequality) and the dynamics add their curvature, weighted
+    by the last KKT solve's lam and nu.  A step that would carry a row
+    outside the set past g = 0 stops on the first such row, which joins.
 
     A stepped point passes when it is feasible, its dynamics gap is small,
     no lam is negative and its stationarity residual with (nu, lam) is
@@ -628,11 +642,13 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
     lam_term = 0.0
     best = None
     held = 0
-    lin = _linearization(ws, z)
+    lin = _linearization(ws, z, work)
     while passes < opts.max_iter:
         passes += 1
-        c, C_J, J_all, grad = lin
+        c, C_J, G_A, grad = lin
         H = ws.H_cost + reg * tpl.eye + lam_term * tpl.H_term
+        if not tpl.model.constant_jacobians:  # the exact Hessian of the Lagrangian
+            tpl.add_dynamics_curvature(H, z, mult[:n_eq])
         while True:
             nA = len(work)
             dim = nz + n_eq + nA
@@ -640,10 +656,8 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
             KKT[:nz, :nz] = H
             KKT[:nz, nz : nz + n_eq] = C_J.T
             KKT[nz : nz + n_eq, :nz] = C_J
-            if nA:
-                GA = J_all[work]
-                KKT[:nz, nz + n_eq :] = GA.T
-                KKT[nz + n_eq :, :nz] = GA
+            KKT[:nz, nz + n_eq :] = G_A.T
+            KKT[nz + n_eq :, :nz] = G_A
             rhs = np.concatenate([-grad, -c, -(g[work] + opts.backoff)])
             try:
                 sol = np.linalg.solve(KKT, rhs)
@@ -651,12 +665,12 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
                 keep = np.flatnonzero(~((lam < -1e-9) & (g[work] <= 1e-12)))
             except np.linalg.LinAlgError:
                 # a singular KKT matrix: some working rows depend on the others
-                keep = _independent_rows(C_J, J_all[work], g[work])
+                keep = _independent_rows(C_J, G_A, g[work])
                 if len(keep) == nA:
                     raise NumericalBreakdownError("singular KKT matrix with independent working rows") from None
             if len(keep) == nA:
                 break
-            work = work[keep]
+            work, G_A = work[keep], G_A[keep]
             held = 0
         mult = sol[nz:]
         # the working rows stay sorted, so the terminal row is the last one
@@ -669,15 +683,15 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
             alpha, row = _blocking_step(tpl, z, step, g, g_try, blocking)
             z = z + alpha * step
             g = tpl.ineq_values(z)
-            lin = _linearization(ws, z)
             work = np.union1d(work, [row])
+            lin = _linearization(ws, z, work)
             mult = np.insert(mult, n_eq + int(np.searchsorted(work, row)), 0.0)  # it joins at lam = 0
             held = 0
             continue
         # judge the stepped point with the multipliers that stepped there;
         # the next pass starts from the same linearisation
-        lin = _linearization(ws, z_try)
-        kkt = _kkt_residual(lin, work, mult)
+        lin = _linearization(ws, z_try, work)
+        kkt = _kkt_residual(lin, mult)
         eq_try = float(np.linalg.norm(lin[0], ord=np.inf))
         if (
             eq_try <= opts.tol_equality
@@ -698,7 +712,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
             break
     if best is not None:
         return best[0], best[1], passes, True
-    return z, _kkt_residual(lin, work, mult), passes, False
+    return z, _kkt_residual(lin, mult), passes, False
 
 
 def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: SqpOptions | None = None) -> OcpSolution:

@@ -237,6 +237,9 @@ def plan_from_json(text: str) -> RecoveryPlan:
     try:
         for key, value in data.items():
             i_s, _, j_s = key.partition(":")
+            # int() alone would also read "1_0" or " 2" as a vertex
+            if not all(part.isascii() and part.isdigit() for part in (i_s, j_s)):
+                raise InvalidInputError(f'plan key must be "i:j" with decimal vertices, got {key!r}')
             cv = value["contraction_vertex"]
             entries[(int(i_s), int(j_s))] = ClosingRanks(
                 frozenset((_integer(a, "plan vertex"), _integer(b, "plan vertex")) for a, b in value["new_edges"]),

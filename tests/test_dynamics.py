@@ -187,6 +187,58 @@ class TestBatchedJacobians:
         assert np.array_equal(A, drag_model.jacobians(x, np.zeros((7, 2)))[0])
 
 
+def fd_state_curvature(model, x, u, w):
+    """Central differences of w' A(x, u) along each state: sum_i w_i
+    d2 f_i / dx_j dx_k.  The step is a thousandth of the speed, so that it
+    stays on one side of v = 0; at rest the differences cancel exactly."""
+    speed = float(np.linalg.norm(x[model.dim :]))
+    step = 1e-3 * speed if speed > 0 else 1e-6
+    K = np.empty((model.n_x, model.n_x))
+    for k in range(model.n_x):
+        dx = np.zeros(model.n_x)
+        dx[k] = step
+        K[:, k] = w @ (model.jacobians(x + dx, u)[0] - model.jacobians(x - dx, u)[0]) / (2 * step)
+    return K
+
+
+class TestStateCurvature:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("cls", [DoubleIntegrator, DragDoubleIntegrator])
+    def test_batch_matches_central_differences_of_the_jacobian(self, cls, dim):
+        model = cls(dim=dim) if cls is DoubleIntegrator else cls(dim=dim, drag=2.0)
+        rng = np.random.default_rng(dim)
+        x = rng.uniform(-0.5, 0.5, (3, 5, 2 * dim))
+        u = rng.uniform(-1.0, 1.0, (3, 5, dim))
+        w = rng.uniform(-3.0, 3.0, (3, 5, 2 * dim))
+        x[0, 1, dim:] = x[2, 4, dim:] = 0.0  # at rest the curvature is taken as 0
+        x[1, 2, dim:] *= 1e-5 / np.linalg.norm(x[1, 2, dim:])  # tiny speeds
+        x[1, 3, dim:] = 0.0
+        x[1, 3, dim] = -1e-5
+        K = model.state_curvature(x, w)
+        assert K.shape == (3, 5, 2 * dim, 2 * dim)
+        if cls is DoubleIntegrator:
+            assert np.array_equal(K, np.zeros_like(K))
+        assert np.array_equal(K[0, 1], np.zeros((2 * dim, 2 * dim))) and np.array_equal(K[2, 4], K[0, 1])
+        for idx in np.ndindex(3, 5):
+            assert np.array_equal(K[idx], model.state_curvature(x[idx], w[idx]))
+            assert np.array_equal(K[idx], K[idx].T)
+            # the differences are accurate to about 1e-6 of the curvature, which is O(1) here
+            np.testing.assert_allclose(K[idx], fd_state_curvature(model, x[idx], u[idx], w[idx]), rtol=0.0, atol=1e-6)
+            # the step map is linear in u: B is constant and A does not move with u
+            for du in np.eye(dim):
+                A_plus, B_plus = model.jacobians(x[idx], u[idx] + du)
+                A_minus, B_minus = model.jacobians(x[idx], u[idx] - du)
+                assert np.array_equal(A_plus, A_minus) and np.array_equal(B_plus, B_minus)
+            assert np.array_equal(model.jacobians(x[idx] + 0.1, u[idx])[1], model.jacobians(x[idx], u[idx])[1])
+
+    @pytest.mark.parametrize("speed", [1e-300, 1e-160, 1e-20, 1e150])
+    def test_extreme_speeds_stay_finite(self, drag_model, speed):
+        x = np.array([0.0, 0.0, 0.6, -0.8]) * speed
+        K = drag_model.state_curvature(x, np.array([0.0, 0.0, 1.0, 2.0]))
+        assert np.all(np.isfinite(K))
+        assert np.max(np.abs(K)) <= 4.0 * drag_model.h * drag_model.drag * np.sqrt(5.0)
+
+
 class TestSharedStructure:
     @pytest.mark.parametrize("model_name", ["double_integrator", "drag_model"])
     def test_position_invariance(self, model_name, request):

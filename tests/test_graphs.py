@@ -48,6 +48,25 @@ class TestGraph:
         with pytest.raises(InvalidInputError):
             Graph(3, frozenset({(0, 3)}))
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, {(0, 1.7), (1, 2), (0, 2)}),
+            (2.5, {(0, 1)}),
+            (True, set()),
+            (3, {(True, 2), (0, 1)}),
+            (3, {("1", 2)}),
+            (float("nan"), set()),
+        ],
+    )
+    def test_rejects_non_integers(self, n, edges):
+        with pytest.raises(InvalidInputError):
+            Graph(n, frozenset(edges))
+
+    def test_integral_floats_are_read_as_integers(self):
+        g = Graph(3.0, frozenset({(0.0, np.int64(2)), (np.float64(1), 2)}))
+        assert g == Graph(3, frozenset({(0, 2), (1, 2)})) and type(g.n) is int
+
     @pytest.mark.parametrize("n, seed", [(3, 0), (8, 1), (25, 2), (60, 3)])
     def test_cached_adjacency_matches_edge_scan(self, n, seed):
         g = henneberg_generate(n, seed=seed).graph

@@ -29,7 +29,7 @@ from rigid_coverage.mpc import (
     solution_feasibility,
     solve_ocp,
 )
-from rigid_coverage.terminal import TerminalSet
+from rigid_coverage.terminal import TerminalSet, build_terminal_set
 
 from conftest import SCENARIO_Q, SCENARIO_R, SCENARIO_S, make_scenario
 
@@ -882,6 +882,103 @@ class TestConstantJacobian:
             tpl.G[0, 0] = 1.0
         with pytest.raises(ValueError):
             tpl.eq_jac += 1.0
+
+
+def _drag_chain(model, ts, horizon, x, r_ref, steps=5):
+    """Solves of a short closed loop, each warm-started from the last one's shift."""
+    sols, prev = [], None
+    for _ in range(steps):
+        prob = make_problem(model, ts, x, r_ref, mu=0.7, region=square_region(), margin=0.02, horizon=horizon)
+        sol = solve_ocp(prob, warm=shift_warm_start(prob, prev) if prev is not None else None)
+        sols.append(sol)
+        x, prev = model.step(x, sol.u_seq[0]), sol
+    return sols
+
+
+class TestExactHessian:
+    """The active-set passes use the Hessian of the Lagrangian, with the
+    dynamics' curvature weighted by their multipliers: Newton, not
+    Gauss-Newton, steps on a nonlinear model."""
+
+    def test_template_curvature_matches_finite_differences(self, drag_model, terminal_drag):
+        prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], horizon=3)
+        ws = mpc._workspace(prob)
+        tpl = ws.tpl
+        rng = np.random.default_rng(11)
+        z = rng.uniform(-0.5, 0.5, tpl.nz)
+        # speeds of 0.1-0.45 keep the second differences clear of v = 0
+        for l in (1, 2, 3):
+            v = rng.normal(size=2)
+            z[tpl.ix(l)][2:] = rng.uniform(0.1, 0.45) * v / np.linalg.norm(v)
+        z[tpl.ixb][2:] = np.array([0.3, -0.2])
+        nu = rng.uniform(-3.0, 3.0, tpl.n_eq)
+        H = ws.H_cost.copy()
+        tpl.add_dynamics_curvature(H, z, nu)
+
+        def phi(z):
+            return float(nu @ ws.eq_constraints(z))
+
+        step = 1e-4
+        E = step * np.eye(tpl.nz)
+        fd = np.empty((tpl.nz, tpl.nz))
+        for j in range(tpl.nz):
+            for k in range(tpl.nz):
+                fd[j, k] = (
+                    phi(z + E[j] + E[k]) - phi(z + E[j] - E[k]) - phi(z - E[j] + E[k]) + phi(z - E[j] - E[k])
+                ) / (4 * step * step)
+        assert np.max(np.abs(fd)) > 0.1  # the curvature is there to be found
+        np.testing.assert_allclose(H - ws.H_cost, fd, rtol=0.0, atol=1e-6)
+
+    def test_a_warm_drag_pass_cuts_the_residual_quadratically(self, monkeypatch, drag_model, terminal_drag):
+        residuals = []
+        kkt_residual = mpc._kkt_residual
+        monkeypatch.setattr(mpc, "_kkt_residual", lambda *a: residuals.append(kkt_residual(*a)) or residuals[-1])
+        x = np.array([0.2, 0.2, 0.3, -0.2])
+        first = solve_ocp(make_problem(drag_model, terminal_drag, x, [0.7, 0.5], mu=0.7,
+                                       region=square_region(), margin=0.02))
+        prob = make_problem(drag_model, terminal_drag, drag_model.step(x, first.u_seq[0]), [0.7, 0.5], mu=0.7,
+                            region=square_region(), margin=0.02)
+        residuals.clear()
+        sol = solve_ocp(prob, warm=shift_warm_start(prob, first))
+        assert sol.status == "solved"
+        # no pass stopped on a blocking row, so the residuals are of consecutive passes
+        assert len(residuals) == sol.iterations
+        assert residuals[0] > 1e-5
+        # Gauss-Newton passes cut it about 100-fold here
+        assert residuals[1] <= 1e-4 * residuals[0]
+
+    @pytest.mark.parametrize("horizon", [10, 40])
+    @pytest.mark.parametrize("drag", [0.5, 2.0, 8.0])
+    def test_drag_chains_agree_with_gauss_newton_in_fewer_passes(self, monkeypatch, drag, horizon):
+        model = DragDoubleIntegrator(drag=drag)
+        ts = build_terminal_set(model, SCENARIO_Q, SCENARIO_R)
+        options = SqpOptions()
+        starts = [([0.2, 0.2, 0.3, -0.2], [0.7, 0.5]), ([0.5, 0.6, 0.0, 0.0], [0.3, 0.2]),
+                  ([0.4, 0.7, 0.45, 0.1], [1.2, -0.3])]
+        newton = [_drag_chain(model, ts, horizon, np.array(x0), r_ref) for x0, r_ref in starts]
+        monkeypatch.setattr(mpc._Template, "add_dynamics_curvature", lambda *a: None)
+        gauss_newton = [_drag_chain(model, ts, horizon, np.array(x0), r_ref) for x0, r_ref in starts]
+        for chain, reference in zip(newton, gauss_newton):
+            for sol, ref in zip(chain, reference):
+                assert sol.status == "solved" and sol.kkt_residual <= options.tol_stationarity
+                # either path may stop anywhere under tol_stationarity: on drag 8
+                # Gauss-Newton stops at residuals of 1e-7 and more
+                assert sol.cost == pytest.approx(ref.cost, rel=options.tol_stationarity)
+                # a row near its bound may end held at -backoff on one path
+                # and just inside it on the other (drag 8, N = 10, third start)
+                for name in ("u_seq", "x_seq", "xbar", "ubar"):
+                    assert np.allclose(getattr(sol, name), getattr(ref, name), rtol=0.0, atol=options.backoff), name
+            assert sum(s.iterations for s in chain) <= sum(s.iterations for s in reference)
+        assert sum(s.iterations for c in newton for s in c) < sum(s.iterations for c in gauss_newton for s in c)
+
+    def test_start_gauss_newton_ran_out_on_is_solved(self):
+        # Gauss-Newton passes spend all 150 on this cold solve and leave a
+        # dynamics gap of 1.3e-2 (OcpInfeasibleError)
+        model = DragDoubleIntegrator(drag=2.0)
+        ts = build_terminal_set(model, SCENARIO_Q, SCENARIO_R)
+        chain = _drag_chain(model, ts, 10, np.array([0.8, 0.3, -0.4, 0.4]), [0.1, 1.2])
+        assert all(sol.status == "solved" for sol in chain)
+        assert chain[0].iterations < 20
 
 
 class TestAgainstPenaltySqp:

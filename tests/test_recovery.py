@@ -399,6 +399,15 @@ class TestRecoveryPlan:
             '{"0:1": {"contraction_vertex": null, "new_edges": [[0, 2.5]]}}',
             '{"0:1": {"contraction_vertex": null, "new_edges": [[false, 2]]}}',
             '{"0:1": []}',
+            '{"1_0: 2": {"contraction_vertex": null, "new_edges": []}}',
+            '{"1_0:2": {"contraction_vertex": null, "new_edges": []}}',
+            '{" 1:2": {"contraction_vertex": null, "new_edges": []}}',
+            '{"1:2\\n": {"contraction_vertex": null, "new_edges": []}}',
+            '{"+1:2": {"contraction_vertex": null, "new_edges": []}}',
+            '{"-1:2": {"contraction_vertex": null, "new_edges": []}}',
+            '{"\\uff11:2": {"contraction_vertex": null, "new_edges": []}}',
+            '{"1:2:3": {"contraction_vertex": null, "new_edges": []}}',
+            '{":2": {"contraction_vertex": null, "new_edges": []}}',
         ],
     )
     def test_from_json_raises_typed_errors(self, text):

@@ -11,7 +11,8 @@ of the Lagrangian, with the dynamics linearised along the iterate (all
 stages in one batched `linearize` call, once per iterate) and their
 multiplier-weighted curvature in its Hessian; a working set of the box
 rows, the setpoint polygon and the terminal ellipsoid is held as
-equalities just inside their bounds.  Steps stop on the first constraint
+equalities just inside their bounds; on a model whose Jacobians depend on
+the state, each KKT system is condensed.  Steps stop on the first constraint
 they would cross, which joins the working set; rows whose multiplier turns
 negative leave it, and the same multipliers certify stationarity at the
 stepped point.  A start that is not near-feasible first goes through a
@@ -439,7 +440,7 @@ class _Workspace:
         f0[n_struct - d : n_struct] = -tpl.s_ref * (tpl.L_S @ problem.r_ref)
         r = n_struct
         for j, g in problem.desired_bearings:
-            Pg = bearing_projector(g)
+            Pg = np.eye(d) - np.outer(g, g)  # OcpProblem checked that g is unit
             anchor = np.asarray(problem.neighbor_anchors[j], dtype=float)
             M[r : r + d, tpl.ixb] = tpl.s_b * (Pg @ tpl.C)
             f0[r : r + d] = -tpl.s_b * (Pg @ anchor)
@@ -599,6 +600,56 @@ def _independent_rows(C_J: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.nd
     return np.sort(np.array(keep, dtype=int))
 
 
+def _saddle_solve(H: np.ndarray, C: np.ndarray, G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solution of the KKT system [[H, C', G'], [C, 0, 0], [G, 0, 0]] (primal, multipliers) = rhs."""
+    n, m = len(H), len(H) + len(C)
+    KKT = np.zeros((m + len(G), m + len(G)))
+    KKT[:n, :n], KKT[:n, n:m], KKT[n:m, :n], KKT[:n, m:], KKT[m:, :n] = H, C.T, C, G.T, G
+    return np.linalg.solve(KKT, rhs)
+
+
+def _kkt_solver(tpl: _Template, H: np.ndarray, lin: tuple):
+    """Solver of one pass's KKT system for working rows G_A step = rhs_A;
+    returns (step, nu, lam) in one vector.  Models other than the double
+    integrator eliminate the shooting states: their rows C_u du + C_x dx = -c
+    have C_x unit block lower-bidiagonal, so a forward recursion gives
+    dx = S du + s0; H has no u-x block and H_xx is block-diagonal, so the
+    reduced Hessian in w = (u, xbar, ubar) is H_ww + S' H_xx S plus border
+    terms, and the shooting multipliers follow backwards from C_x' nu."""
+    c, C_J, _, grad = lin
+    # the double integrator keeps the whole system until step 0 of ROADMAP.md item 2;
+    # condensed, it fails test_infeasible_warm_guess_reaches_the_cold_start_solution
+    # and test_dependent_working_rows_leave_the_set in tests/test_mpc.py
+    if tpl.model.constant_jacobians:
+        return lambda G_A, rhs_A: _saddle_solve(H, C_J, G_A, np.concatenate([-grad, -c, rhs_A]))
+    N, nx, n_dyn, n_u, ix = tpl.N, tpl.nx, tpl.N * tpl.nx, tpl.N * tpl.nu, tpl.ix_all
+    w = np.r_[tpl.iu_all, tpl.ixb.start : tpl.nz]  # u, then the steady pair
+    nw = len(w)
+    A = -C_J[_diagonal_blocks(N - 1, nx, ix.start, nx, nx)]  # A_1 .. A_{N-1}
+    S = np.hstack([-C_J[:n_dyn, w], -c[:n_dyn, None]])  # dx = S (w, 1), built stage by stage
+    for l in range(1, N):
+        S[l * nx : (l + 1) * nx] += A[l - 1] @ S[(l - 1) * nx : l * nx]
+    # HS = (H[x, :] T, grad_x) and K = (T' H T, T' grad) for T: (w, 1) -> dz
+    HS = (H[_diagonal_blocks(N, ix.start, ix.start, nx, nx)] @ S.reshape(N, nx, -1)).reshape(n_dyn, -1)
+    HS += np.c_[H[ix, w], grad[ix]]
+    K = S[:, :nw].T @ HS + np.c_[H[w][:, w], grad[w]]
+    K[n_u:] += H[tpl.ixb.start :, ix] @ S
+
+    def solve(G_A, rhs_A):
+        G_r = G_A[:, ix] @ S
+        G_r[:, :nw] += G_A[:, w]
+        rhs = np.concatenate([-K[:, nw], -c[n_dyn:], rhs_A - G_r[:, nw]])
+        red = _saddle_solve(K[:, :nw], C_J[n_dyn:, w], G_r[:, :nw], rhs)  # steady-gap rows, working rows
+        dw1 = np.append(red[:nw], 1.0)
+        # C_x' nu = -(grad_x + H[x, :] dz + G_x' lam), solved backwards
+        nu = -(HS @ dw1 + G_A[:, ix].T @ red[nw + nx :]).reshape(N, nx)
+        for l in range(N - 2, -1, -1):
+            nu[l] += A[l].T @ nu[l + 1]
+        return np.concatenate([red[:n_u], S @ dw1, red[n_u:nw], nu.reshape(-1), red[nw:]])
+
+    return solve
+
+
 def _kkt_residual(lin: tuple, mult: np.ndarray) -> float:
     """||grad f + C_J' nu + G_A' lam||_inf at a linearised point; mult = (nu, lam)."""
     _, C_J, G_A, grad = lin
@@ -623,6 +674,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
     only curved inequality) and the dynamics add their curvature, weighted
     by the last KKT solve's lam and nu.  A step that would carry a row
     outside the set past g = 0 stops on the first such row, which joins.
+    The KKT system is condensed when the Jacobians vary (`_kkt_solver`).
 
     A stepped point passes when it is feasible, its dynamics gap is small,
     no lam is negative and its stationarity residual with (nu, lam) is
@@ -645,22 +697,15 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
     lin = _linearization(ws, z, work)
     while passes < opts.max_iter:
         passes += 1
-        c, C_J, G_A, grad = lin
+        _, C_J, G_A, _ = lin
         H = ws.H_cost + reg * tpl.eye + lam_term * tpl.H_term
         if not tpl.model.constant_jacobians:  # the exact Hessian of the Lagrangian
             tpl.add_dynamics_curvature(H, z, mult[:n_eq])
+        kkt_solve = _kkt_solver(tpl, H, lin)
         while True:
             nA = len(work)
-            dim = nz + n_eq + nA
-            KKT = np.zeros((dim, dim))
-            KKT[:nz, :nz] = H
-            KKT[:nz, nz : nz + n_eq] = C_J.T
-            KKT[nz : nz + n_eq, :nz] = C_J
-            KKT[:nz, nz + n_eq :] = G_A.T
-            KKT[nz + n_eq :, :nz] = G_A
-            rhs = np.concatenate([-grad, -c, -(g[work] + opts.backoff)])
             try:
-                sol = np.linalg.solve(KKT, rhs)
+                sol = kkt_solve(G_A, -(g[work] + opts.backoff))
                 lam = sol[nz + n_eq :]
                 keep = np.flatnonzero(~((lam < -1e-9) & (g[work] <= 1e-12)))
             except np.linalg.LinAlgError:

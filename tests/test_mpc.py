@@ -268,12 +268,12 @@ class TestAgainstConvexReference:
 
 
 def _scipy_reference(model, ts, x0, r_ref, horizon, region=None, margin=0.0):
-    """Optimal cost and setpoint of the linear tracking problem (mu = 1, no
+    """Optimal cost and setpoint of the tracking problem (mu = 1, no
     bearings) from SLSQP, on the variables, cost and constraints of the
-    cvxpy cross-checks, written out independently of the solver."""
+    cvxpy cross-checks, written out independently of the solver.  The step
+    map is a nonlinear equality constraint with the model's `jacobians`."""
     optimize = pytest.importorskip("scipy.optimize")
     N, nx, nu = horizon, 4, 2
-    A, B = model.jacobians(np.zeros(nx), np.zeros(nu))
     C, P, zeta = model.C, ts.P, ts.zeta
     Q, R, S = SCENARIO_Q, SCENARIO_R, SCENARIO_S
     ixb = N * (nx + nu)
@@ -292,19 +292,26 @@ def _scipy_reference(model, ts, x0, r_ref, horizon, region=None, margin=0.0):
         gxb = -gx.sum(axis=0) + 2.0 * C.T @ S @ er
         return value, np.concatenate([gx[1:].ravel(), gu.ravel(), gxb, -gu.sum(axis=0)])
 
-    # dynamics x_{l+1} = A x_l + B u_l and the steady pair xb = A xb + B ub
+    # dynamics x_{l+1} = f(x_l, u_l) and the steady pair xb = f(xb, ub)
     n = ixb + nx + nu
-    E = np.zeros(((N + 1) * nx, n))
-    e = np.zeros((N + 1) * nx)
-    for l in range(N):
-        rows = slice(l * nx, (l + 1) * nx)
-        E[rows, l * nx : (l + 1) * nx] = np.eye(nx)
-        if l:
-            E[rows, (l - 1) * nx : l * nx] = -A
-        E[rows, N * nx + l * nu : N * nx + (l + 1) * nu] = -B
-    e[:nx] = A @ x0
-    E[N * nx :, ixb : ixb + nx] = np.eye(nx) - A
-    E[N * nx :, ixb + nx :] = -B
+
+    def dynamics(w):
+        x, u, xb, ub = split(w)
+        return np.concatenate([(x[1:] - model.step(x[:N], u)).ravel(), xb - model.step(xb, ub)])
+
+    def dynamics_jac(w):
+        x, u, xb, ub = split(w)
+        A, B = model.jacobians(np.vstack([x[:N], xb]), np.vstack([u, ub]))
+        E = np.zeros(((N + 1) * nx, n))
+        for l in range(N):
+            rows = slice(l * nx, (l + 1) * nx)
+            E[rows, l * nx : (l + 1) * nx] = np.eye(nx)
+            if l:
+                E[rows, (l - 1) * nx : l * nx] = -A[l]
+            E[rows, N * nx + l * nu : N * nx + (l + 1) * nu] = -B[l]
+        E[N * nx :, ixb : ixb + nx] = np.eye(nx) - A[N]
+        E[N * nx :, ixb + nx :] = -B[N]
+        return E
     # inequalities F w <= f: input and speed boxes, the steady pair kept
     # `margin` inside them, and the setpoint polygon
     F, f = [], []
@@ -349,7 +356,7 @@ def _scipy_reference(model, ts, x0, r_ref, horizon, region=None, margin=0.0):
     result = optimize.minimize(
         cost, start, jac=True, method="SLSQP",
         constraints=[
-            {"type": "eq", "fun": lambda w: E @ w - e, "jac": lambda w: E},
+            {"type": "eq", "fun": dynamics, "jac": dynamics_jac},
             {"type": "ineq", "fun": lambda w: f - F @ w, "jac": lambda w: -F},
             {"type": "ineq", "fun": terminal, "jac": terminal_jac},
         ],
@@ -364,7 +371,7 @@ class TestAgainstScipyReference:
     """The problems of the cvxpy cross-checks, criterion 8's first problem
     (input boxes and terminal ellipsoid active) and a later one settled on
     the setpoint polygon's edge, checked against SLSQP with the cvxpy
-    checks' cost tolerances."""
+    checks' cost tolerances; the long trip also on the drag model."""
 
     def test_matches_scipy_on_linear_model(self, double_integrator, terminal_double):
         x0, r_ref, N = np.array([0.35, 0.3, 0.05, -0.02]), np.array([0.6, 0.55]), 8
@@ -374,20 +381,26 @@ class TestAgainstScipyReference:
         assert sol.cost == pytest.approx(ref_cost, rel=1e-5, abs=1e-7)
         assert np.allclose(sol.rbar, ref_rbar, atol=1e-4)
 
-    @pytest.mark.parametrize("x0, r_ref, region", [
+    @pytest.mark.parametrize("x0, r_ref, region, drag", [
         # long trip saturates the inputs early in the horizon
-        ([0.05, 0.05, 0.0, 0.0], [0.95, 0.9], None),
-        ([0.5, 0.5, 0.0, 0.0], [1.4, 0.8], 0.02),
-        ([0.97, 0.8, 0.0, 0.0], [1.4, 0.8], 0.02),
-    ], ids=["active input bounds", "criterion 8 start", "criterion 8 settled"])
-    def test_backed_off_actives_leave_a_bounded_gap(self, x0, r_ref, region, double_integrator, terminal_double):
+        ([0.05, 0.05, 0.0, 0.0], [0.95, 0.9], None, False),
+        ([0.5, 0.5, 0.0, 0.0], [1.4, 0.8], 0.02, False),
+        ([0.97, 0.8, 0.0, 0.0], [1.4, 0.8], 0.02, False),
+        ([0.05, 0.05, 0.0, 0.0], [0.95, 0.9], None, True),
+    ], ids=["active input bounds", "criterion 8 start", "criterion 8 settled", "drag, active input bounds"])
+    def test_backed_off_actives_leave_a_bounded_gap(
+        self, x0, r_ref, region, drag, double_integrator, drag_model, terminal_double, terminal_drag,
+    ):
+        model, ts = (drag_model, terminal_drag) if drag else (double_integrator, terminal_double)
         x0, r_ref, N = np.array(x0), np.array(r_ref), 10
         region, margin = (None, 0.0) if region is None else (square_region(region), region)
-        prob = make_problem(double_integrator, terminal_double, x0, r_ref, horizon=N, region=region, margin=margin)
+        prob = make_problem(model, ts, x0, r_ref, horizon=N, region=region, margin=margin)
         sol = solve_ocp(prob)
         assert sol.status == "solved"
         assert solution_feasibility(prob, sol)["inequality"] <= 1e-12
-        ref_cost, ref_rbar = _scipy_reference(double_integrator, terminal_double, x0, r_ref, N, region, margin)
+        if region is None:  # the long trip holds an input row
+            assert np.max(np.abs(sol.u_seq)) >= model.u_max - SqpOptions().backoff - 1e-9
+        ref_cost, ref_rbar = _scipy_reference(model, ts, x0, r_ref, N, region, margin)
         assert sol.cost >= ref_cost - 1e-7
         assert sol.cost <= ref_cost * (1 + 2e-3)
         assert np.allclose(sol.rbar, ref_rbar, atol=1e-3)
@@ -979,6 +992,147 @@ class TestExactHessian:
         chain = _drag_chain(model, ts, 10, np.array([0.8, 0.3, -0.4, 0.4]), [0.1, 1.2])
         assert all(sol.status == "solved" for sol in chain)
         assert chain[0].iterations < 20
+
+
+def _drag_pass(drag_model, terminal_drag, horizon, seed):
+    """A drag problem with a bearing, at a random point, and the Hessian of
+    an active-set pass there: cost, regularisation, terminal curvature and
+    the dynamics' curvature under random multipliers."""
+    prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
+                        bearings=((1, np.array([0.6, 0.8])),), anchors={1: np.array([0.3, 0.4])},
+                        region=square_region(), margin=0.02, horizon=horizon)
+    ws = mpc._workspace(prob)
+    tpl = ws.tpl
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-0.4, 0.4, tpl.nz)
+    H = ws.H_cost + 1e-9 * tpl.eye + 0.7 * tpl.H_term
+    tpl.add_dynamics_curvature(H, z, rng.uniform(-3.0, 3.0, tpl.n_eq))
+    return ws, z, H, rng
+
+
+def _box_row(tpl, col, upper):
+    """The box row of G on column col of z, its upper or its lower face."""
+    (row,) = np.flatnonzero(tpl.G[:, col] > 0 if upper else tpl.G[:, col] < 0)
+    return row
+
+
+class TestCondensedKkt:
+    """Models whose Jacobians depend on the state solve each pass's KKT
+    system with the shooting states eliminated (`_kkt_solver`); the
+    (step, nu, lam) it returns is the full system's."""
+
+    @pytest.mark.parametrize("horizon", [1, 2, 10, 40])
+    def test_the_blocks_the_elimination_relies_on(self, horizon, drag_model, terminal_drag):
+        ws, z, H, _ = _drag_pass(drag_model, terminal_drag, horizon, seed=horizon)
+        tpl = ws.tpl
+        N, nx, x = tpl.N, tpl.nx, tpl.ix_all
+        # H: no u-x block, H_xx block-diagonal, the border coupled to x
+        assert not np.any(H[tpl.iu_all, x])
+        diagonal = mpc._diagonal_blocks(N, 0, 0, nx, nx)
+        H_xx = np.zeros((N * nx, N * nx))
+        H_xx[diagonal] = H[x, x][diagonal]
+        assert np.array_equal(H[x, x], H_xx)
+        assert np.any(H[x, tpl.ixb])
+        # shooting rows: unit block lower-bidiagonal in x, nothing on the
+        # border; steady-gap rows: the border only
+        C_J = ws.eq_jacobian(z)
+        C_x = C_J[: N * nx, x].copy()
+        assert np.array_equal(C_x[diagonal], np.broadcast_to(np.eye(nx), (N, nx, nx)))
+        C_x[diagonal] = 0.0
+        C_x[mpc._diagonal_blocks(N - 1, nx, 0, nx, nx)] = 0.0
+        assert not np.any(C_x)
+        assert not np.any(C_J[: N * nx, tpl.ixb.start :])
+        assert not np.any(C_J[N * nx :, : tpl.ixb.start])
+
+    @pytest.mark.parametrize("horizon", [1, 2, 10, 40])
+    def test_matches_the_full_kkt_solve(self, horizon, drag_model, terminal_drag):
+        ws, z, H, rng = _drag_pass(drag_model, terminal_drag, horizon, seed=100 + horizon)
+        tpl = ws.tpl
+        N, nx, nz, n_eq = tpl.N, tpl.nx, tpl.nz, tpl.n_eq
+        n_region = len(square_region().half_planes()[1])
+        # v_1 is u_0's alone (dv_1 = h du_0), so a horizon of 1 takes no v_N,x row
+        work = np.unique([
+            _box_row(tpl, 0, upper=True),  # u_0,x
+            _box_row(tpl, tpl.ix(1).start + 3, upper=True),  # v_1,y
+            *([_box_row(tpl, tpl.ix(N).start + 2, upper=False)] if N > 1 else []),  # v_N,x
+            len(tpl.G) - n_region,  # a setpoint edge
+            len(tpl.h),  # the terminal ellipsoid
+        ])
+        lin = mpc._linearization(ws, z, work)
+        c, C_J, G_A, grad = lin
+        nA = len(work)
+        assert np.linalg.matrix_rank(np.vstack([C_J, G_A])) == n_eq + nA
+        KKT = np.block([
+            [H, C_J.T, G_A.T],
+            [C_J, np.zeros((n_eq, n_eq + nA))],
+            [G_A, np.zeros((nA, n_eq + nA))],
+        ])
+        rhs_A = rng.uniform(-1e-3, 1e-3, nA)
+        want = np.linalg.solve(KKT, np.concatenate([-grad, -c, rhs_A]))
+        got = mpc._kkt_solver(tpl, H, lin)(G_A, rhs_A)
+        assert got.shape == want.shape
+        for part in (slice(0, nz), slice(nz, nz + n_eq), slice(nz + n_eq, None)):  # step, nu, lam
+            np.testing.assert_allclose(got[part], want[part], rtol=0.0, atol=1e-10 * np.max(np.abs(want[part])))
+
+    @pytest.mark.parametrize("horizon", [10, 40])
+    def test_a_drag_solve_factors_no_full_kkt_matrix(self, monkeypatch, horizon, drag_model, terminal_drag):
+        sizes = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: sizes.append(len(a)) or solve(a, b))
+        prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
+                            region=square_region(), margin=0.02, horizon=horizon)
+        sol = solve_ocp(prob)
+        assert sol.status == "solved"
+        assert len(sizes) >= sol.iterations
+        assert max(sizes) < mpc._workspace(prob).tpl.nz
+
+    @staticmethod
+    def _dependent_start(model, ts):
+        """A warm start holding u_0,y and v_1,y both backoff/2 below their
+        upper bounds: the dynamics tie the two rows, dv_1,y = h du_0,y."""
+        N, slack = 11, 1e-4
+        # v_1,y = v + h (u_max - slack - drag v^2) = v_max - slack
+        a, b, c = -model.h * model.drag, 1.0, model.h * (model.u_max - slack) - (model.v_max - slack)
+        x0 = np.array([0.5, 0.2, 0.0, (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)])
+        prob = make_problem(model, ts, x0, [0.5, 1.5], mu=0.75, region=square_region(), margin=0.02, horizon=N)
+        steady = ts.translated_steady(model, np.array([0.5, 0.5]))
+        u_seq, x_seq = np.zeros((N, 2)), np.zeros((N + 1, 4))
+        x_seq[0] = x0
+        for l in range(N):
+            u = steady.u + ts.K @ (x_seq[l] - steady.x)
+            u_seq[l] = [0.0, model.u_max - slack] if l == 0 else np.clip(u, -model.u_max, model.u_max)
+            x_seq[l + 1] = model.step(x_seq[l], u_seq[l])
+        assert x_seq[1, 3] == pytest.approx(model.v_max - slack, abs=1e-12)
+        warm = OcpSolution(u_seq, x_seq, steady.x, steady.u, steady.r, 0.0, "candidate")
+        assert solution_feasibility(prob, warm)["inequality"] < 0.0
+        return prob, warm
+
+    def test_dependent_working_rows_leave_the_set_on_the_drag_model(self, monkeypatch, drag_model, terminal_drag):
+        prob, warm = self._dependent_start(drag_model, terminal_drag)
+        # the reduced KKT matrix of the two tied rows is singular only to
+        # round-off: its solve returns multipliers of order 1e30, and the
+        # negative one drops its row
+        plain = solve_ocp(prob, warm=warm)
+        assert plain.status == "solved"
+        # where the factorisation meets the singularity, _independent_rows
+        # drops the row instead
+        calls = []
+        independent, solve = mpc._independent_rows, np.linalg.solve
+
+        def strict_solve(a, b):
+            if np.linalg.matrix_rank(a) < len(a):
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(mpc, "_independent_rows", lambda *a: calls.append(1) or independent(*a))
+        monkeypatch.setattr(np.linalg, "solve", strict_solve)
+        sol = solve_ocp(prob, warm=warm)
+        assert calls
+        assert sol.status == "solved" and sol.kkt_residual <= SqpOptions().tol_stationarity
+        assert solution_feasibility(prob, sol)["dynamics"] <= SqpOptions().tol_equality
+        # the two paths drop different rows of the pair and end at KKT points
+        # of slightly different problems (ROADMAP.md item 2, step 0): one
+        # holds u_0,y at -backoff, the other v_1,y, which moves u_0,y by 9e-4
 
 
 class TestAgainstPenaltySqp:

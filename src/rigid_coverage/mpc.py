@@ -22,13 +22,13 @@ infeasibility when the violation stops falling while still positive.
 The matrices of a problem come in two parts.  A *template* (`_Template`)
 holds everything fixed by the model, horizon, weights, terminal set,
 setpoint polygon and steady margin: the layout of the decision vector z,
-the inequality rows G z <= h, the structural rows of the cost residual,
-the terminal Hessian, the regularisation identity and, for a model whose
-Jacobians do not depend on the state, the equality Jacobian.  Templates
-are cached by value, a bounded number at a time, and shared read-only by
-every problem with the same key.  An *instance* (`_Workspace`) adds what
-x0, r_ref and the bearings set; the warm-start check and the solve of one
-`OcpProblem` share it.
+the inequality rows G z <= h, the cost residual rows that the bearings
+leave alone and their Hessian, the terminal Hessian and, for a model with
+constant Jacobians, the equality Jacobian.  Templates are cached by value,
+a bounded number at a time, and shared read-only by every problem with the
+same key.  An *instance* (`_Workspace`) adds what x0, r_ref and the
+bearings set (the bearing rows touch only xbar); the warm-start check and
+the solve of one `OcpProblem` share it.
 """
 
 from __future__ import annotations
@@ -198,12 +198,12 @@ class _Template:
     """The part of an OCP fixed by its model, horizon, weights, terminal set,
     setpoint polygon and steady margin.
 
-    Holds the layout of the decision vector, the linear inequality rows
-    G z <= h, the structural rows of the cost residual, the terminal
-    Hessian, the regularisation identity and, for a model with constant
-    Jacobians, the equality Jacobian.  One template is shared by every
-    problem with the same key, across solver threads, so its arrays are
-    read-only.
+    Holds the layout of the decision vector with the block indices the
+    passes read, the linear inequality rows G z <= h, the structural rows
+    of the cost residual and their Hessian H_struct, the terminal Hessian,
+    the identity of the z layout and, for a model with constant Jacobians,
+    the equality Jacobian.  One template is shared by every problem with
+    the same key, so its arrays are read-only.
     """
 
     def __init__(self, problem: OcpProblem):
@@ -223,6 +223,11 @@ class _Template:
         self.iub = slice(base + self.nx, self.nz)
         self.ixN = self.ix(N)
         self.C = model.C
+        blocks = lambda *a: np.array(np.broadcast_arrays(*_diagonal_blocks(*a)))  # M[tuple(b)] are the blocks
+        self.x_blocks = blocks(N, N * self.nu, N * self.nu, self.nx, self.nx)  # [x_l, x_l], l = 1 .. N
+        self.x_prev_blocks = blocks(N - 1, self.nx, N * self.nu, self.nx, self.nx)  # row block l, x_l, l < N
+        self.u_blocks = blocks(N, 0, 0, self.nx, self.nu)  # row block l, column u_l
+        self.iw = np.r_[self.iu_all, self.ixb.start : self.nz]  # u, then the steady pair
         self._build_cost(problem)
         self._build_linear_ineq(problem)
         self.P_term = np.array(problem.terminal.P, dtype=float)
@@ -263,7 +268,7 @@ class _Template:
         L_S = _psd_sqrt(w.S_r)
         M = np.zeros((N * nx + N * nu + nx + d, self.nz))
         # stage state terms (x_l - xbar), l = 0 uses the parameter x0
-        M[_diagonal_blocks(N - 1, nx, self.ix_all.start, nx, nx)] = L_Q
+        M[tuple(self.x_prev_blocks)] = L_Q
         M[: N * nx, self.ixb] = np.tile(-L_Q, (N, 1))
         # stage input terms (u_l - ubar)
         M[_diagonal_blocks(N, N * nx, 0, nu, nu)] = L_R
@@ -276,6 +281,10 @@ class _Template:
         self.s_ref = math.sqrt(w.mu)
         M[r + nx :, self.ixb] = self.s_ref * (L_S @ self.C)
         self.M_struct = M
+        self.H_struct = 2.0 * M.T @ M
+        H_off = np.abs(self.H_struct)
+        H_off[self.ixb, self.ixb] = 0.0  # the one block the bearings change
+        self.H_struct_max = float(np.max(H_off))
         self.L_Q = L_Q
         self.L_S = L_S
         # scale of the bearing terms sqrt((1-mu) w_b) * P_g (C xbar - anchor_j)
@@ -364,8 +373,8 @@ class _Template:
         N, nx = self.N, self.nx
         A, B = linearize(self.model, np.vstack([x_seq[:N], xbar]), np.vstack([u_seq[:N], ubar]))
         J = self.eq_struct.copy()
-        J[_diagonal_blocks(N - 1, nx, self.ix_all.start, nx, nx)] = -A[1:N]  # x_0 is a parameter, not a variable
-        J[_diagonal_blocks(N, 0, 0, nx, self.nu)] = -B[:N]
+        J[tuple(self.x_prev_blocks)] = -A[1:N]  # x_0 is a parameter, not a variable
+        J[tuple(self.u_blocks)] = -B[:N]
         J[N * nx :, self.ixb] = np.eye(nx) - A[N]
         J[N * nx :, self.iub] = -B[N]
         return J
@@ -376,7 +385,7 @@ class _Template:
         N, nx = self.N, self.nx
         x = z[self.ix_all.start : self.ixb.stop].reshape(N + 1, nx)  # x_1 .. x_N, xbar
         K = self.model.state_curvature(np.delete(x, N - 1, axis=0), nu.reshape(N + 1, nx)[1:])
-        H[_diagonal_blocks(N - 1, self.ix_all.start, self.ix_all.start, nx, nx)] -= K[: N - 1]
+        H[tuple(self.x_blocks[:, :-1])] -= K[: N - 1]
         H[self.ixb, self.ixb] -= K[N - 1]
 
 
@@ -421,33 +430,32 @@ def _template(problem: OcpProblem) -> _Template:
 class _Workspace:
     """One problem's instance of its cached template.
 
-    Adds what x0, r_ref and the bearings set: the residual offset f0, the
-    bearing rows of M and the cost Hessian H_cost = 2 M'M.  Obtained through
-    `_workspace`, so that a warm-start check and the solve that follows it
-    share one.
+    Adds what x0, r_ref and the bearings set: the offset f0 of the residual
+    rows M_struct z + f0, the bearing rows Mb xbar + fb, the cost Hessian
+    H_cost = H_struct + 2 Mb'Mb on the xbar block and its largest |entry|
+    H_max.  Obtained through `_workspace`, so that a warm-start check and
+    the solve that follows it share one.
     """
 
     def __init__(self, problem: OcpProblem):
         tpl = _template(problem)
         self.x0 = problem.x0
         self.tpl = tpl
-        d, nx = tpl.d, tpl.nx
-        n_struct = len(tpl.M_struct)
-        M = np.zeros((n_struct + len(problem.desired_bearings) * d, tpl.nz))
-        M[:n_struct] = tpl.M_struct
-        f0 = np.zeros(len(M))
-        f0[:nx] = tpl.L_Q @ problem.x0
-        f0[n_struct - d : n_struct] = -tpl.s_ref * (tpl.L_S @ problem.r_ref)
-        r = n_struct
-        for j, g in problem.desired_bearings:
-            Pg = np.eye(d) - np.outer(g, g)  # OcpProblem checked that g is unit
-            anchor = np.asarray(problem.neighbor_anchors[j], dtype=float)
-            M[r : r + d, tpl.ixb] = tpl.s_b * (Pg @ tpl.C)
-            f0[r : r + d] = -tpl.s_b * (Pg @ anchor)
-            r += d
-        self.M = M
-        self.f0 = f0
-        self.H_cost = 2.0 * M.T @ M
+        d, ixb = tpl.d, tpl.ixb
+        self.f0 = np.zeros(len(tpl.M_struct))
+        self.f0[: tpl.nx] = tpl.L_Q @ problem.x0
+        self.f0[-d:] = -tpl.s_ref * (tpl.L_S @ problem.r_ref)
+        self.Mb = np.empty((len(problem.desired_bearings) * d, tpl.nx))
+        self.fb = np.empty(len(self.Mb))
+        for k, (j, g) in enumerate(problem.desired_bearings):
+            Pg = tpl.s_b * (np.eye(d) - np.outer(g, g))  # s_b P_g; OcpProblem checked that g is unit
+            self.Mb[k * d : (k + 1) * d] = Pg @ tpl.C
+            self.fb[k * d : (k + 1) * d] = -(Pg @ np.asarray(problem.neighbor_anchors[j], dtype=float))
+        self.H_cost = tpl.H_struct  # shared, read-only, when no bearing adds to it
+        if len(self.Mb):
+            self.H_cost = tpl.H_struct.copy()
+            self.H_cost[ixb, ixb] += 2.0 * self.Mb.T @ self.Mb
+        self.H_max = max(tpl.H_struct_max, float(np.max(np.abs(self.H_cost[ixb, ixb]))))
 
     def unpack(self, z: np.ndarray):
         tpl = self.tpl
@@ -456,11 +464,15 @@ class _Workspace:
         return u_seq, x_seq, z[tpl.ixb].copy(), z[tpl.iub].copy()
 
     def cost(self, z: np.ndarray) -> float:
-        res = self.M @ z + self.f0
-        return float(res @ res)
+        res = self.tpl.M_struct @ z + self.f0
+        res_b = self.Mb @ z[self.tpl.ixb] + self.fb
+        return float(res @ res + res_b @ res_b)
 
     def cost_grad(self, z: np.ndarray) -> np.ndarray:
-        return 2.0 * self.M.T @ (self.M @ z + self.f0)
+        M, ixb = self.tpl.M_struct, self.tpl.ixb
+        grad = 2.0 * (M.T @ (M @ z + self.f0))  # the same bits as (2 M') (M z + f0): doubling is exact
+        grad[ixb] += 2.0 * (self.Mb.T @ (self.Mb @ z[ixb] + self.fb))
+        return grad
 
     def eq_constraints(self, z: np.ndarray) -> np.ndarray:
         """Shooting gaps x_{l+1} - f(x_l, u_l), then the steady gap xbar - f(xbar, ubar)."""
@@ -622,15 +634,14 @@ def _kkt_solver(tpl: _Template, H: np.ndarray, lin: tuple):
     # and test_dependent_working_rows_leave_the_set in tests/test_mpc.py
     if tpl.model.constant_jacobians:
         return lambda G_A, rhs_A: _saddle_solve(H, C_J, G_A, np.concatenate([-grad, -c, rhs_A]))
-    N, nx, n_dyn, n_u, ix = tpl.N, tpl.nx, tpl.N * tpl.nx, tpl.N * tpl.nu, tpl.ix_all
-    w = np.r_[tpl.iu_all, tpl.ixb.start : tpl.nz]  # u, then the steady pair
+    N, nx, n_dyn, n_u, ix, w = tpl.N, tpl.nx, tpl.N * tpl.nx, tpl.N * tpl.nu, tpl.ix_all, tpl.iw
     nw = len(w)
-    A = -C_J[_diagonal_blocks(N - 1, nx, ix.start, nx, nx)]  # A_1 .. A_{N-1}
+    A = -C_J[tuple(tpl.x_prev_blocks)]  # A_1 .. A_{N-1}
     S = np.hstack([-C_J[:n_dyn, w], -c[:n_dyn, None]])  # dx = S (w, 1), built stage by stage
     for l in range(1, N):
         S[l * nx : (l + 1) * nx] += A[l - 1] @ S[(l - 1) * nx : l * nx]
     # HS = (H[x, :] T, grad_x) and K = (T' H T, T' grad) for T: (w, 1) -> dz
-    HS = (H[_diagonal_blocks(N, ix.start, ix.start, nx, nx)] @ S.reshape(N, nx, -1)).reshape(n_dyn, -1)
+    HS = (H[tuple(tpl.x_blocks)] @ S.reshape(N, nx, -1)).reshape(n_dyn, -1)
     HS += np.c_[H[ix, w], grad[ix]]
     K = S[:, :nw].T @ HS + np.c_[H[w][:, w], grad[w]]
     K[n_u:] += H[tpl.ixb.start :, ix] @ S
@@ -698,7 +709,10 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
     while passes < opts.max_iter:
         passes += 1
         _, C_J, G_A, _ = lin
-        H = ws.H_cost + reg * tpl.eye + lam_term * tpl.H_term
+        H = ws.H_cost.copy()  # H_cost + reg I + lam_term H_term, bit for bit, without nz x nz temporaries
+        H.flat[:: nz + 1] += reg
+        if lam_term:
+            H += lam_term * tpl.H_term
         if not tpl.model.constant_jacobians:  # the exact Hessian of the Lagrangian
             tpl.add_dynamics_curvature(H, z, mult[:n_eq])
         kkt_solve = _kkt_solver(tpl, H, lin)
@@ -781,7 +795,7 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
     else:
         z = _cold_start_vector(problem, tpl)
     z, passes = _phase1(ws, z, opts)
-    reg = opts.regularization * max(1.0, float(np.max(np.abs(ws.H_cost))))
+    reg = opts.regularization * max(1.0, ws.H_max)
     z, kkt, passes, solved = _active_set(ws, z, opts, reg, passes)
     solution = _solution(ws, z, "solved" if solved else "max-iter", passes, kkt)
     if not solved:

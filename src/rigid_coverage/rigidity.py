@@ -67,10 +67,11 @@ class Framework:
             raise InvalidInputError(
                 f"graph has {self.graph.n} vertices but configuration has {self.config.n} points"
             )
-        pos = self.config.positions
-        for i, j in self.graph.sorted_edges:
-            if np.linalg.norm(pos[j] - pos[i]) <= SEPARATION_TOL:
-                raise DegenerateEdgeError(f"edge ({i}, {j}) endpoints within separation tolerance")
+        edges, e = _edge_vectors(self)
+        short = np.flatnonzero(np.linalg.norm(e, axis=1) <= SEPARATION_TOL)
+        if len(short):
+            i, j = edges[short[0]]
+            raise DegenerateEdgeError(f"edge ({i}, {j}) endpoints within separation tolerance")
 
     # Taken on first use and kept on the (frozen) instance, outside its
     # fields, so that every rank test of one framework shares one SVD.
@@ -109,24 +110,23 @@ def bearing_function(fw: Framework) -> BearingVector:
     return BearingVector(edges, out)
 
 
-def _orthogonal_projector(g: np.ndarray) -> np.ndarray:
-    return np.eye(g.shape[0]) - np.outer(g, g)
+def _edge_vectors(fw: Framework) -> tuple:
+    """The (m, 2) edges in canonical order and their (m, d) vectors p_j - p_i."""
+    edges = np.array(fw.graph.sorted_edges, dtype=int).reshape(-1, 2)
+    return edges, fw.config.positions[edges[:, 1]] - fw.config.positions[edges[:, 0]]
 
 
 def rigidity_matrix(fw: Framework) -> np.ndarray:
-    """Jacobian of the bearing function; shape (d*m, d*n)."""
-    edges = fw.graph.sorted_edges
-    pos = fw.config.positions
-    d = fw.config.dim
-    n = fw.config.n
-    R = np.zeros((d * len(edges), d * n))
-    for k, (i, j) in enumerate(edges):
-        e = pos[j] - pos[i]
-        norm = np.linalg.norm(e)
-        block = _orthogonal_projector(e / norm) / norm
-        rows = slice(d * k, d * k + d)
-        R[rows, d * i : d * i + d] = -block
-        R[rows, d * j : d * j + d] = block
+    """Jacobian of the bearing function; shape (d*m, d*n): edge k's rows hold -P_g/||e|| at i, +P_g/||e|| at j."""
+    edges, e = _edge_vectors(fw)
+    d, m = fw.config.dim, len(edges)
+    norm = np.linalg.norm(e, axis=1)[:, None, None]
+    g = e / norm[:, 0]
+    block = (np.eye(d) - g[:, :, None] * g[:, None, :]) / norm
+    R = np.zeros((d * m, d * fw.config.n))
+    rows = d * np.arange(m)[:, None, None] + np.arange(d)[:, None]
+    R[rows, d * edges[:, 0, None, None] + np.arange(d)] = -block
+    R[rows, d * edges[:, 1, None, None] + np.arange(d)] = block
     return R
 
 

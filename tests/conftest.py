@@ -1,4 +1,6 @@
 """Shared fixtures: canonical graphs, regions, models, and scenario configs."""
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,13 @@ from rigid_coverage.terminal import build_terminal_set
 SCENARIO_Q = np.diag([10.0, 10.0, 1.0, 1.0])
 SCENARIO_R = 0.1 * np.eye(2)
 SCENARIO_S = 100.0 * np.eye(2)
+
+
+def pytest_report_header(config):
+    # some solves depend on round-off, which depends on the BLAS thread count
+    # (ROADMAP.md item 2): show which setting a log ran under
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"numpy {np.__version__}, OPENBLAS_NUM_THREADS={threads}, cpu_count={os.cpu_count()}"
 
 
 @pytest.fixture(scope="session")

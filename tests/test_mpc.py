@@ -771,6 +771,92 @@ def _loop_cost_rows(problem):
     return M
 
 
+def _loop_residual(problem):
+    """The whole cost residual M z + f0 as one matrix: the structural rows
+    of `_loop_cost_rows` and their offsets, then d rows per bearing."""
+    tpl = mpc._workspace(problem).tpl
+    w, nx, d = problem.weights, tpl.nx, tpl.d
+    rows = [_loop_cost_rows(problem)]
+    f0 = np.zeros(len(rows[0]))
+    f0[:nx] = mpc._psd_sqrt(w.Q) @ problem.x0
+    f0[-d:] = -np.sqrt(w.mu) * (mpc._psd_sqrt(w.S_r) @ problem.r_ref)
+    offsets = [f0]
+    s_b = np.sqrt((1.0 - w.mu) * w.w_b)
+    for j, g in problem.desired_bearings:
+        block = np.zeros((d, tpl.nz))
+        block[:, tpl.ixb] = s_b * bearing_projector(g) @ problem.model.C
+        rows.append(block)
+        offsets.append(-s_b * bearing_projector(g) @ problem.neighbor_anchors[j])
+    return np.vstack(rows), np.concatenate(offsets)
+
+
+class TestClosedFormCost:
+    """The workspace's cost Hessian is the template's H_struct plus a small
+    block on xbar for the bearings; no residual matrix is built per problem."""
+
+    @staticmethod
+    def _problem(model, ts, horizon, n_bearings, mu=0.7):
+        angles = {1: 0.3, 3: 2.0, 4: -1.1}
+        anchors = {1: np.array([0.4, 0.7]), 3: np.array([0.8, 0.45]), 4: np.array([0.1, 0.9])}
+        bearings = tuple((j, np.array([np.cos(a), np.sin(a)])) for j, a in angles.items())[:n_bearings]
+        return make_problem(model, ts, [0.2, 0.3, 0.1, -0.2], [0.6, 0.5], mu=mu, bearings=bearings,
+                            anchors=anchors, region=square_region(), margin=0.02, horizon=horizon)
+
+    @pytest.mark.parametrize("n_bearings", [0, 1, 3])
+    @pytest.mark.parametrize("horizon", [1, 2, 10, 40])
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_matches_the_whole_residual_matrix(
+        self, linear, horizon, n_bearings, double_integrator, drag_model, terminal_double, terminal_drag
+    ):
+        model, ts = (double_integrator, terminal_double) if linear else (drag_model, terminal_drag)
+        prob = self._problem(model, ts, horizon, n_bearings)
+        ws = mpc._workspace(prob)
+        M, f0 = _loop_residual(prob)
+        assert len(M) == len(ws.tpl.M_struct) + 2 * n_bearings
+
+        def close(a, b):
+            return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+        H = 2.0 * M.T @ M
+        assert close(ws.H_cost, H)
+        assert ws.H_max == np.max(np.abs(ws.H_cost))
+        for z in np.random.default_rng(horizon).uniform(-0.5, 0.5, (3, ws.tpl.nz)):
+            res = M @ z + f0
+            assert abs(ws.cost(z) - res @ res) <= 1e-13 * (res @ res)
+            assert close(ws.cost_grad(z), 2.0 * M.T @ res)
+        if n_bearings:
+            assert ws.H_cost is not ws.tpl.H_struct
+            assert not np.array_equal(ws.H_cost, ws.tpl.H_struct)
+
+    @pytest.mark.parametrize("horizon", [1, 10, 40])
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_a_bearing_free_problem_keeps_the_bits_of_the_residual_matrix(
+        self, monkeypatch, linear, horizon, double_integrator, drag_model, terminal_double, terminal_drag
+    ):
+        # Without bearings the closed form must run the arithmetic of the
+        # residual matrix bit for bit.  The warm and cold solves of
+        # TestPhaseOneAndFallback::test_infeasible_warm_guess_reaches_the_cold_start_solution
+        # meet or not depending on round-off (ROADMAP.md item 2); a cost
+        # written as z'Hz/2 + q'z + c moved its bits and made it fail.
+        model, ts = (double_integrator, terminal_double) if linear else (drag_model, terminal_drag)
+        prob = self._problem(model, ts, horizon, 0)
+        ws = mpc._workspace(prob)
+        M, f0 = _loop_residual(prob)
+        assert np.array_equal(ws.f0, f0)
+        H = 2.0 * M.T @ M
+        assert np.array_equal(ws.H_cost, H)
+        assert ws.H_cost is ws.tpl.H_struct  # shared, not copied
+        for z in np.random.default_rng(horizon).uniform(-0.5, 0.5, (3, ws.tpl.nz)):
+            assert ws.cost(z) == float((M @ z + f0) @ (M @ z + f0))
+            assert np.array_equal(ws.cost_grad(z), 2.0 * M.T @ (M @ z + f0))
+        regs = []
+        active_set = mpc._active_set
+        monkeypatch.setattr(mpc, "_active_set", lambda ws, z, opts, reg, passes: regs.append(reg)
+                            or active_set(ws, z, opts, reg, passes))
+        solve_ocp(prob)
+        assert regs == [SqpOptions().regularization * max(1.0, float(np.max(np.abs(H))))]
+
+
 class _SkewedBoxes(DoubleIntegrator):
     """Asymmetric boxes with one-sided faces, so that the order and the
     presence of each face's row show."""
@@ -888,7 +974,7 @@ class TestConstantJacobian:
                             region=square_region(), margin=0.02)
         tpl = mpc._workspace(prob).tpl
         arrays = {name: v for name, v in vars(tpl).items() if isinstance(v, np.ndarray)}
-        assert {"G", "h", "M_struct", "H_term", "eye", "eq_struct", "eq_jac"} <= set(arrays)
+        assert {"G", "h", "M_struct", "H_struct", "H_term", "eye", "eq_struct", "eq_jac"} <= set(arrays)
         for name, arr in arrays.items():
             assert not arr.flags.writeable, name
         with pytest.raises(ValueError):

@@ -82,6 +82,27 @@ class TestRigidityMatrix:
         R = rigidity_matrix(framework)
         assert np.max(np.abs(R - fd_rigidity_matrix(framework))) < 1e-6
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_edge_loop(self, d, seed):
+        rng = np.random.default_rng([d, seed])
+        n = int(rng.integers(2, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = rng.random(len(pairs)) < 0.6
+        keep[0] = True
+        graph = Graph(n, frozenset(p for p, k in zip(pairs, keep) if k))
+        framework = fw(graph, rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1)))
+        pos = framework.config.positions
+        ref = np.zeros((d * graph.m, d * n))
+        for k, (i, j) in enumerate(graph.sorted_edges):
+            e = pos[j] - pos[i]
+            g = e / np.linalg.norm(e)
+            block = (np.eye(d) - np.outer(g, g)) / np.linalg.norm(e)
+            ref[d * k : d * k + d, d * i : d * i + d] = -block
+            ref[d * k : d * k + d, d * j : d * j + d] = block
+        # the row-wise norm may differ from the per-edge one in the last bit
+        assert np.max(np.abs(rigidity_matrix(framework) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_annihilates_translations_and_scaling(self):
         rng = np.random.default_rng(3)
         res = henneberg_generate(7, seed=9)
@@ -187,6 +208,10 @@ class TestValidation:
         for text in ("5", "[1, 2]", '{"n": 3, "edges": []}'):
             with pytest.raises(InvalidInputError):
                 framework_from_json(text)
+
+    def test_framework_names_its_first_short_edge(self):
+        with pytest.raises(DegenerateEdgeError, match=r"edge \(1, 2\)"):
+            fw(TRIANGLE, [[0.0, 0.0], [1.0, 0.0], [1.0, 1e-10]])
 
     def test_json_round_trip(self):
         framework = fw(TRIANGLE, [[0.0, 0.0], [1.0, 0.0], [0.25, 0.9]])

@@ -19,8 +19,7 @@ A config file is a single JSON object:
   faults    [{"at_step", "robot"}, ...]
   steps     number of control steps
   seed      global seed (graph generation)
-  epsilon   inward shrink margin for the feasible-setpoint polygon and the
-            artificial steady pair
+  epsilon   inward shrink margin for the feasible-setpoint polygon
 
 Matrix-valued entries (Q, R, S_r) accept a scalar (multiple of identity),
 a list (diagonal), or a nested list (full matrix, which must be symmetric).

@@ -55,7 +55,8 @@ class SecondOrderModel:
     v_max: float
     u_max: float
     # True when jacobians(x, u) is the same at every (x, u): the MPC then
-    # computes its equality Jacobian once per template instead of per iterate
+    # computes its equality Jacobian and its condensing once per template
+    # instead of per iterate
     constant_jacobians: ClassVar[bool] = False
 
     @property

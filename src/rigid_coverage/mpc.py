@@ -1,33 +1,34 @@
 """Tracking controller with artificial references and bearing maintenance.
 
 Each robot solves a finite-horizon optimal control problem over its input
-sequence, shooting states, and an artificial steady pair (xbar, ubar).
-The cost penalizes distance to the artificial steady state along the
-horizon, the gap between the artificial setpoint rbar = C xbar and the
-requested reference, and the distance of rbar from the desired bearing
-lines through neighbor anchor points.  The problem is solved by a primal
-active-set SQP (`solve_ocp`): each pass is a Newton step on the KKT system
-of the Lagrangian, with the dynamics linearised along the iterate (all
-stages in one batched `linearize` call, once per iterate) and their
-multiplier-weighted curvature in its Hessian; a working set of the box
-rows, the setpoint polygon and the terminal ellipsoid is held as
-equalities just inside their bounds; on a model whose Jacobians depend on
-the state, each KKT system is condensed.  Steps stop on the first constraint
-they would cross, which joins the working set; rows whose multiplier turns
-negative leave it, and the same multipliers certify stationarity at the
-stepped point.  A start that is not near-feasible first goes through a
-Gauss-Newton phase 1 on the squared violation, which certifies
+sequence, shooting states, and the setpoint theta = rbar of an artificial
+steady pair (xbar, ubar) = (psi(theta), 0), at rest at theta as
+`TerminalSet.translated_steady` gives (MPC for tracking, Limon et al.,
+Automatica 2008).  The cost penalizes distance to the artificial steady
+state along the horizon, the gap between theta and the requested
+reference, and the distance of theta from the desired bearing lines
+through neighbor anchor points.  The problem is solved by a primal
+active-set SQP (`solve_ocp`): each pass is a Newton step on the condensed
+KKT system of the Lagrangian, with the dynamics linearised along the
+iterate (all stages in one batched `linearize` call) and their
+multiplier-weighted curvature in its Hessian.  Every inequality (box rows,
+setpoint polygon, terminal ellipsoid) is solved as g <= -backoff: the
+working set is held there, a step stops on the first other row that would
+cross it, which joins, and rows whose multiplier turns negative leave; a
+working tolerance that grows every pass (EXPAND) keeps steps of positive
+length at degenerate points.  A start that is not near-feasible first goes
+through a Gauss-Newton phase 1 on the squared violation, which certifies
 infeasibility when the violation stops falling while still positive.
 
 The matrices of a problem come in two parts.  A *template* (`_Template`)
-holds everything fixed by the model, horizon, weights, terminal set,
-setpoint polygon and steady margin: the layout of the decision vector z,
-the inequality rows G z <= h, the cost residual rows that the bearings
-leave alone and their Hessian, the terminal Hessian and, for a model with
-constant Jacobians, the equality Jacobian.  Templates are cached by value,
+holds everything fixed by the model, horizon, weights, terminal set and
+setpoint polygon: the layout of the decision vector z, the inequality rows
+G z <= h, the cost residual rows that the bearings leave alone and their
+Hessian, the terminal Hessian and, for a model with constant Jacobians,
+the equality Jacobian and its condensing.  Templates are cached by value,
 a bounded number at a time, and shared read-only by every problem with the
 same key.  An *instance* (`_Workspace`) adds what x0, r_ref and the
-bearings set (the bearing rows touch only xbar); the warm-start check and
+bearings set (the bearing rows touch only theta); the warm-start check and
 the solve of one `OcpProblem` share it.
 """
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import linearize
+from .dynamics import linearize, position_shift
 from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
@@ -120,7 +121,6 @@ class OcpProblem:
     desired_bearings: tuple = ()
     neighbor_anchors: dict = field(default_factory=dict)
     setpoint_region: ConvexRegion | None = None
-    steady_margin: float = 0.0
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
@@ -156,10 +156,10 @@ class SqpOptions:
     max_iter: int = 150  # Newton passes, phase 1 and the active-set loop together
     tol_equality: float = 1e-9
     tol_stationarity: float = 1e-6
-    # rows of the working set are held at g = -backoff, not at g = 0: the
-    # terminal ellipsoid is curved, so its linearised row lands slightly
-    # above the value it was held at, and the margin keeps that point and
-    # the dynamics' round-off strictly inside every constraint
+    # every inequality is solved as g <= -backoff, not g <= 0: the terminal
+    # ellipsoid is curved, so its linearised row lands slightly above the
+    # value it was held at, and the margin keeps that point, the dynamics'
+    # round-off and the working tolerance strictly inside every constraint
     backoff: float = 2e-4
     regularization: float = 1e-9
 
@@ -195,15 +195,18 @@ def _diagonal_blocks(n: int, r0: int, c0: int, rows: int, cols: int) -> tuple:
 
 
 class _Template:
-    """The part of an OCP fixed by its model, horizon, weights, terminal set,
-    setpoint polygon and steady margin.
+    """The part of an OCP fixed by its model, horizon, weights, terminal set
+    and setpoint polygon.
 
-    Holds the layout of the decision vector with the block indices the
-    passes read, the linear inequality rows G z <= h, the structural rows
-    of the cost residual and their Hessian H_struct, the terminal Hessian,
-    the identity of the z layout and, for a model with constant Jacobians,
-    the equality Jacobian.  One template is shared by every problem with
-    the same key, so its arrays are read-only.
+    Holds the layout of the decision vector z = (u_0 .. u_{N-1}, x_1 .. x_N,
+    theta) with the block indices the passes read, the linear inequality
+    rows G z <= h, the structural rows of the cost residual and their
+    Hessian H_struct, the terminal Hessian and, for a model with constant
+    Jacobians, the equality Jacobian with its condensing.  The steady pair
+    is (E theta, 0), E the position embedding psi: its velocity and input
+    are 0, strictly inside their boxes, so it needs no dynamics or box rows
+    of its own.  One template is shared by every problem with the same key,
+    so its arrays are read-only.
     """
 
     def __init__(self, problem: OcpProblem):
@@ -214,27 +217,29 @@ class _Template:
         self.nx = model.n_x
         self.nu = model.n_u
         self.d = model.dim
-        self.nz = N * self.nu + N * self.nx + self.nx + self.nu
-        self.n_eq = (N + 1) * self.nx
+        self.nz = N * self.nu + N * self.nx + self.d
+        self.n_eq = N * self.nx
         base = N * self.nu + N * self.nx
         self.iu_all = slice(0, N * self.nu)
         self.ix_all = slice(N * self.nu, base)
-        self.ixb = slice(base, base + self.nx)
-        self.iub = slice(base + self.nx, self.nz)
+        self.ith = slice(base, self.nz)
         self.ixN = self.ix(N)
         self.C = model.C
+        self.E = np.stack([position_shift(model, e) for e in np.eye(self.d)], axis=1)  # xbar = E theta
         blocks = lambda *a: np.array(np.broadcast_arrays(*_diagonal_blocks(*a)))  # M[tuple(b)] are the blocks
         self.x_blocks = blocks(N, N * self.nu, N * self.nu, self.nx, self.nx)  # [x_l, x_l], l = 1 .. N
         self.x_prev_blocks = blocks(N - 1, self.nx, N * self.nu, self.nx, self.nx)  # row block l, x_l, l < N
         self.u_blocks = blocks(N, 0, 0, self.nx, self.nu)  # row block l, column u_l
-        self.iw = np.r_[self.iu_all, self.ixb.start : self.nz]  # u, then the steady pair
+        self.iw = np.r_[self.iu_all, self.ith]  # u, then theta: what the shooting states are eliminated onto
+        self.T_term = np.zeros((self.nx, self.nz))  # x_N - xbar = T_term z
+        self.T_term[:, self.ixN] = np.eye(self.nx)
+        self.T_term[:, self.ith] = -self.E
         self._build_cost(problem)
         self._build_linear_ineq(problem)
         self.P_term = np.array(problem.terminal.P, dtype=float)
         self.zeta = problem.terminal.zeta
         self.zeta_scale = max(self.zeta, 1e-12)
         self._build_terminal_hessian()
-        self.eye = np.eye(self.nz)
         self._build_eq_structure()
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -248,12 +253,11 @@ class _Template:
         base = self.N * self.nu
         return slice(base + (l - 1) * self.nx, base + l * self.nx)
 
-    def pack(self, u_seq, x_seq, xbar, ubar) -> np.ndarray:
+    def pack(self, u_seq, x_seq, xbar, ubar) -> np.ndarray:  # the steady pair enters by its setpoint C xbar
         z = np.empty(self.nz)
         z[self.iu_all] = np.reshape(u_seq[: self.N], -1)
         z[self.ix_all] = np.reshape(x_seq[1 : self.N + 1], -1)
-        z[self.ixb] = xbar
-        z[self.iub] = ubar
+        z[self.ith] = self.C @ xbar
         return z
 
     # --- cost: structural rows of the affine residual -----------------------
@@ -269,124 +273,119 @@ class _Template:
         M = np.zeros((N * nx + N * nu + nx + d, self.nz))
         # stage state terms (x_l - xbar), l = 0 uses the parameter x0
         M[tuple(self.x_prev_blocks)] = L_Q
-        M[: N * nx, self.ixb] = np.tile(-L_Q, (N, 1))
-        # stage input terms (u_l - ubar)
+        M[: N * nx, self.ith] = np.tile(-L_Q @ self.E, (N, 1))
+        # stage input terms (u_l - ubar), ubar = 0
         M[_diagonal_blocks(N, N * nx, 0, nu, nu)] = L_R
-        M[N * nx : N * (nx + nu), self.iub] = np.tile(-L_R, (N, 1))
         # terminal term (x_N - xbar)
         r = N * (nx + nu)
-        M[r : r + nx, self.ixN] = L_P
-        M[r : r + nx, self.ixb] = -L_P
-        # reference offset term sqrt(mu) * (C xbar - r_ref)
+        M[r : r + nx] = L_P @ self.T_term
+        # reference offset term sqrt(mu) * (theta - r_ref)
         self.s_ref = math.sqrt(w.mu)
-        M[r + nx :, self.ixb] = self.s_ref * (L_S @ self.C)
+        M[r + nx :, self.ith] = self.s_ref * L_S
         self.M_struct = M
         self.H_struct = 2.0 * M.T @ M
         H_off = np.abs(self.H_struct)
-        H_off[self.ixb, self.ixb] = 0.0  # the one block the bearings change
+        H_off[self.ith, self.ith] = 0.0  # the one block the bearings change
         self.H_struct_max = float(np.max(H_off))
         self.L_Q = L_Q
         self.L_S = L_S
-        # scale of the bearing terms sqrt((1-mu) w_b) * P_g (C xbar - anchor_j)
+        # scale of the bearing terms sqrt((1-mu) w_b) * P_g (theta - anchor_j)
         self.s_b = math.sqrt(max(1.0 - w.mu, 0.0) * w.w_b)
 
     # --- inequalities -------------------------------------------------------
     def _build_linear_ineq(self, problem: OcpProblem):
-        """Box rows, scaled unit selections of z, then the setpoint polygon.
+        """Box rows, scaled unit selections of the inputs and states, then
+        the setpoint polygon on theta.
 
         Per column of z in order, the upper face comes before the lower one
-        and an infinite face gives no row.  The steady pair is kept strictly
-        inside the box by the margin.
+        and an infinite face gives no row.
         """
         N = self.N
         sb, ib = self.model.state_bounds, self.model.input_bounds
-        upper = np.concatenate([np.tile(ib.upper, N), np.tile(sb.upper, N), sb.upper, ib.upper])
-        lower = np.concatenate([np.tile(ib.lower, N), np.tile(sb.lower, N), sb.lower, ib.lower])
-        margin = np.zeros(self.nz)
-        margin[self.ixb.start :] = problem.steady_margin
+        upper = np.concatenate([np.tile(ib.upper, N), np.tile(sb.upper, N)])
+        lower = np.concatenate([np.tile(ib.lower, N), np.tile(sb.lower, N)])
         # (upper, lower) face of each column, flattened column by column
         bound = np.stack([upper, -lower], axis=1).ravel()
-        sign = np.tile([1.0, -1.0], self.nz)
+        sign = np.tile([1.0, -1.0], len(upper))
         keep = np.isfinite(bound)
-        cols = np.repeat(np.arange(self.nz), 2)[keep]
+        cols = np.repeat(np.arange(len(upper)), 2)[keep]
         bound, sign = bound[keep], sign[keep]
         scale = np.maximum(1.0, np.abs(bound))
         n_box = len(cols)
-        h_box = (bound - margin[cols]) / scale
         if problem.setpoint_region is not None:
             A, b = problem.setpoint_region.half_planes()
-            AC = A @ self.C
             region_scale = np.maximum(1.0, np.abs(b))
         else:
-            AC, b, region_scale = np.zeros((0, self.nx)), np.zeros(0), np.ones(0)
+            A, b, region_scale = np.zeros((0, self.d)), np.zeros(0), np.ones(0)
         G = np.zeros((n_box + len(b), self.nz))
         G[np.arange(n_box), cols] = sign / scale
-        G[n_box:, self.ixb] = AC / region_scale[:, None]
+        G[n_box:, self.ith] = A / region_scale[:, None]
         self.G = G
-        self.h = np.concatenate([h_box, b / region_scale])
+        self.h = np.concatenate([bound / scale, b / region_scale])
 
     def _build_terminal_hessian(self):
         """Curvature of the terminal-ellipsoid inequality in the z layout,
         and a square root L_term of it (L_term' L_term = H_term)."""
-        H = np.zeros((self.nz, self.nz))
-        blk = 2.0 * self.P_term / self.zeta_scale
-        H[self.ixN, self.ixN] = blk
-        H[self.ixb, self.ixb] = blk
-        H[self.ixN, self.ixb] = -blk
-        H[self.ixb, self.ixN] = -blk
-        self.H_term = H
-        L = np.zeros((self.nx, self.nz))
-        L[:, self.ixN] = math.sqrt(2.0 / self.zeta_scale) * _psd_sqrt(self.P_term)
-        L[:, self.ixb] = -L[:, self.ixN]
-        self.L_term = L
+        T = self.T_term
+        self.H_term = T.T @ (2.0 * self.P_term / self.zeta_scale) @ T
+        self.L_term = math.sqrt(2.0 / self.zeta_scale) * _psd_sqrt(self.P_term) @ T
 
     def ineq_values(self, z: np.ndarray) -> np.ndarray:
         """All inequality values g(z) <= 0, terminal ellipsoid last."""
         lin = self.G @ z - self.h
-        e = z[self.ixN] - z[self.ixb]
+        e = self.T_term @ z
         term = (float(e @ self.P_term @ e) - self.zeta) / self.zeta_scale
         return np.append(lin, term)
 
     def ineq_jacobian_row_terminal(self, z: np.ndarray) -> np.ndarray:
-        e = z[self.ixN] - z[self.ixb]
-        row = np.zeros(self.nz)
-        grad = 2.0 * (self.P_term @ e) / self.zeta_scale
-        row[self.ixN] = grad
-        row[self.ixb] = -grad
-        return row
+        return self.T_term.T @ (2.0 * (self.P_term @ (self.T_term @ z)) / self.zeta_scale)
 
     # --- equalities ----------------------------------------------------------
     def _build_eq_structure(self):
-        """Identity blocks of the equality Jacobian; the whole Jacobian when
-        the model's Jacobians do not depend on the state."""
+        """Identity blocks of the equality Jacobian; the whole Jacobian and
+        its condensing when the model's Jacobians do not depend on the state."""
         J = np.zeros((self.n_eq, self.nz))
-        J[: self.N * self.nx, self.ix_all] = np.eye(self.N * self.nx)  # x_{l+1} in row block l
+        J[:, self.ix_all] = np.eye(self.n_eq)  # x_{l+1} in row block l
         self.eq_struct = J
-        self.eq_jac = None
+        self.eq_jac = self.Cx_inv = self.S = None
         if self.model.constant_jacobians:  # then any point will do
             N, nx, nu = self.N, self.nx, self.nu
-            self.eq_jac = self.eq_jacobian_at(np.zeros((N, nu)), np.zeros((N + 1, nx)), np.zeros(nx), np.zeros(nu))
+            eq_jac = self.eq_jacobian_at(np.zeros((N, nu)), np.zeros((N, nx)))
+            self.Cx_inv, self.S = self.condense(eq_jac)
+            self.eq_jac = eq_jac
 
-    def eq_jacobian_at(self, u_seq, x_seq, xbar, ubar) -> np.ndarray:
-        """Equality Jacobian from one linearisation of the model at the N
-        stages and the steady pair together."""
-        N, nx = self.N, self.nx
-        A, B = linearize(self.model, np.vstack([x_seq[:N], xbar]), np.vstack([u_seq[:N], ubar]))
+    def eq_jacobian_at(self, u_seq, x_seq) -> np.ndarray:
+        """Equality Jacobian (C_u, C_x, 0) from one linearisation of the
+        model at the N stages; theta enters no dynamics row."""
+        N = self.N
+        A, B = linearize(self.model, x_seq[:N], u_seq[:N])
         J = self.eq_struct.copy()
         J[tuple(self.x_prev_blocks)] = -A[1:N]  # x_0 is a parameter, not a variable
-        J[tuple(self.u_blocks)] = -B[:N]
-        J[N * nx :, self.ixb] = np.eye(nx) - A[N]
-        J[N * nx :, self.iub] = -B[N]
+        J[tuple(self.u_blocks)] = -B
         return J
+
+    def condense(self, C_J: np.ndarray) -> tuple:
+        """The inverse of the unit block lower-bidiagonal C_x of an equality
+        Jacobian C_J = (C_u, C_x, 0), and S = -C_x^-1 C_u: the linearised
+        dynamics C_J dz = -c give dx = S du - C_x^-1 c.  One forward
+        recursion over the stage Jacobians gives both (multiple shooting with
+        condensing, Bock & Plitt 1984); the constant Jacobian's are the
+        template's own."""
+        if C_J is self.eq_jac:
+            return self.Cx_inv, self.S
+        nx, n_dyn = self.nx, self.n_eq
+        A = -C_J[tuple(self.x_prev_blocks)]  # A_1 .. A_{N-1}
+        R = np.hstack([np.eye(n_dyn), -C_J[:, self.iu_all]])  # C_x^-1 (I, -C_u) once the recursion has run
+        for l in range(1, self.N):
+            R[l * nx : (l + 1) * nx] += A[l - 1] @ R[(l - 1) * nx : l * nx]
+        return R[:, :n_dyn], R[:, n_dyn:]
 
     def add_dynamics_curvature(self, H: np.ndarray, z: np.ndarray, nu: np.ndarray):
         """Add nu . d2c/dz2 of the dynamics rows to H in place.  Row block l is c = x_{l+1} - f(x_l, u_l),
-        so the model's nu-weighted curvature is subtracted at x_1 .. x_{N-1} and xbar (x_N enters linearly)."""
+        so the model's nu-weighted curvature is subtracted at x_1 .. x_{N-1} (x_N enters linearly)."""
         N, nx = self.N, self.nx
-        x = z[self.ix_all.start : self.ixb.stop].reshape(N + 1, nx)  # x_1 .. x_N, xbar
-        K = self.model.state_curvature(np.delete(x, N - 1, axis=0), nu.reshape(N + 1, nx)[1:])
-        H[tuple(self.x_blocks[:, :-1])] -= K[: N - 1]
-        H[self.ixb, self.ixb] -= K[N - 1]
+        K = self.model.state_curvature(z[self.ix_all].reshape(N, nx)[: N - 1], nu.reshape(N, nx)[1:])
+        H[tuple(self.x_blocks[:, :-1])] -= K
 
 
 TEMPLATE_CACHE_SIZE = 8
@@ -408,7 +407,6 @@ def _template_key(problem: OcpProblem) -> tuple:
         _array_key(w.Q), _array_key(w.R), _array_key(w.S_r), w.w_b, w.mu,
         _array_key(problem.terminal.P), problem.terminal.zeta,
         None if region is None else _array_key(region.vertices),
-        problem.steady_margin,
     )
 
 
@@ -431,8 +429,8 @@ class _Workspace:
     """One problem's instance of its cached template.
 
     Adds what x0, r_ref and the bearings set: the offset f0 of the residual
-    rows M_struct z + f0, the bearing rows Mb xbar + fb, the cost Hessian
-    H_cost = H_struct + 2 Mb'Mb on the xbar block and its largest |entry|
+    rows M_struct z + f0, the bearing rows Mb theta + fb, the cost Hessian
+    H_cost = H_struct + 2 Mb'Mb on the theta block and its largest |entry|
     H_max.  Obtained through `_workspace`, so that a warm-start check and
     the solve that follows it share one.
     """
@@ -441,52 +439,50 @@ class _Workspace:
         tpl = _template(problem)
         self.x0 = problem.x0
         self.tpl = tpl
-        d, ixb = tpl.d, tpl.ixb
+        d, ith = tpl.d, tpl.ith
         self.f0 = np.zeros(len(tpl.M_struct))
         self.f0[: tpl.nx] = tpl.L_Q @ problem.x0
         self.f0[-d:] = -tpl.s_ref * (tpl.L_S @ problem.r_ref)
-        self.Mb = np.empty((len(problem.desired_bearings) * d, tpl.nx))
+        self.Mb = np.empty((len(problem.desired_bearings) * d, d))
         self.fb = np.empty(len(self.Mb))
         for k, (j, g) in enumerate(problem.desired_bearings):
             Pg = tpl.s_b * (np.eye(d) - np.outer(g, g))  # s_b P_g; OcpProblem checked that g is unit
-            self.Mb[k * d : (k + 1) * d] = Pg @ tpl.C
+            self.Mb[k * d : (k + 1) * d] = Pg
             self.fb[k * d : (k + 1) * d] = -(Pg @ np.asarray(problem.neighbor_anchors[j], dtype=float))
         self.H_cost = tpl.H_struct  # shared, read-only, when no bearing adds to it
         if len(self.Mb):
             self.H_cost = tpl.H_struct.copy()
-            self.H_cost[ixb, ixb] += 2.0 * self.Mb.T @ self.Mb
-        self.H_max = max(tpl.H_struct_max, float(np.max(np.abs(self.H_cost[ixb, ixb]))))
+            self.H_cost[ith, ith] += 2.0 * self.Mb.T @ self.Mb
+        self.H_max = max(tpl.H_struct_max, float(np.max(np.abs(self.H_cost[ith, ith]))))
 
     def unpack(self, z: np.ndarray):
         tpl = self.tpl
         u_seq = z[tpl.iu_all].reshape(tpl.N, tpl.nu).copy()
         x_seq = np.vstack([self.x0, z[tpl.ix_all].reshape(tpl.N, tpl.nx)])
-        return u_seq, x_seq, z[tpl.ixb].copy(), z[tpl.iub].copy()
+        return u_seq, x_seq, tpl.E @ z[tpl.ith], np.zeros(tpl.nu)
 
     def cost(self, z: np.ndarray) -> float:
         res = self.tpl.M_struct @ z + self.f0
-        res_b = self.Mb @ z[self.tpl.ixb] + self.fb
+        res_b = self.Mb @ z[self.tpl.ith] + self.fb
         return float(res @ res + res_b @ res_b)
 
     def cost_grad(self, z: np.ndarray) -> np.ndarray:
-        M, ixb = self.tpl.M_struct, self.tpl.ixb
+        M, ith = self.tpl.M_struct, self.tpl.ith
         grad = 2.0 * (M.T @ (M @ z + self.f0))  # the same bits as (2 M') (M z + f0): doubling is exact
-        grad[ixb] += 2.0 * (self.Mb.T @ (self.Mb @ z[ixb] + self.fb))
+        grad[ith] += 2.0 * (self.Mb.T @ (self.Mb @ z[ith] + self.fb))
         return grad
 
     def eq_constraints(self, z: np.ndarray) -> np.ndarray:
-        """Shooting gaps x_{l+1} - f(x_l, u_l), then the steady gap xbar - f(xbar, ubar)."""
+        """Shooting gaps x_{l+1} - f(x_l, u_l)."""
         tpl = self.tpl
-        shape = (tpl.N + 1, -1)
-        x_to = z[tpl.ix_all.start : tpl.ixb.stop]  # x_1 .. x_N, xbar
-        x_from = np.concatenate([self.x0, x_to[: -2 * tpl.nx], z[tpl.ixb]])
-        u = np.concatenate([z[tpl.iu_all], z[tpl.iub]])
-        return (x_to.reshape(shape) - tpl.model.step(x_from.reshape(shape), u.reshape(shape))).reshape(-1)
+        x_to = z[tpl.ix_all].reshape(tpl.N, tpl.nx)
+        x_from = np.vstack([self.x0, x_to[:-1]])
+        return (x_to - tpl.model.step(x_from, z[tpl.iu_all].reshape(tpl.N, tpl.nu))).reshape(-1)
 
     def eq_jacobian(self, z: np.ndarray) -> np.ndarray:
         if self.tpl.eq_jac is not None:
             return self.tpl.eq_jac
-        return self.tpl.eq_jacobian_at(*self.unpack(z))
+        return self.tpl.eq_jacobian_at(*self.unpack(z)[:2])
 
 
 _recent = threading.local()
@@ -581,18 +577,17 @@ def _phase1(ws: _Workspace, z: np.ndarray, opts: SqpOptions):
     return z, passes
 
 
-def _blocking_step(tpl: _Template, z: np.ndarray, step: np.ndarray, g: np.ndarray, g_try: np.ndarray, rows: np.ndarray):
-    """The fraction of `step` at which the first of `rows` reaches g = 0, and
-    that row.  Exact for the linear rows; along the step the terminal
+def _blocking_step(tpl: _Template, z: np.ndarray, step: np.ndarray, g: np.ndarray, g_try: np.ndarray, rows, level):
+    """The fraction of `step` at which the first of `rows` reaches g = level,
+    and that row.  Exact for the linear rows; along the step the terminal
     ellipsoid is a quadratic in the fraction, and its root is taken."""
-    g0 = g[rows]
+    g0 = g[rows] - level
     alpha = np.zeros(len(rows))
-    inside = g0 < 0.0  # a row already at or past g = 0 blocks at once
-    alpha[inside] = g0[inside] / (g0[inside] - g_try[rows][inside])
+    inside = g0 < 0.0  # a row already at or past the level blocks at once
+    alpha[inside] = g0[inside] / (g0[inside] - (g_try[rows][inside] - level))
     term = np.flatnonzero(rows == len(tpl.h))
     if len(term) and inside[term[0]]:
-        e = z[tpl.ixN] - z[tpl.ixb]
-        de = step[tpl.ixN] - step[tpl.ixb]
+        e, de = tpl.T_term @ z, tpl.T_term @ step
         a = float(de @ tpl.P_term @ de) / tpl.zeta_scale
         b = 2.0 * float(e @ tpl.P_term @ de) / tpl.zeta_scale
         disc = math.sqrt(b * b - 4.0 * a * g0[term[0]])
@@ -612,51 +607,42 @@ def _independent_rows(C_J: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.nd
     return np.sort(np.array(keep, dtype=int))
 
 
-def _saddle_solve(H: np.ndarray, C: np.ndarray, G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solution of the KKT system [[H, C', G'], [C, 0, 0], [G, 0, 0]] (primal, multipliers) = rhs."""
-    n, m = len(H), len(H) + len(C)
-    KKT = np.zeros((m + len(G), m + len(G)))
-    KKT[:n, :n], KKT[:n, n:m], KKT[n:m, :n], KKT[:n, m:], KKT[m:, :n] = H, C.T, C, G.T, G
-    return np.linalg.solve(KKT, rhs)
-
-
 def _kkt_solver(tpl: _Template, H: np.ndarray, lin: tuple):
     """Solver of one pass's KKT system for working rows G_A step = rhs_A;
-    returns (step, nu, lam) in one vector.  Models other than the double
-    integrator eliminate the shooting states: their rows C_u du + C_x dx = -c
-    have C_x unit block lower-bidiagonal, so a forward recursion gives
-    dx = S du + s0; H has no u-x block and H_xx is block-diagonal, so the
-    reduced Hessian in w = (u, xbar, ubar) is H_ww + S' H_xx S plus border
-    terms, and the shooting multipliers follow backwards from C_x' nu."""
+    returns (step, nu, lam) in one vector.
+
+    The shooting states are eliminated: the dynamics rows give dx = S du + s0
+    with s0 = -C_x^-1 c (`_Template.condense`), and theta does not enter
+    them.  H has no u-x block and H_xx is block-diagonal, so the reduced
+    Hessian in w = (u, theta) is H_ww + S' H_xx S plus border terms; the
+    factored system holds w and the working rows only, and the dynamics
+    multipliers follow from C_x' nu = -(grad_x + H[x, :] dz + G_x' lam)."""
     c, C_J, _, grad = lin
-    # the double integrator keeps the whole system until step 0 of ROADMAP.md item 2;
-    # condensed, it fails test_infeasible_warm_guess_reaches_the_cold_start_solution
-    # and test_dependent_working_rows_leave_the_set in tests/test_mpc.py
-    if tpl.model.constant_jacobians:
-        return lambda G_A, rhs_A: _saddle_solve(H, C_J, G_A, np.concatenate([-grad, -c, rhs_A]))
-    N, nx, n_dyn, n_u, ix, w = tpl.N, tpl.nx, tpl.N * tpl.nx, tpl.N * tpl.nu, tpl.ix_all, tpl.iw
+    Cx_inv, S = tpl.condense(C_J)
+    N, nx, n_dyn, n_u, ix, w = tpl.N, tpl.nx, tpl.n_eq, tpl.N * tpl.nu, tpl.ix_all, tpl.iw
     nw = len(w)
-    A = -C_J[tuple(tpl.x_prev_blocks)]  # A_1 .. A_{N-1}
-    S = np.hstack([-C_J[:n_dyn, w], -c[:n_dyn, None]])  # dx = S (w, 1), built stage by stage
-    for l in range(1, N):
-        S[l * nx : (l + 1) * nx] += A[l - 1] @ S[(l - 1) * nx : l * nx]
-    # HS = (H[x, :] T, grad_x) and K = (T' H T, T' grad) for T: (w, 1) -> dz
-    HS = (H[tuple(tpl.x_blocks)] @ S.reshape(N, nx, -1)).reshape(n_dyn, -1)
-    HS += np.c_[H[ix, w], grad[ix]]
-    K = S[:, :nw].T @ HS + np.c_[H[w][:, w], grad[w]]
-    K[n_u:] += H[tpl.ixb.start :, ix] @ S
+    T = np.zeros((n_dyn, nw + 1))  # dx = T (dw, 1)
+    T[:, :n_u] = S
+    T[:, nw] = -(Cx_inv @ c)
+    # HT = (H[x, :] dz, grad_x) and K = (the reduced Hessian, its gradient) as maps of (dw, 1)
+    HT = (H[tuple(tpl.x_blocks)] @ T.reshape(N, nx, -1)).reshape(n_dyn, -1)
+    HT[:, :nw] += H[ix, w]
+    HT[:, nw] += grad[ix]
+    K = np.empty((nw, nw + 1))
+    K[:, :nw], K[:, nw] = H[w][:, w], grad[w]
+    K[:n_u] += S.T @ HT
+    K[n_u:] += H[tpl.ith, ix] @ T
 
     def solve(G_A, rhs_A):
-        G_r = G_A[:, ix] @ S
+        G_r = G_A[:, ix] @ T
         G_r[:, :nw] += G_A[:, w]
-        rhs = np.concatenate([-K[:, nw], -c[n_dyn:], rhs_A - G_r[:, nw]])
-        red = _saddle_solve(K[:, :nw], C_J[n_dyn:, w], G_r[:, :nw], rhs)  # steady-gap rows, working rows
+        m = nw + len(G_A)
+        KKT = np.zeros((m, m))
+        KKT[:nw, :nw], KKT[:nw, nw:], KKT[nw:, :nw] = K[:, :nw], G_r[:, :nw].T, G_r[:, :nw]
+        red = np.linalg.solve(KKT, np.concatenate([-K[:, nw], rhs_A - G_r[:, nw]]))
         dw1 = np.append(red[:nw], 1.0)
-        # C_x' nu = -(grad_x + H[x, :] dz + G_x' lam), solved backwards
-        nu = -(HS @ dw1 + G_A[:, ix].T @ red[nw + nx :]).reshape(N, nx)
-        for l in range(N - 2, -1, -1):
-            nu[l] += A[l].T @ nu[l + 1]
-        return np.concatenate([red[:n_u], S @ dw1, red[n_u:nw], nu.reshape(-1), red[nw:]])
+        nu = -(Cx_inv.T @ (HT @ dw1 + G_A[:, ix].T @ red[nw:]))
+        return np.concatenate([red[:n_u], T @ dw1, red[n_u:nw], nu, red[nw:]])
 
     return solve
 
@@ -671,21 +657,32 @@ def _kkt_residual(lin: tuple, mult: np.ndarray) -> float:
 # passes a working set is held, once a point has passed, before the best
 # passing point is taken instead of waiting for machine precision
 REFINE_PASSES = 6
+# the working tolerance of the active set (EXPAND: Gill, Murray, Saunders &
+# Wright, Math. Programming 1989), as fractions of the backoff taken in turn,
+# one per pass: it doubles while below one half, then starts again
+EXPAND_STEPS = (0.05, 0.1, 0.2, 0.4)
 
 
 def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, passes: int):
     """Primal active-set SQP from a near-feasible z.
 
-    Each pass is one Newton step on the KKT system of the cost, the
-    linearised dynamics and the working set, whose rows are held at
-    g = -backoff; it gives the multipliers (nu, lam) too.  A row whose lam
-    is negative leaves the set, provided it is satisfied, and so does a row
-    that the dynamics and the other rows already fix; the step is then
-    solved again.  The Hessian is the Lagrangian's: the terminal row (the
-    only curved inequality) and the dynamics add their curvature, weighted
-    by the last KKT solve's lam and nu.  A step that would carry a row
-    outside the set past g = 0 stops on the first such row, which joins.
-    The KKT system is condensed when the Jacobians vary (`_kkt_solver`).
+    Every inequality is treated as g <= -backoff.  Each pass is one Newton
+    step on the KKT system of the cost, the linearised dynamics and the
+    working set, whose rows are held at g = -backoff; it gives the
+    multipliers (nu, lam) too.  A row whose lam is negative leaves the set
+    once it is within the working tolerance delta of -backoff, and so does
+    a row that the dynamics and the other rows already fix; the step is then
+    solved again.  A step that would raise a row outside the set past
+    -backoff + delta stops where the first such row reaches that level, and
+    the row joins; a row already above the level (one that a restart of
+    delta or a dependent pair left there) blocks at once, but only when the
+    step raises it.  delta grows every pass (EXPAND_STEPS), so a row that
+    left stays clear of the level for the next step, and no step is cut to
+    zero length over and over at a degenerate point; every delta stays below
+    backoff / 2, so each accepted point is strictly feasible.  The Hessian is
+    the Lagrangian's: the terminal row (the only curved inequality) and the
+    dynamics add their curvature, weighted by the last KKT solve's lam and
+    nu.  Each KKT system is condensed (`_kkt_solver`).
 
     A stepped point passes when it is feasible, its dynamics gap is small,
     no lam is negative and its stationarity residual with (nu, lam) is
@@ -706,8 +703,9 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
     best = None
     held = 0
     lin = _linearization(ws, z, work)
-    while passes < opts.max_iter:
+    for k in range(opts.max_iter - passes):
         passes += 1
+        delta = EXPAND_STEPS[k % len(EXPAND_STEPS)] * opts.backoff
         _, C_J, G_A, _ = lin
         H = ws.H_cost.copy()  # H_cost + reg I + lam_term H_term, bit for bit, without nz x nz temporaries
         H.flat[:: nz + 1] += reg
@@ -721,7 +719,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
             try:
                 sol = kkt_solve(G_A, -(g[work] + opts.backoff))
                 lam = sol[nz + n_eq :]
-                keep = np.flatnonzero(~((lam < -1e-9) & (g[work] <= 1e-12)))
+                keep = np.flatnonzero(~((lam < -1e-9) & (g[work] + opts.backoff <= delta)))
             except np.linalg.LinAlgError:
                 # a singular KKT matrix: some working rows depend on the others
                 keep = _independent_rows(C_J, G_A, g[work])
@@ -737,9 +735,10 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
         step = sol[:nz]
         z_try = z + step
         g_try = tpl.ineq_values(z_try)
-        blocking = np.setdiff1d(np.flatnonzero(g_try > 1e-12), work)
+        level = delta - opts.backoff
+        blocking = np.setdiff1d(np.flatnonzero((g_try > level) & (g_try > g)), work)
         if len(blocking):
-            alpha, row = _blocking_step(tpl, z, step, g, g_try, blocking)
+            alpha, row = _blocking_step(tpl, z, step, g, g_try, blocking, level)
             z = z + alpha * step
             g = tpl.ineq_values(z)
             work = np.union1d(work, [row])

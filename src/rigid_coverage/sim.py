@@ -174,7 +174,6 @@ def _decentralized(team: _Team, config: SimConfig, terminals: dict, shrunk) -> l
             desired_bearings=tuple((j, g_des[(li, j)] if li < j else -g_des[(j, li)]) for j in neigh),
             neighbor_anchors={j: team.refs[j] for j in neigh},
             setpoint_region=shrunk,
-            steady_margin=config.epsilon,
         )
         warm = shift_warm_start(problem, prev) if prev is not None else None
         sols.append(solve_ocp(problem, warm=warm, options=config.solver))

@@ -2,8 +2,10 @@
 replaced it, kept as a test reference.
 
 The options, the solution record and the three solver functions below are
-copied verbatim from that version of `rigid_coverage/mpc.py`; the template,
-workspace and cold start they call are unchanged in the package.  Their
+copied verbatim from that version of `rigid_coverage/mpc.py`, except that
+`np.eye(nz)` stands for the template's identity, which the package no longer
+keeps.  They call the package's template, workspace and cold start, so they
+solve the package's current layout of the problem.  Their
 `np` is a recorder: `_polish` calls `np.delete` only to drop rows with a
 negative multiplier and `np.union1d` only to add rows a step crossed, so
 `np.dropped` and `np.crossed` tell which solves left the working set of the
@@ -111,7 +113,7 @@ def _polish(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float):
         c = ws.eq_constraints(z)
         C_J = ws.eq_jacobian(z)
         grad = ws.cost_grad(z)
-        H = ws.H_cost + reg * tpl.eye + lam_term * tpl.H_term
+        H = ws.H_cost + reg * np.eye(nz) + lam_term * tpl.H_term
         sol = lam = None
         for _drop in range(8):
             nA = len(work)
@@ -239,7 +241,7 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
 
         nz = tpl.nz
         KKT = np.zeros((nz + tpl.n_eq, nz + tpl.n_eq))
-        KKT[:nz, :nz] = H + reg * tpl.eye
+        KKT[:nz, :nz] = H + reg * np.eye(nz)
         KKT[:nz, nz:] = C_J.T
         KKT[nz:, :nz] = C_J
         rhs = np.concatenate([-grad, -c])

@@ -286,7 +286,7 @@ def test_criterion_08_infeasible_reference_converges_to_offset_optimum():
     def make_problem(state):
         return OcpProblem(
             model=model, horizon=10, weights=weights, terminal=ts, x0=state,
-            r_ref=r_ref, setpoint_region=shrunk, steady_margin=epsilon,
+            r_ref=r_ref, setpoint_region=shrunk,
         )
 
     r_dag = offset_optimum(make_problem(x))

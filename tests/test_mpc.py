@@ -1,10 +1,13 @@
 """Tracking OCP: cost terms, SQP solver, warm starts, offset optimum."""
 import gc
+import os
+import subprocess
 import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +46,7 @@ def square_region(margin=0.02):
 
 
 def make_problem(model, terminal, x0, r_ref, mu=1.0, bearings=(), anchors=None,
-                 region=None, margin=0.0, horizon=10):
+                 region=None, horizon=10):
     return OcpProblem(
         model=model,
         horizon=horizon,
@@ -54,7 +57,6 @@ def make_problem(model, terminal, x0, r_ref, mu=1.0, bearings=(), anchors=None,
         desired_bearings=bearings,
         neighbor_anchors=anchors or {},
         setpoint_region=region,
-        steady_margin=margin,
     )
 
 
@@ -144,7 +146,7 @@ class TestSolveNominal:
     def test_solution_is_feasible_and_stationary(self, double_integrator, terminal_double):
         prob = make_problem(
             double_integrator, terminal_double, np.array([0.2, 0.2, 0.0, 0.0]),
-            [0.6, 0.5], region=square_region(), margin=0.02,
+            [0.6, 0.5], region=square_region(),
         )
         sol = solve_ocp(prob)
         assert sol.status == "solved"
@@ -166,7 +168,7 @@ class TestSolveNominal:
         prev_state = None
         for _ in range(45):
             prob = make_problem(double_integrator, terminal_double, x, r,
-                                region=square_region(), margin=0.02)
+                                region=square_region())
             warm = shift_warm_start(prob, prev) if prev is not None else None
             sol = solve_ocp(prob, warm=warm)
             assert sol.status == "solved"
@@ -184,7 +186,7 @@ class TestSolveNominal:
 
     def test_drag_model_solves(self, drag_model, terminal_drag):
         prob = make_problem(drag_model, terminal_drag, np.array([0.3, 0.3, 0.1, 0.0]),
-                            [0.7, 0.6], region=square_region(), margin=0.02)
+                            [0.7, 0.6], region=square_region())
         sol = solve_ocp(prob)
         assert sol.status == "solved"
         report = solution_feasibility(prob, sol)
@@ -267,7 +269,7 @@ class TestAgainstConvexReference:
         assert sol.cost <= ref.value * (1 + 2e-3)
 
 
-def _scipy_reference(model, ts, x0, r_ref, horizon, region=None, margin=0.0):
+def _scipy_reference(model, ts, x0, r_ref, horizon, region=None):
     """Optimal cost and setpoint of the tracking problem (mu = 1, no
     bearings) from SLSQP, on the variables, cost and constraints of the
     cvxpy cross-checks, written out independently of the solver.  The step
@@ -312,8 +314,8 @@ def _scipy_reference(model, ts, x0, r_ref, horizon, region=None, margin=0.0):
         E[N * nx :, ixb : ixb + nx] = np.eye(nx) - A[N]
         E[N * nx :, ixb + nx :] = -B[N]
         return E
-    # inequalities F w <= f: input and speed boxes, the steady pair kept
-    # `margin` inside them, and the setpoint polygon
+    # inequalities F w <= f: input and speed boxes, the steady pair's too,
+    # and the setpoint polygon
     F, f = [], []
 
     def box(col, bound):
@@ -329,9 +331,9 @@ def _scipy_reference(model, ts, x0, r_ref, horizon, region=None, margin=0.0):
         for k in range(2, nx):
             box(l * nx + k, model.v_max)
     for k in range(2, nx):
-        box(ixb + k, model.v_max - margin)
+        box(ixb + k, model.v_max)
     for k in range(nu):
-        box(ixb + nx + k, model.u_max - margin)
+        box(ixb + nx + k, model.u_max)
     if region is not None:
         Ar, br = region.half_planes()
         for a_row, b_val in zip(Ar @ C, br):
@@ -393,14 +395,14 @@ class TestAgainstScipyReference:
     ):
         model, ts = (drag_model, terminal_drag) if drag else (double_integrator, terminal_double)
         x0, r_ref, N = np.array(x0), np.array(r_ref), 10
-        region, margin = (None, 0.0) if region is None else (square_region(region), region)
-        prob = make_problem(model, ts, x0, r_ref, horizon=N, region=region, margin=margin)
+        region = None if region is None else square_region(region)
+        prob = make_problem(model, ts, x0, r_ref, horizon=N, region=region)
         sol = solve_ocp(prob)
         assert sol.status == "solved"
         assert solution_feasibility(prob, sol)["inequality"] <= 1e-12
         if region is None:  # the long trip holds an input row
             assert np.max(np.abs(sol.u_seq)) >= model.u_max - SqpOptions().backoff - 1e-9
-        ref_cost, ref_rbar = _scipy_reference(model, ts, x0, r_ref, N, region, margin)
+        ref_cost, ref_rbar = _scipy_reference(model, ts, x0, r_ref, N, region)
         assert sol.cost >= ref_cost - 1e-7
         assert sol.cost <= ref_cost * (1 + 2e-3)
         assert np.allclose(sol.rbar, ref_rbar, atol=1e-3)
@@ -443,8 +445,8 @@ class TestWarmStart:
         # stop test reads the multipliers of the KKT solve it stepped with
         model, ts = (drag_model, terminal_drag) if drag else (double_integrator, terminal_double)
         x0 = np.array([0.2, 0.2, 0.0, 0.0])
-        prev = solve_ocp(make_problem(model, ts, x0, [0.6, 0.5], region=square_region(), margin=0.02))
-        prob = make_problem(model, ts, model.step(x0, prev.u_seq[0]), [0.6, 0.5], region=square_region(), margin=0.02)
+        prev = solve_ocp(make_problem(model, ts, x0, [0.6, 0.5], region=square_region()))
+        prob = make_problem(model, ts, model.step(x0, prev.u_seq[0]), [0.6, 0.5], region=square_region())
         warm = shift_warm_start(prob, prev)
         calls = []
         lstsq = np.linalg.lstsq
@@ -551,12 +553,12 @@ class TestTemplateCache:
     def problem_factories(self, double_integrator, drag_model, terminal_double, terminal_drag):
         """Problems that share a template (differing in x0, r_ref or the
         bearings) next to problems whose keys differ only in horizon,
-        setpoint region or steady margin."""
+        setpoint region or mu."""
         bearings = ((1, np.array([0.6, 0.8])), (3, np.array([1.0, 0.0])))
         anchors = {1: np.array([0.4, 0.7]), 3: np.array([0.8, 0.45])}
         factories = []
         for model, ts in ((double_integrator, terminal_double), (drag_model, terminal_drag)):
-            base = dict(region=square_region(), margin=0.02, mu=0.7)
+            base = dict(region=square_region(), mu=0.7)
             factories += [
                 lambda m=model, t=ts, b=base: make_problem(m, t, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5], **b),
                 lambda m=model, t=ts, b=base: make_problem(m, t, [0.3, 0.25, 0.1, 0.0], [0.6, 0.5], **b),
@@ -565,9 +567,9 @@ class TestTemplateCache:
                     m, t, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5], bearings=bearings, anchors=anchors, **b),
                 lambda m=model, t=ts, b=base: make_problem(m, t, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5], horizon=7, **b),
                 lambda m=model, t=ts: make_problem(
-                    m, t, [0.2, 0.2, 0.0, 0.0], [0.9, 0.5], region=square_region(0.15), margin=0.02, mu=0.7),
+                    m, t, [0.2, 0.2, 0.0, 0.0], [0.9, 0.5], region=square_region(0.15), mu=0.7),
                 lambda m=model, t=ts: make_problem(
-                    m, t, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5], region=square_region(), margin=0.45, mu=0.7),
+                    m, t, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5], region=square_region(), mu=0.8),
             ]
         return factories
 
@@ -698,14 +700,14 @@ class TestTemplateCache:
 
 
 def _loop_linear_ineq(problem):
-    """Row-by-row construction of G and h: per column of z, the upper face
-    then the lower one, the steady pair shrunk by the margin, then the
-    setpoint polygon."""
+    """Row-by-row construction of G and h: per column of the inputs and
+    states, the upper face then the lower one, then the setpoint polygon on
+    theta.  The steady pair (theta, 0) has no box rows."""
     tpl = mpc._workspace(problem).tpl
     model = problem.model
     rows, offs = [], []
 
-    def box(idx, bounds, margin=0.0):
+    def box(idx, bounds):
         for k, (lo, hi) in enumerate(zip(bounds.lower, bounds.upper)):
             for bound, sign in ((hi, 1.0), (-lo, -1.0)):
                 if np.isfinite(bound):
@@ -713,28 +715,26 @@ def _loop_linear_ineq(problem):
                     row = np.zeros(tpl.nz)
                     row[idx.start + k] = sign / scale
                     rows.append(row)
-                    offs.append((bound - margin) / scale)
+                    offs.append(bound / scale)
 
     for l in range(tpl.N):
         box(tpl.iu(l), model.input_bounds)
     for l in range(1, tpl.N + 1):
         box(tpl.ix(l), model.state_bounds)
-    box(tpl.ixb, model.state_bounds, problem.steady_margin)
-    box(tpl.iub, model.input_bounds, problem.steady_margin)
     if problem.setpoint_region is not None:
         A, b = problem.setpoint_region.half_planes()
-        for a_row, b_val in zip(A @ model.C, b):
+        for a_row, b_val in zip(A, b):
             scale = max(1.0, abs(b_val))
             row = np.zeros(tpl.nz)
-            row[tpl.ixb] = a_row / scale
+            row[tpl.ith] = a_row / scale
             rows.append(row)
             offs.append(b_val / scale)
     return np.vstack(rows), np.asarray(offs)
 
 
-def _loop_eq_jacobian(tpl, u_seq, x_seq, xbar, ubar):
+def _loop_eq_jacobian(tpl, u_seq, x_seq):
     """Stage-by-stage assembly of the equality Jacobian, one `jacobians`
-    call per stage and one for the steady pair."""
+    call per stage; theta enters no dynamics row."""
     nx, N = tpl.nx, tpl.N
     J = np.zeros((tpl.n_eq, tpl.nz))
     for l in range(N):
@@ -744,30 +744,28 @@ def _loop_eq_jacobian(tpl, u_seq, x_seq, xbar, ubar):
         if l >= 1:
             J[r, tpl.ix(l)] = -A
         J[r, tpl.iu(l)] = -B
-    A, B = tpl.model.jacobians(xbar, ubar)
-    J[N * nx :, tpl.ixb] = np.eye(nx) - A
-    J[N * nx :, tpl.iub] = -B
     return J
 
 
 def _loop_cost_rows(problem):
-    """Stage-by-stage construction of the structural cost rows M_struct."""
+    """Stage-by-stage construction of the structural cost rows M_struct; the
+    steady pair is xbar = C' theta (at rest at theta) and ubar = 0."""
     tpl = mpc._workspace(problem).tpl
     w, N, nx, nu = problem.weights, tpl.N, tpl.nx, tpl.nu
     L_Q, L_R, L_P = (mpc._psd_sqrt(Q) for Q in (w.Q, w.R, problem.terminal.P))
+    E = problem.model.C.T
     M = np.zeros_like(tpl.M_struct)
-    M[:nx, tpl.ixb] = -L_Q
+    M[:nx, tpl.ith] = -L_Q @ E
     for l in range(1, N):
         M[l * nx : (l + 1) * nx, tpl.ix(l)] = L_Q
-        M[l * nx : (l + 1) * nx, tpl.ixb] = -L_Q
+        M[l * nx : (l + 1) * nx, tpl.ith] = -L_Q @ E
     for l in range(N):
         r = N * nx + l * nu
         M[r : r + nu, tpl.iu(l)] = L_R
-        M[r : r + nu, tpl.iub] = -L_R
     r = N * (nx + nu)
     M[r : r + nx, tpl.ixN] = L_P
-    M[r : r + nx, tpl.ixb] = -L_P
-    M[r + nx :, tpl.ixb] = np.sqrt(w.mu) * (mpc._psd_sqrt(w.S_r) @ problem.model.C)
+    M[r : r + nx, tpl.ith] = -L_P @ E
+    M[r + nx :, tpl.ith] = np.sqrt(w.mu) * mpc._psd_sqrt(w.S_r)
     return M
 
 
@@ -784,7 +782,7 @@ def _loop_residual(problem):
     s_b = np.sqrt((1.0 - w.mu) * w.w_b)
     for j, g in problem.desired_bearings:
         block = np.zeros((d, tpl.nz))
-        block[:, tpl.ixb] = s_b * bearing_projector(g) @ problem.model.C
+        block[:, tpl.ith] = s_b * bearing_projector(g)
         rows.append(block)
         offsets.append(-s_b * bearing_projector(g) @ problem.neighbor_anchors[j])
     return np.vstack(rows), np.concatenate(offsets)
@@ -800,7 +798,7 @@ class TestClosedFormCost:
         anchors = {1: np.array([0.4, 0.7]), 3: np.array([0.8, 0.45]), 4: np.array([0.1, 0.9])}
         bearings = tuple((j, np.array([np.cos(a), np.sin(a)])) for j, a in angles.items())[:n_bearings]
         return make_problem(model, ts, [0.2, 0.3, 0.1, -0.2], [0.6, 0.5], mu=mu, bearings=bearings,
-                            anchors=anchors, region=square_region(), margin=0.02, horizon=horizon)
+                            anchors=anchors, region=square_region(), horizon=horizon)
 
     @pytest.mark.parametrize("n_bearings", [0, 1, 3])
     @pytest.mark.parametrize("horizon", [1, 2, 10, 40])
@@ -833,11 +831,8 @@ class TestClosedFormCost:
     def test_a_bearing_free_problem_keeps_the_bits_of_the_residual_matrix(
         self, monkeypatch, linear, horizon, double_integrator, drag_model, terminal_double, terminal_drag
     ):
-        # Without bearings the closed form must run the arithmetic of the
-        # residual matrix bit for bit.  The warm and cold solves of
-        # TestPhaseOneAndFallback::test_infeasible_warm_guess_reaches_the_cold_start_solution
-        # meet or not depending on round-off (ROADMAP.md item 2); a cost
-        # written as z'Hz/2 + q'z + c moved its bits and made it fail.
+        # Without bearings the closed form runs the arithmetic of the
+        # residual matrix bit for bit
         model, ts = (double_integrator, terminal_double) if linear else (drag_model, terminal_drag)
         prob = self._problem(model, ts, horizon, 0)
         ws = mpc._workspace(prob)
@@ -873,18 +868,17 @@ class _SkewedBoxes(DoubleIntegrator):
 class TestVectorisedLayout:
     """The vectorised template and instance against per-stage loops."""
 
-    @pytest.fixture(params=[("linear", None, 0.0, 10), ("linear", 0.02, 0.02, 1), ("drag", 0.02, 0.02, 10),
-                            ("drag", None, 0.1, 3), ("skewed", 0.02, 0.05, 4)])
+    @pytest.fixture(params=[("linear", None, 10), ("linear", 0.02, 1), ("drag", 0.02, 10),
+                            ("drag", None, 3), ("skewed", 0.02, 4)])
     def problem(self, request, double_integrator, drag_model, terminal_double, terminal_drag):
-        kind, region_margin, margin, horizon = request.param
+        kind, region_margin, horizon = request.param
         model, ts = {
             "linear": (double_integrator, terminal_double),
             "drag": (drag_model, terminal_drag),
             "skewed": (_SkewedBoxes(), terminal_double),
         }[kind]
         region = None if region_margin is None else square_region(region_margin)
-        return make_problem(model, ts, [0.2, 0.3, 0.1, -0.2], [0.6, 0.5], region=region,
-                            margin=margin, horizon=horizon)
+        return make_problem(model, ts, [0.2, 0.3, 0.1, -0.2], [0.6, 0.5], region=region, horizon=horizon)
 
     def test_inequality_rows_match_the_loop(self, problem):
         G, h = _loop_linear_ineq(problem)
@@ -904,8 +898,8 @@ class TestVectorisedLayout:
         ws = mpc._workspace(make_problem(model, ts, [0.2, 0.2, 0.1, -0.05], [0.6, 0.5], horizon=horizon))
         z = np.random.default_rng(horizon).uniform(-0.4, 0.4, ws.tpl.nz)
         z[ws.tpl.ix(1)][2:] = 0.0  # a stage at rest
-        J = ws.tpl.eq_jacobian_at(*ws.unpack(z))
-        np.testing.assert_allclose(J, _loop_eq_jacobian(ws.tpl, *ws.unpack(z)), rtol=1e-15, atol=0.0)
+        J = ws.tpl.eq_jacobian_at(*ws.unpack(z)[:2])
+        np.testing.assert_allclose(J, _loop_eq_jacobian(ws.tpl, *ws.unpack(z)[:2]), rtol=1e-15, atol=0.0)
 
     def test_pack_unpack_and_dynamics_gaps_match_the_loop(self, problem):
         ws = mpc._workspace(problem)
@@ -915,10 +909,11 @@ class TestVectorisedLayout:
         u_seq, x_seq, xbar, ubar = ws.unpack(z)
         assert np.array_equal(u_seq, np.stack([z[tpl.iu(l)] for l in range(N)]))
         assert np.array_equal(x_seq, np.vstack([problem.x0] + [z[tpl.ix(l)] for l in range(1, N + 1)]))
-        assert np.array_equal(xbar, z[tpl.ixb]) and np.array_equal(ubar, z[tpl.iub])
+        # the steady pair at rest at theta
+        assert np.array_equal(xbar, np.r_[z[tpl.ith], 0.0, 0.0]) and np.array_equal(ubar, np.zeros(2))
+        assert np.array_equal(model.step(xbar, ubar), xbar)
         assert np.array_equal(tpl.pack(u_seq, x_seq, xbar, ubar), z)
         gaps = [x_seq[l + 1] - model.step(x_seq[l], u_seq[l]) for l in range(N)]
-        gaps.append(xbar - model.step(xbar, ubar))
         assert np.array_equal(ws.eq_constraints(z), np.concatenate(gaps))
 
 
@@ -939,8 +934,8 @@ class TestConstantJacobian:
         z2 = rng.uniform(-0.4, 0.4, ws.tpl.nz)
         J1, J2 = ws.eq_jacobian(z1), ws.eq_jacobian(z2)
         # the Jacobian assembled from linearize at z is what either path returns
-        assert np.array_equal(J1, ws.tpl.eq_jacobian_at(*ws.unpack(z1)))
-        assert np.array_equal(J2, ws.tpl.eq_jacobian_at(*ws.unpack(z2)))
+        assert np.array_equal(J1, ws.tpl.eq_jacobian_at(*ws.unpack(z1)[:2]))
+        assert np.array_equal(J2, ws.tpl.eq_jacobian_at(*ws.unpack(z2)[:2]))
         if linear:
             assert J1 is J2 is ws.tpl.eq_jac
         else:
@@ -962,7 +957,7 @@ class TestConstantJacobian:
         monkeypatch.setattr(mpc._Template, "eq_jacobian_at", recorded_build)
         monkeypatch.setattr(mpc, "linearize", counted_linearize)
         prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
-                            region=square_region(), margin=0.02)
+                            region=square_region())
         sol = solve_ocp(prob)
         assert sol.status == "solved" and sol.iterations >= 3
         assert len(builds) >= sol.iterations
@@ -971,10 +966,10 @@ class TestConstantJacobian:
 
     def test_template_arrays_are_read_only(self, double_integrator, terminal_double):
         prob = make_problem(double_integrator, terminal_double, np.zeros(4), [0.5, 0.5],
-                            region=square_region(), margin=0.02)
+                            region=square_region())
         tpl = mpc._workspace(prob).tpl
         arrays = {name: v for name, v in vars(tpl).items() if isinstance(v, np.ndarray)}
-        assert {"G", "h", "M_struct", "H_struct", "H_term", "eye", "eq_struct", "eq_jac"} <= set(arrays)
+        assert {"G", "h", "M_struct", "H_struct", "H_term", "T_term", "eq_struct", "eq_jac", "Cx_inv", "S"} <= set(arrays)
         for name, arr in arrays.items():
             assert not arr.flags.writeable, name
         with pytest.raises(ValueError):
@@ -987,7 +982,7 @@ def _drag_chain(model, ts, horizon, x, r_ref, steps=5):
     """Solves of a short closed loop, each warm-started from the last one's shift."""
     sols, prev = [], None
     for _ in range(steps):
-        prob = make_problem(model, ts, x, r_ref, mu=0.7, region=square_region(), margin=0.02, horizon=horizon)
+        prob = make_problem(model, ts, x, r_ref, mu=0.7, region=square_region(), horizon=horizon)
         sol = solve_ocp(prob, warm=shift_warm_start(prob, prev) if prev is not None else None)
         sols.append(sol)
         x, prev = model.step(x, sol.u_seq[0]), sol
@@ -1009,7 +1004,6 @@ class TestExactHessian:
         for l in (1, 2, 3):
             v = rng.normal(size=2)
             z[tpl.ix(l)][2:] = rng.uniform(0.1, 0.45) * v / np.linalg.norm(v)
-        z[tpl.ixb][2:] = np.array([0.3, -0.2])
         nu = rng.uniform(-3.0, 3.0, tpl.n_eq)
         H = ws.H_cost.copy()
         tpl.add_dynamics_curvature(H, z, nu)
@@ -1034,9 +1028,9 @@ class TestExactHessian:
         monkeypatch.setattr(mpc, "_kkt_residual", lambda *a: residuals.append(kkt_residual(*a)) or residuals[-1])
         x = np.array([0.2, 0.2, 0.3, -0.2])
         first = solve_ocp(make_problem(drag_model, terminal_drag, x, [0.7, 0.5], mu=0.7,
-                                       region=square_region(), margin=0.02))
+                                       region=square_region()))
         prob = make_problem(drag_model, terminal_drag, drag_model.step(x, first.u_seq[0]), [0.7, 0.5], mu=0.7,
-                            region=square_region(), margin=0.02)
+                            region=square_region())
         residuals.clear()
         sol = solve_ocp(prob, warm=shift_warm_start(prob, first))
         assert sol.status == "solved"
@@ -1080,18 +1074,18 @@ class TestExactHessian:
         assert chain[0].iterations < 20
 
 
-def _drag_pass(drag_model, terminal_drag, horizon, seed):
-    """A drag problem with a bearing, at a random point, and the Hessian of
-    an active-set pass there: cost, regularisation, terminal curvature and
-    the dynamics' curvature under random multipliers."""
-    prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
+def _pass(model, ts, horizon, seed):
+    """A problem with a bearing, at a random point, and the Hessian of an
+    active-set pass there: cost, regularisation, terminal curvature and the
+    dynamics' curvature under random multipliers."""
+    prob = make_problem(model, ts, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
                         bearings=((1, np.array([0.6, 0.8])),), anchors={1: np.array([0.3, 0.4])},
-                        region=square_region(), margin=0.02, horizon=horizon)
+                        region=square_region(), horizon=horizon)
     ws = mpc._workspace(prob)
     tpl = ws.tpl
     rng = np.random.default_rng(seed)
     z = rng.uniform(-0.4, 0.4, tpl.nz)
-    H = ws.H_cost + 1e-9 * tpl.eye + 0.7 * tpl.H_term
+    H = ws.H_cost + 1e-9 * np.eye(tpl.nz) + 0.7 * tpl.H_term
     tpl.add_dynamics_curvature(H, z, rng.uniform(-3.0, 3.0, tpl.n_eq))
     return ws, z, H, rng
 
@@ -1102,37 +1096,65 @@ def _box_row(tpl, col, upper):
     return row
 
 
+def _dependent_start(model, ts):
+    """A warm start holding u_0,y and v_1,y both backoff/2 below their
+    upper bounds: the dynamics tie the two rows, dv_1,y = h du_0,y."""
+    N, slack = 11, 1e-4
+    # v_1,y = v + h (u_max - slack - drag v^2) = v_max - slack, a quadratic in v (linear without drag)
+    a, c = -model.h * model.drag, model.h * (model.u_max - slack) - (model.v_max - slack)
+    x0 = np.array([0.5, 0.2, 0.0, -2.0 * c / (1.0 + np.sqrt(1.0 - 4.0 * a * c))])
+    prob = make_problem(model, ts, x0, [0.5, 1.5], mu=0.75, region=square_region(), horizon=N)
+    steady = ts.translated_steady(model, np.array([0.5, 0.5]))
+    u_seq, x_seq = np.zeros((N, 2)), np.zeros((N + 1, 4))
+    x_seq[0] = x0
+    for l in range(N):
+        u = steady.u + ts.K @ (x_seq[l] - steady.x)
+        u_seq[l] = [0.0, model.u_max - slack] if l == 0 else np.clip(u, -model.u_max, model.u_max)
+        x_seq[l + 1] = model.step(x_seq[l], u_seq[l])
+    assert x_seq[1, 3] == pytest.approx(model.v_max - slack, abs=1e-12)
+    warm = OcpSolution(u_seq, x_seq, steady.x, steady.u, steady.r, 0.0, "candidate")
+    assert solution_feasibility(prob, warm)["inequality"] < 0.0
+    return prob, warm
+
+
 class TestCondensedKkt:
-    """Models whose Jacobians depend on the state solve each pass's KKT
-    system with the shooting states eliminated (`_kkt_solver`); the
-    (step, nu, lam) it returns is the full system's."""
+    """Both models solve each pass's KKT system with the shooting states
+    eliminated (`_kkt_solver`); the (step, nu, lam) it returns is the full
+    system's."""
+
+    @pytest.fixture(params=["linear", "drag"])
+    def model_and_terminal(self, request, double_integrator, drag_model, terminal_double, terminal_drag):
+        return (double_integrator, terminal_double) if request.param == "linear" else (drag_model, terminal_drag)
 
     @pytest.mark.parametrize("horizon", [1, 2, 10, 40])
-    def test_the_blocks_the_elimination_relies_on(self, horizon, drag_model, terminal_drag):
-        ws, z, H, _ = _drag_pass(drag_model, terminal_drag, horizon, seed=horizon)
+    def test_the_blocks_the_elimination_relies_on(self, horizon, model_and_terminal):
+        ws, z, H, _ = _pass(*model_and_terminal, horizon, seed=horizon)
         tpl = ws.tpl
         N, nx, x = tpl.N, tpl.nx, tpl.ix_all
-        # H: no u-x block, H_xx block-diagonal, the border coupled to x
+        # H: no u-x block, H_xx block-diagonal, theta coupled to x
         assert not np.any(H[tpl.iu_all, x])
         diagonal = mpc._diagonal_blocks(N, 0, 0, nx, nx)
         H_xx = np.zeros((N * nx, N * nx))
         H_xx[diagonal] = H[x, x][diagonal]
         assert np.array_equal(H[x, x], H_xx)
-        assert np.any(H[x, tpl.ixb])
-        # shooting rows: unit block lower-bidiagonal in x, nothing on the
-        # border; steady-gap rows: the border only
+        assert np.any(H[x, tpl.ith])
+        # only shooting rows: unit block lower-bidiagonal in x, nothing on theta
         C_J = ws.eq_jacobian(z)
-        C_x = C_J[: N * nx, x].copy()
+        Cx_inv, S = tpl.condense(C_J)
+        assert C_J.shape == (N * nx, tpl.nz)
+        C_x = C_J[:, x].copy()
         assert np.array_equal(C_x[diagonal], np.broadcast_to(np.eye(nx), (N, nx, nx)))
+        assert not np.any(C_J[:, tpl.ith])
+        # the condensing inverts C_x and maps du to dx
+        np.testing.assert_allclose(Cx_inv @ C_x, np.eye(N * nx), rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(S, -Cx_inv @ C_J[:, tpl.iu_all], rtol=0.0, atol=1e-13)
         C_x[diagonal] = 0.0
         C_x[mpc._diagonal_blocks(N - 1, nx, 0, nx, nx)] = 0.0
         assert not np.any(C_x)
-        assert not np.any(C_J[: N * nx, tpl.ixb.start :])
-        assert not np.any(C_J[N * nx :, : tpl.ixb.start])
 
     @pytest.mark.parametrize("horizon", [1, 2, 10, 40])
-    def test_matches_the_full_kkt_solve(self, horizon, drag_model, terminal_drag):
-        ws, z, H, rng = _drag_pass(drag_model, terminal_drag, horizon, seed=100 + horizon)
+    def test_matches_the_full_kkt_solve(self, horizon, model_and_terminal):
+        ws, z, H, rng = _pass(*model_and_terminal, horizon, seed=100 + horizon)
         tpl = ws.tpl
         N, nx, nz, n_eq = tpl.N, tpl.nx, tpl.nz, tpl.n_eq
         n_region = len(square_region().half_planes()[1])
@@ -1161,47 +1183,23 @@ class TestCondensedKkt:
             np.testing.assert_allclose(got[part], want[part], rtol=0.0, atol=1e-10 * np.max(np.abs(want[part])))
 
     @pytest.mark.parametrize("horizon", [10, 40])
-    def test_a_drag_solve_factors_no_full_kkt_matrix(self, monkeypatch, horizon, drag_model, terminal_drag):
+    def test_a_solve_factors_no_full_kkt_matrix(self, monkeypatch, horizon, model_and_terminal):
         sizes = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: sizes.append(len(a)) or solve(a, b))
-        prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
-                            region=square_region(), margin=0.02, horizon=horizon)
+        prob = make_problem(*model_and_terminal, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
+                            region=square_region(), horizon=horizon)
         sol = solve_ocp(prob)
         assert sol.status == "solved"
         assert len(sizes) >= sol.iterations
         assert max(sizes) < mpc._workspace(prob).tpl.nz
 
-    @staticmethod
-    def _dependent_start(model, ts):
-        """A warm start holding u_0,y and v_1,y both backoff/2 below their
-        upper bounds: the dynamics tie the two rows, dv_1,y = h du_0,y."""
-        N, slack = 11, 1e-4
-        # v_1,y = v + h (u_max - slack - drag v^2) = v_max - slack
-        a, b, c = -model.h * model.drag, 1.0, model.h * (model.u_max - slack) - (model.v_max - slack)
-        x0 = np.array([0.5, 0.2, 0.0, (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)])
-        prob = make_problem(model, ts, x0, [0.5, 1.5], mu=0.75, region=square_region(), margin=0.02, horizon=N)
-        steady = ts.translated_steady(model, np.array([0.5, 0.5]))
-        u_seq, x_seq = np.zeros((N, 2)), np.zeros((N + 1, 4))
-        x_seq[0] = x0
-        for l in range(N):
-            u = steady.u + ts.K @ (x_seq[l] - steady.x)
-            u_seq[l] = [0.0, model.u_max - slack] if l == 0 else np.clip(u, -model.u_max, model.u_max)
-            x_seq[l + 1] = model.step(x_seq[l], u_seq[l])
-        assert x_seq[1, 3] == pytest.approx(model.v_max - slack, abs=1e-12)
-        warm = OcpSolution(u_seq, x_seq, steady.x, steady.u, steady.r, 0.0, "candidate")
-        assert solution_feasibility(prob, warm)["inequality"] < 0.0
-        return prob, warm
-
     def test_dependent_working_rows_leave_the_set_on_the_drag_model(self, monkeypatch, drag_model, terminal_drag):
-        prob, warm = self._dependent_start(drag_model, terminal_drag)
-        # the reduced KKT matrix of the two tied rows is singular only to
-        # round-off: its solve returns multipliers of order 1e30, and the
-        # negative one drops its row
+        prob, warm = _dependent_start(drag_model, terminal_drag)
         plain = solve_ocp(prob, warm=warm)
         assert plain.status == "solved"
-        # where the factorisation meets the singularity, _independent_rows
-        # drops the row instead
+        # a solve that refuses a rank-deficient matrix: _independent_rows
+        # drops the row even where round-off hides the singularity
         calls = []
         independent, solve = mpc._independent_rows, np.linalg.solve
 
@@ -1216,9 +1214,6 @@ class TestCondensedKkt:
         assert calls
         assert sol.status == "solved" and sol.kkt_residual <= SqpOptions().tol_stationarity
         assert solution_feasibility(prob, sol)["dynamics"] <= SqpOptions().tol_equality
-        # the two paths drop different rows of the pair and end at KKT points
-        # of slightly different problems (ROADMAP.md item 2, step 0): one
-        # holds u_0,y at -backoff, the other v_1,y, which moves u_0,y by 9e-4
 
 
 class TestAgainstPenaltySqp:
@@ -1244,10 +1239,10 @@ class TestAgainstPenaltySqp:
             sim.solve_ocp = solve
         return captured
 
-    def test_unchanged_working_set_gives_bitwise_equal_solutions(self, faulted_run_solves):
+    def test_unchanged_working_set_gives_the_same_solutions(self, faulted_run_solves):
         import penalty_sqp_reference as reference
 
-        same = 0
+        gaps = []
         for problem, warm, options in faulted_run_solves:
             assert options == SqpOptions()
             reference.np.reset()
@@ -1260,12 +1255,16 @@ class TestAgainstPenaltySqp:
             assert sol.kkt_residual <= options.tol_stationarity
             # the reference's first active-set pass ended the solve without
             # dropping a multiplier or crossing a row; the residuals differ,
-            # since the reference refits its multipliers by least squares
+            # since the reference refits its multipliers by least squares.
+            # The reference factors the whole KKT system and the solver the
+            # condensed one, so the two agree to round-off, not bitwise
             if ref is not None and ref.iterations == 1 and not (reference.np.dropped or reference.np.crossed):
-                same += 1
-                assert _solution_bytes(sol, SOLUTION_FIELDS) == _solution_bytes(ref, SOLUTION_FIELDS)
+                gaps.append(max(float(np.max(np.abs(np.subtract(getattr(sol, name), getattr(ref, name)))))
+                                for name in SOLUTION_FIELDS))
         assert len(faulted_run_solves) == 6 * 12 + 5 * 18
-        assert same >= 0.9 * len(faulted_run_solves)
+        assert len(gaps) >= 0.9 * len(faulted_run_solves)
+        print(f"{len(gaps)} solves, largest gap {max(gaps):.2e}, median {np.median(gaps):.2e}")
+        assert max(gaps) <= 1e-12
 
 
 def _unreachable_terminal_problem(terminal_double):
@@ -1291,7 +1290,7 @@ class TestPhaseOneAndFallback:
 
     def test_infeasible_warm_guess_reaches_the_cold_start_solution(self, double_integrator, terminal_double):
         prob = make_problem(double_integrator, terminal_double, [0.3, 0.6, 0.2, -0.2], [1.25, 1.1],
-                            region=square_region(), margin=0.02, horizon=12)
+                            region=square_region(), horizon=12)
         cold = solve_ocp(prob)
         # tripled inputs leave the input box and open every shooting gap
         guess = replace(cold, u_seq=np.clip(3.0 * cold.u_seq, -3.0, 3.0), status="candidate")
@@ -1301,9 +1300,23 @@ class TestPhaseOneAndFallback:
         for name in ("u_seq", "x_seq", "xbar", "ubar"):
             assert np.allclose(getattr(sol, name), getattr(cold, name), rtol=0.0, atol=1e-8), name
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_warm_and_cold_solves_meet_whatever_the_blas_threads(self, threads):
+        # the solves' round-off depends on the BLAS thread count, which BLAS
+        # reads once, at import: run the warm/cold test in a process of its own
+        # with each count, so that a host's default count cannot hide a miss
+        package = str(Path(mpc.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")])))
+        test = f"{__file__}::TestPhaseOneAndFallback::test_infeasible_warm_guess_reaches_the_cold_start_solution"
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stdout[-2000:]
+        assert "1 passed" in run.stdout
+
     def test_wild_warm_guess_on_the_drag_model(self, drag_model, terminal_drag):
         prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.0, 0.0], [0.6, 0.5],
-                            region=square_region(), margin=0.02)
+                            region=square_region())
         cold = solve_ocp(prob)
         # inputs and speeds far outside their boxes, shooting gaps everywhere,
         # and a steady pair outside the setpoint polygon
@@ -1320,21 +1333,28 @@ class TestPhaseOneAndFallback:
             assert np.allclose(getattr(sol, name), getattr(cold, name), rtol=0.0, atol=1e-6), name
 
     def test_dependent_working_rows_leave_the_set(self, monkeypatch, double_integrator, terminal_double):
-        # four steps into this loop the warm start holds u_0,y at its bound
-        # and v_1,y just below its own, which the dynamics then fix: the KKT
-        # matrix of that working set is singular
+        # the warm start holds u_0,y and v_1,y both backoff/2 below their upper
+        # bounds, and the dynamics tie the two rows: the KKT matrix of that
+        # working set is singular.  A solve that refuses a rank-deficient
+        # matrix makes _independent_rows drop the row even where round-off
+        # hides the singularity
+        prob, warm = _dependent_start(double_integrator, terminal_double)
+        plain = solve_ocp(prob, warm=warm)
         calls = []
-        independent = mpc._independent_rows
+        independent, solve = mpc._independent_rows, np.linalg.solve
+
+        def strict_solve(a, b):
+            if np.linalg.matrix_rank(a) < len(a):
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+
         monkeypatch.setattr(mpc, "_independent_rows", lambda *a: calls.append(1) or independent(*a))
-        x, prev = np.array([0.5, 0.375, 0.0, 0.0]), None
-        for _ in range(5):
-            prob = make_problem(double_integrator, terminal_double, x, [0.0, 1.5], mu=0.75,
-                                region=square_region(), margin=0.02, horizon=11)
-            sol = solve_ocp(prob, warm=shift_warm_start(prob, prev) if prev is not None else None)
-            assert sol.status == "solved"
-            assert solution_feasibility(prob, sol)["dynamics"] <= 1e-9
-            x, prev = double_integrator.step(x, sol.u_seq[0]), sol
+        monkeypatch.setattr(np.linalg, "solve", strict_solve)
+        sol = solve_ocp(prob, warm=warm)
         assert calls
+        for s in (plain, sol):
+            assert s.status == "solved" and s.kkt_residual <= SqpOptions().tol_stationarity
+            assert solution_feasibility(prob, s)["dynamics"] <= 1e-9
 
     @pytest.mark.parametrize("max_iter", [1, 2])
     def test_passes_running_out_at_a_feasible_point_return_it(self, max_iter, double_integrator, terminal_double):
@@ -1365,11 +1385,23 @@ class TestClosedLoopProperty:
     """
 
     @settings(max_examples=20, deadline=None)
-    # blocking a step at g = -backoff instead of g = 0 cycles on this start:
-    # both models spend all 150 passes on the first solve, the double
-    # integrator with a dynamics gap left (OcpInfeasibleError)
+    # blocking a step at g = -backoff while a row leaves only at g <= 1e-12
+    # cycles on these two starts: both models spend all 150 passes on the
+    # first solve, the double integrator with a dynamics gap left
+    # (OcpInfeasibleError)
     @example(drag=False, horizon=3, position=(0.5, 0.5), velocity=(0.0, 0.375), r_ref=(0.0, 1.0), mu=1.0, bearings=[])
     @example(drag=True, horizon=3, position=(0.5, 0.5), velocity=(0.0, 0.375), r_ref=(0.0, 1.0), mu=1.0, bearings=[])
+    # with one level for holding, blocking and leaving, a fixed working
+    # tolerance of 1e-12 fails these four after 150 passes, and one of 1e-6
+    # the last two; the growing tolerance (mpc.EXPAND_STEPS) solves them
+    @example(drag=True, horizon=10, position=(0.3091, 0.6031), velocity=(0.4081, -0.2417), r_ref=(1.1633, 0.6395),
+             mu=0.462, bearings=[(5.7559, (0.7977, 0.0022)), (4.1849, (0.4457, 0.2658))])
+    @example(drag=False, horizon=9, position=(0.4229, 0.551), velocity=(-0.4051, -0.3226), r_ref=(-0.4114, 0.2787),
+             mu=0.4418, bearings=[(0.97, (0.2036, 0.1582))])
+    @example(drag=False, horizon=10, position=(0.5756, 0.6162), velocity=(-0.0299, 0.3404), r_ref=(0.9165, 1.4303),
+             mu=0.6985, bearings=[])
+    @example(drag=False, horizon=8, position=(0.5896, 0.576), velocity=(-0.3366, 0.1322), r_ref=(0.0213, 0.8027),
+             mu=0.643, bearings=[(5.6288, (0.416, 0.0542))])
     @given(
         drag=st.booleans(),
         horizon=st.integers(3, 12),
@@ -1396,7 +1428,7 @@ class TestClosedLoopProperty:
             prob = OcpProblem(
                 model=model, horizon=horizon, weights=scenario_weights(mu=mu), terminal=ts,
                 x0=x, r_ref=np.array(r_ref), desired_bearings=desired, neighbor_anchors=anchors,
-                setpoint_region=square_region(), steady_margin=0.02,
+                setpoint_region=square_region(),
             )
             warm = shift_warm_start(prob, prev) if prev is not None else None
             sol = solve_ocp(prob, warm=warm, options=options)

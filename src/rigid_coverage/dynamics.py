@@ -55,8 +55,8 @@ class SecondOrderModel:
     v_max: float
     u_max: float
     # True when jacobians(x, u) is the same at every (x, u): the MPC then
-    # computes its equality Jacobian and its condensing once per template
-    # instead of per iterate
+    # keeps one set of stage Jacobians and their condensing per template
+    # instead of linearising every iterate
     constant_jacobians: ClassVar[bool] = False
 
     @property
@@ -183,9 +183,6 @@ class DragDoubleIntegrator(SecondOrderModel):
             wn * (np.eye(d) - n[..., :, None] * n[..., None, :]) + (outer + np.swapaxes(outer, -1, -2))
         )
         return K
-
-
-RobotModel = DoubleIntegrator | DragDoubleIntegrator
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,18 @@ length at degenerate points.  A start that is not near-feasible first goes
 through a Gauss-Newton phase 1 on the squared violation, which certifies
 infeasibility when the violation stops falling while still positive.
 
-The matrices of a problem come in two parts.  A *template* (`_Template`)
-holds everything fixed by the model, horizon, weights, terminal set and
-setpoint polygon: the layout of the decision vector z, the inequality rows
-G z <= h, the cost residual rows that the bearings leave alone and their
-Hessian, the terminal Hessian and, for a model with constant Jacobians,
-the equality Jacobian and its condensing.  Templates are cached by value,
-a bounded number at a time, and shared read-only by every problem with the
-same key.  An *instance* (`_Workspace`) adds what x0, r_ref and the
-bearings set (the bearing rows touch only theta); the warm-start check and
-the solve of one `OcpProblem` share it.
+A pass keeps its data by stage: the gaps c, the stage Jacobians A and B,
+and the Hessian's Q-blocks, R-blocks, x-theta border and theta-theta block;
+no pass builds an nz-wide Hessian or equality Jacobian.  A *template*
+(`_Template`) holds everything fixed by the model, horizon, weights,
+terminal set and setpoint polygon: the layout of the decision vector z, the
+inequality rows G z <= h, the cost residual rows that the bearings leave
+alone and the blocks of their Hessian, the terminal row's curvature and,
+for a model with constant Jacobians, A, B and their condensing.  Templates
+are cached by value, a bounded number at a time, and shared read-only by
+every problem with the same key.  An *instance* (`_Workspace`) adds what
+x0, r_ref and the bearings set (the bearing rows touch only theta); the
+warm-start check and the solve of one `OcpProblem` share it.
 """
 
 from __future__ import annotations
@@ -199,48 +201,46 @@ class _Template:
     and setpoint polygon.
 
     Holds the layout of the decision vector z = (u_0 .. u_{N-1}, x_1 .. x_N,
-    theta) with the block indices the passes read, the linear inequality
-    rows G z <= h, the structural rows of the cost residual and their
-    Hessian H_struct, the terminal Hessian and, for a model with constant
-    Jacobians, the equality Jacobian with its condensing.  The steady pair
-    is (E theta, 0), E the position embedding psi: its velocity and input
-    are 0, strictly inside their boxes, so it needs no dynamics or box rows
-    of its own.  One template is shared by every problem with the same key,
-    so its arrays are read-only.
+    theta), the linear inequality rows G z <= h, the structural rows of the
+    cost residual and the stage blocks of their Hessian, the curvature of
+    the terminal row and, for a model with constant Jacobians, the stage
+    Jacobians A, B with their condensing.  The steady pair is (E theta, 0),
+    E the position embedding psi: its velocity and input are 0, strictly
+    inside their boxes, so it needs no dynamics or box rows of its own.  One
+    template is shared by every problem with the same key, so its arrays are
+    read-only.
     """
 
     def __init__(self, problem: OcpProblem):
         model = problem.model
         N = problem.horizon
-        self.model = model
-        self.N = N
-        self.nx = model.n_x
-        self.nu = model.n_u
-        self.d = model.dim
+        self.model, self.N = model, N
+        self.nx, self.nu, self.d = model.n_x, model.n_u, model.dim
         self.nz = N * self.nu + N * self.nx + self.d
         self.n_eq = N * self.nx
         base = N * self.nu + N * self.nx
         self.iu_all = slice(0, N * self.nu)
         self.ix_all = slice(N * self.nu, base)
         self.ith = slice(base, self.nz)
-        self.ixN = self.ix(N)
         self.C = model.C
         self.E = np.stack([position_shift(model, e) for e in np.eye(self.d)], axis=1)  # xbar = E theta
-        blocks = lambda *a: np.array(np.broadcast_arrays(*_diagonal_blocks(*a)))  # M[tuple(b)] are the blocks
-        self.x_blocks = blocks(N, N * self.nu, N * self.nu, self.nx, self.nx)  # [x_l, x_l], l = 1 .. N
-        self.x_prev_blocks = blocks(N - 1, self.nx, N * self.nu, self.nx, self.nx)  # row block l, x_l, l < N
-        self.u_blocks = blocks(N, 0, 0, self.nx, self.nu)  # row block l, column u_l
         self.iw = np.r_[self.iu_all, self.ith]  # u, then theta: what the shooting states are eliminated onto
         self.T_term = np.zeros((self.nx, self.nz))  # x_N - xbar = T_term z
-        self.T_term[:, self.ixN] = np.eye(self.nx)
+        self.T_term[:, self.ix(N)] = np.eye(self.nx)
         self.T_term[:, self.ith] = -self.E
         self._build_cost(problem)
         self._build_linear_ineq(problem)
         self.P_term = np.array(problem.terminal.P, dtype=float)
         self.zeta = problem.terminal.zeta
         self.zeta_scale = max(self.zeta, 1e-12)
-        self._build_terminal_hessian()
-        self._build_eq_structure()
+        # the terminal row's curvature in x_N - xbar, and a square root of it in z
+        self.W_term = 2.0 * self.P_term / self.zeta_scale
+        self.L_term = math.sqrt(2.0 / self.zeta_scale) * _psd_sqrt(self.P_term) @ self.T_term
+        self.A = self.B = self.Cx_inv = self.S = None
+        if model.constant_jacobians:  # then any point will do
+            A, B = linearize(model, np.zeros((N, self.nx)), np.zeros((N, self.nu)))
+            self.Cx_inv, self.S = self.condense(A, B)
+            self.A, self.B = A, B
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -253,17 +253,26 @@ class _Template:
         base = self.N * self.nu
         return slice(base + (l - 1) * self.nx, base + l * self.nx)
 
+    def check_shapes(self, u_seq, x_seq, xbar):
+        """Raise InvalidInputError unless the sequences and xbar fit this horizon and model."""
+        N, nu, nx = self.N, self.nu, self.nx
+        for name, value, shape in (("u_seq", u_seq, (N, nu)), ("x_seq", x_seq, (N + 1, nx)), ("xbar", xbar, (nx,))):
+            if np.shape(value) != shape:
+                raise InvalidInputError(f"{name} must have shape {shape} for a {N}-step problem, got {np.shape(value)}")
+
     def pack(self, u_seq, x_seq, xbar, ubar) -> np.ndarray:  # the steady pair enters by its setpoint C xbar
+        self.check_shapes(u_seq, x_seq, xbar)
         z = np.empty(self.nz)
-        z[self.iu_all] = np.reshape(u_seq[: self.N], -1)
-        z[self.ix_all] = np.reshape(x_seq[1 : self.N + 1], -1)
+        z[self.iu_all] = np.reshape(u_seq, -1)
+        z[self.ix_all] = np.reshape(x_seq[1:], -1)
         z[self.ith] = self.C @ xbar
         return z
 
     # --- cost: structural rows of the affine residual -----------------------
     def _build_cost(self, problem: OcpProblem):
-        """Rows of M that x0, r_ref and the bearings leave alone; the
-        instance fills their offsets and appends the bearing rows."""
+        """Rows of M that x0, r_ref and the bearings leave alone, and the
+        stage blocks of 2 M'M; the instance fills the rows' offsets and
+        appends the bearing rows."""
         w = problem.weights
         N, nx, nu, d = self.N, self.nx, self.nu, self.d
         L_Q = _psd_sqrt(w.Q)
@@ -272,7 +281,7 @@ class _Template:
         L_S = _psd_sqrt(w.S_r)
         M = np.zeros((N * nx + N * nu + nx + d, self.nz))
         # stage state terms (x_l - xbar), l = 0 uses the parameter x0
-        M[tuple(self.x_prev_blocks)] = L_Q
+        M[_diagonal_blocks(N - 1, nx, N * nu, nx, nx)] = L_Q
         M[: N * nx, self.ith] = np.tile(-L_Q @ self.E, (N, 1))
         # stage input terms (u_l - ubar), ubar = 0
         M[_diagonal_blocks(N, N * nx, 0, nu, nu)] = L_R
@@ -283,10 +292,17 @@ class _Template:
         self.s_ref = math.sqrt(w.mu)
         M[r + nx :, self.ith] = self.s_ref * L_S
         self.M_struct = M
-        self.H_struct = 2.0 * M.T @ M
-        H_off = np.abs(self.H_struct)
-        H_off[self.ith, self.ith] = 0.0  # the one block the bearings change
-        self.H_struct_max = float(np.max(H_off))
+        # No row couples u with x or theta, or two stages' x: the blocks below
+        # are all of H.  Its product need not be exactly symmetric, so the
+        # border is kept as both the x rows and the theta rows read it.
+        H = 2.0 * M.T @ M
+        self.H_xx = H[_diagonal_blocks(N, N * nu, N * nu, nx, nx)]
+        self.H_uu = H[_diagonal_blocks(N, 0, 0, nu, nu)]
+        self.H_xth = H[self.ix_all, self.ith].reshape(N, nx, d).copy()
+        self.H_thx = H[self.ith, self.ix_all].copy()
+        self.H_thth = H[self.ith, self.ith].copy()
+        H[self.ith, self.ith] = 0.0  # the one block the bearings change
+        self.H_struct_max = float(np.max(np.abs(H)))
         self.L_Q = L_Q
         self.L_S = L_S
         # scale of the bearing terms sqrt((1-mu) w_b) * P_g (theta - anchor_j)
@@ -323,13 +339,6 @@ class _Template:
         self.G = G
         self.h = np.concatenate([bound / scale, b / region_scale])
 
-    def _build_terminal_hessian(self):
-        """Curvature of the terminal-ellipsoid inequality in the z layout,
-        and a square root L_term of it (L_term' L_term = H_term)."""
-        T = self.T_term
-        self.H_term = T.T @ (2.0 * self.P_term / self.zeta_scale) @ T
-        self.L_term = math.sqrt(2.0 / self.zeta_scale) * _psd_sqrt(self.P_term) @ T
-
     def ineq_values(self, z: np.ndarray) -> np.ndarray:
         """All inequality values g(z) <= 0, terminal ellipsoid last."""
         lin = self.G @ z - self.h
@@ -341,51 +350,32 @@ class _Template:
         return self.T_term.T @ (2.0 * (self.P_term @ (self.T_term @ z)) / self.zeta_scale)
 
     # --- equalities ----------------------------------------------------------
-    def _build_eq_structure(self):
-        """Identity blocks of the equality Jacobian; the whole Jacobian and
-        its condensing when the model's Jacobians do not depend on the state."""
+    def eq_jacobian(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """The equality Jacobian (C_u, C_x, 0) of the stage Jacobians as dense
+        rows, row block l for c_l = x_{l+1} - f(x_l, u_l); only the rare paths
+        that need whole rows build it: a phase-1 step and `_independent_rows`."""
+        N, nx, nu = self.N, self.nx, self.nu
         J = np.zeros((self.n_eq, self.nz))
-        J[:, self.ix_all] = np.eye(self.n_eq)  # x_{l+1} in row block l
-        self.eq_struct = J
-        self.eq_jac = self.Cx_inv = self.S = None
-        if self.model.constant_jacobians:  # then any point will do
-            N, nx, nu = self.N, self.nx, self.nu
-            eq_jac = self.eq_jacobian_at(np.zeros((N, nu)), np.zeros((N, nx)))
-            self.Cx_inv, self.S = self.condense(eq_jac)
-            self.eq_jac = eq_jac
-
-    def eq_jacobian_at(self, u_seq, x_seq) -> np.ndarray:
-        """Equality Jacobian (C_u, C_x, 0) from one linearisation of the
-        model at the N stages; theta enters no dynamics row."""
-        N = self.N
-        A, B = linearize(self.model, x_seq[:N], u_seq[:N])
-        J = self.eq_struct.copy()
-        J[tuple(self.x_prev_blocks)] = -A[1:N]  # x_0 is a parameter, not a variable
-        J[tuple(self.u_blocks)] = -B
+        J[:, self.ix_all] = np.eye(self.n_eq)
+        J[_diagonal_blocks(N - 1, nx, N * nu, nx, nx)] = -A[1:]
+        J[_diagonal_blocks(N, 0, 0, nx, nu)] = -B
         return J
 
-    def condense(self, C_J: np.ndarray) -> tuple:
-        """The inverse of the unit block lower-bidiagonal C_x of an equality
-        Jacobian C_J = (C_u, C_x, 0), and S = -C_x^-1 C_u: the linearised
-        dynamics C_J dz = -c give dx = S du - C_x^-1 c.  One forward
-        recursion over the stage Jacobians gives both (multiple shooting with
-        condensing, Bock & Plitt 1984); the constant Jacobian's are the
-        template's own."""
-        if C_J is self.eq_jac:
+    def condense(self, A: np.ndarray, B: np.ndarray) -> tuple:
+        """The inverse of the unit block lower-bidiagonal C_x (-A_l below its
+        diagonal) and S = -C_x^-1 C_u (C_u = diag(-B_l)): the linearised
+        dynamics C_J dz = -c give dx = S du - C_x^-1 c.  One forward recursion
+        over the stages gives both (multiple shooting with condensing, Bock &
+        Plitt 1984); the constant Jacobians' are the template's own."""
+        if A is self.A:
             return self.Cx_inv, self.S
         nx, n_dyn = self.nx, self.n_eq
-        A = -C_J[tuple(self.x_prev_blocks)]  # A_1 .. A_{N-1}
-        R = np.hstack([np.eye(n_dyn), -C_J[:, self.iu_all]])  # C_x^-1 (I, -C_u) once the recursion has run
+        R = np.zeros((n_dyn, n_dyn + self.N * self.nu))  # C_x^-1 (I, -C_u) once the recursion has run
+        np.fill_diagonal(R, 1.0)
+        R[_diagonal_blocks(self.N, 0, n_dyn, nx, self.nu)] = B
         for l in range(1, self.N):
-            R[l * nx : (l + 1) * nx] += A[l - 1] @ R[(l - 1) * nx : l * nx]
+            R[l * nx : (l + 1) * nx] += A[l] @ R[(l - 1) * nx : l * nx]
         return R[:, :n_dyn], R[:, n_dyn:]
-
-    def add_dynamics_curvature(self, H: np.ndarray, z: np.ndarray, nu: np.ndarray):
-        """Add nu . d2c/dz2 of the dynamics rows to H in place.  Row block l is c = x_{l+1} - f(x_l, u_l),
-        so the model's nu-weighted curvature is subtracted at x_1 .. x_{N-1} (x_N enters linearly)."""
-        N, nx = self.N, self.nx
-        K = self.model.state_curvature(z[self.ix_all].reshape(N, nx)[: N - 1], nu.reshape(N, nx)[1:])
-        H[tuple(self.x_blocks[:, :-1])] -= K
 
 
 TEMPLATE_CACHE_SIZE = 8
@@ -429,17 +419,17 @@ class _Workspace:
     """One problem's instance of its cached template.
 
     Adds what x0, r_ref and the bearings set: the offset f0 of the residual
-    rows M_struct z + f0, the bearing rows Mb theta + fb, the cost Hessian
-    H_cost = H_struct + 2 Mb'Mb on the theta block and its largest |entry|
-    H_max.  Obtained through `_workspace`, so that a warm-start check and
-    the solve that follows it share one.
+    rows M_struct z + f0, the bearing rows Mb theta + fb, the theta-theta
+    block H_thth of the cost Hessian (the template's plus 2 Mb'Mb) and the
+    Hessian's largest |entry| H_max.  Obtained through `_workspace`, so that
+    a warm-start check and the solve that follows it share one.
     """
 
     def __init__(self, problem: OcpProblem):
         tpl = _template(problem)
         self.x0 = problem.x0
         self.tpl = tpl
-        d, ith = tpl.d, tpl.ith
+        d = tpl.d
         self.f0 = np.zeros(len(tpl.M_struct))
         self.f0[: tpl.nx] = tpl.L_Q @ problem.x0
         self.f0[-d:] = -tpl.s_ref * (tpl.L_S @ problem.r_ref)
@@ -449,11 +439,10 @@ class _Workspace:
             Pg = tpl.s_b * (np.eye(d) - np.outer(g, g))  # s_b P_g; OcpProblem checked that g is unit
             self.Mb[k * d : (k + 1) * d] = Pg
             self.fb[k * d : (k + 1) * d] = -(Pg @ np.asarray(problem.neighbor_anchors[j], dtype=float))
-        self.H_cost = tpl.H_struct  # shared, read-only, when no bearing adds to it
+        self.H_thth = tpl.H_thth  # shared, read-only, when no bearing adds to it
         if len(self.Mb):
-            self.H_cost = tpl.H_struct.copy()
-            self.H_cost[ith, ith] += 2.0 * self.Mb.T @ self.Mb
-        self.H_max = max(tpl.H_struct_max, float(np.max(np.abs(self.H_cost[ith, ith]))))
+            self.H_thth = tpl.H_thth + 2.0 * self.Mb.T @ self.Mb
+        self.H_max = max(tpl.H_struct_max, float(np.max(np.abs(self.H_thth))))
 
     def unpack(self, z: np.ndarray):
         tpl = self.tpl
@@ -479,10 +468,13 @@ class _Workspace:
         x_from = np.vstack([self.x0, x_to[:-1]])
         return (x_to - tpl.model.step(x_from, z[tpl.iu_all].reshape(tpl.N, tpl.nu))).reshape(-1)
 
-    def eq_jacobian(self, z: np.ndarray) -> np.ndarray:
-        if self.tpl.eq_jac is not None:
-            return self.tpl.eq_jac
-        return self.tpl.eq_jacobian_at(*self.unpack(z)[:2])
+    def stage_jacobians(self, z: np.ndarray) -> tuple:
+        """A (N, nx, nx) and B (N, nx, nu) of the step map at the N stages
+        (A_0 at x0 enters no row); the template's for constant Jacobians."""
+        if self.tpl.A is not None:
+            return self.tpl.A, self.tpl.B
+        u_seq, x_seq = self.unpack(z)[:2]
+        return linearize(self.tpl.model, x_seq[:-1], u_seq)
 
 
 _recent = threading.local()
@@ -499,16 +491,13 @@ def _workspace(problem: OcpProblem) -> _Workspace:
     return _recent.workspace
 
 
-def _ineq_jacobian(ws: _Workspace, z: np.ndarray) -> np.ndarray:
-    return np.vstack([ws.tpl.G, ws.tpl.ineq_jacobian_row_terminal(z)[None, :]])
-
-
-def _linearization(ws: _Workspace, z: np.ndarray, work: np.ndarray) -> tuple:
-    """Dynamics gaps, equality Jacobian, the sorted working set's rows (terminal last) and cost gradient at z."""
+def _linearization(ws: _Workspace, z: np.ndarray, work: np.ndarray, c: np.ndarray | None = None) -> tuple:
+    """Dynamics gaps c (unless given), stage Jacobians A and B, the sorted working set's rows (terminal last) and
+    cost gradient at z."""
     G_A = ws.tpl.G[work[work < len(ws.tpl.h)]]
     if len(G_A) < len(work):
         G_A = np.vstack([G_A, ws.tpl.ineq_jacobian_row_terminal(z)])
-    return ws.eq_constraints(z), ws.eq_jacobian(z), G_A, ws.cost_grad(z)
+    return (ws.eq_constraints(z) if c is None else c), *ws.stage_jacobians(z), G_A, ws.cost_grad(z)
 
 
 def _solution(ws: _Workspace, z: np.ndarray, status: str, iterations: int = 0, kkt: float = math.nan) -> OcpSolution:
@@ -540,11 +529,11 @@ def _phase1(ws: _Workspace, z: np.ndarray, opts: SqpOptions):
     plane of an ellipsoid out of reach overshoots again and again.  The step
     is halved until the violation falls by an Armijo fraction.
 
-    Returns (z, passes) at the first point close enough to feasible for the
-    active-set loop, whose working set takes in every row above -backoff,
-    or when the passes run out.  Raises OcpInfeasibleError when the
-    violation stops falling while still positive: at a stationary point of
-    the violation, or when no halving helps.
+    Returns (z, passes, c, g), c and g the gaps and values at z, at the first
+    point close enough to feasible for the active-set loop, whose working set
+    takes in every row above -backoff, or when the passes run out.  Raises
+    OcpInfeasibleError when the violation stops falling while still positive:
+    at a stationary point of the violation, or when no halving helps.
     """
     tpl = ws.tpl
     passes = 0
@@ -556,7 +545,8 @@ def _phase1(ws: _Workspace, z: np.ndarray, opts: SqpOptions):
         passes += 1
         rows = viol > 0.0
         r = np.concatenate([c, viol[rows]])
-        J = np.vstack([ws.eq_jacobian(z), _ineq_jacobian(ws, z)[rows]])
+        G_all = np.vstack([tpl.G, tpl.ineq_jacobian_row_terminal(z)])
+        J = np.vstack([tpl.eq_jacobian(*ws.stage_jacobians(z)), G_all[rows]])
         # least squares on [J; L] is the Newton step with Hessian J'J + L'L
         L = math.sqrt(viol[-1]) * tpl.L_term
         step = np.linalg.lstsq(np.vstack([J, L]), np.concatenate([-r, np.zeros(len(L))]), rcond=None)[0]
@@ -574,7 +564,7 @@ def _phase1(ws: _Workspace, z: np.ndarray, opts: SqpOptions):
             )
         z = z + alpha * step
         c, g, viol, phi = trial
-    return z, passes
+    return z, passes, c, g
 
 
 def _blocking_step(tpl: _Template, z: np.ndarray, step: np.ndarray, g: np.ndarray, g_try: np.ndarray, rows, level):
@@ -607,31 +597,51 @@ def _independent_rows(C_J: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.nd
     return np.sort(np.array(keep, dtype=int))
 
 
-def _kkt_solver(tpl: _Template, H: np.ndarray, lin: tuple):
+def _kkt_solver(ws: _Workspace, z: np.ndarray, lin: tuple, nu_last: np.ndarray, reg: float, lam_term: float):
     """Solver of one pass's KKT system for working rows G_A step = rhs_A;
     returns (step, nu, lam) in one vector.
 
-    The shooting states are eliminated: the dynamics rows give dx = S du + s0
+    The Hessian is the Lagrangian's by blocks (the cost's, reg on the
+    diagonal, then lam_term and nu_last times the terminal row's and the
+    dynamics' curvature), with no u-x block and H_xx block-diagonal.  The
+    shooting states are eliminated: the dynamics rows give dx = S du + s0
     with s0 = -C_x^-1 c (`_Template.condense`), and theta does not enter
-    them.  H has no u-x block and H_xx is block-diagonal, so the reduced
-    Hessian in w = (u, theta) is H_ww + S' H_xx S plus border terms; the
-    factored system holds w and the working rows only, and the dynamics
-    multipliers follow from C_x' nu = -(grad_x + H[x, :] dz + G_x' lam)."""
-    c, C_J, _, grad = lin
-    Cx_inv, S = tpl.condense(C_J)
+    them, so the reduced Hessian in w = (u, theta) is H_ww + S' H_xx S plus
+    border terms; the factored system holds w and the working rows only, and
+    the dynamics multipliers follow from C_x' nu = -(grad_x + H[x, :] dz + G_x' lam)."""
+    tpl = ws.tpl
+    c, A, B, _, grad = lin
+    Cx_inv, S = tpl.condense(A, B)
     N, nx, n_dyn, n_u, ix, w = tpl.N, tpl.nx, tpl.n_eq, tpl.N * tpl.nu, tpl.ix_all, tpl.iw
     nw = len(w)
+    # K = (the reduced Hessian, its gradient) as a map of (dw, 1), from H_ww
+    K = np.zeros((nw, nw + 1))
+    l = np.arange(N)
+    K[:n_u, :n_u].reshape(N, tpl.nu, N, tpl.nu)[l, :, l] = tpl.H_uu  # a view: H_uu[l] at (u_l, u_l)
+    K[n_u:, n_u:nw] = ws.H_thth
+    K.flat[:: nw + 2] += reg  # the diagonal of H_ww
+    H_xx, H_xth, H_thx = tpl.H_xx.copy(), tpl.H_xth.reshape(n_dyn, -1), tpl.H_thx
+    H_xx.reshape(N, -1)[:, :: nx + 1] += reg
+    if lam_term:  # the terminal row's curvature, on x_N - xbar = x_N - E theta
+        W, E = lam_term * tpl.W_term, tpl.E
+        H_xth, H_thx = H_xth.copy(), H_thx.copy()
+        H_xx[-1] += W
+        H_xth[-nx:] -= W @ E
+        H_thx[:, -nx:] -= E.T @ W
+        K[n_u:, n_u:nw] += E.T @ W @ E
+    if not tpl.model.constant_jacobians:
+        # row block l is c = x_{l+1} - f(x_l, u_l): nu . d2c/dz2 is minus the model's
+        # nu-weighted curvature at x_1 .. x_{N-1} (x_0 is a parameter, x_N enters linearly)
+        H_xx[:-1] -= tpl.model.state_curvature(z[ix].reshape(N, nx)[:-1], nu_last.reshape(N, nx)[1:])
     T = np.zeros((n_dyn, nw + 1))  # dx = T (dw, 1)
     T[:, :n_u] = S
     T[:, nw] = -(Cx_inv @ c)
-    # HT = (H[x, :] dz, grad_x) and K = (the reduced Hessian, its gradient) as maps of (dw, 1)
-    HT = (H[tuple(tpl.x_blocks)] @ T.reshape(N, nx, -1)).reshape(n_dyn, -1)
-    HT[:, :nw] += H[ix, w]
+    HT = (H_xx @ T.reshape(N, nx, -1)).reshape(n_dyn, -1)  # (H[x, :] dz, grad_x) as a map of (dw, 1)
+    HT[:, n_u:nw] += H_xth
     HT[:, nw] += grad[ix]
-    K = np.empty((nw, nw + 1))
-    K[:, :nw], K[:, nw] = H[w][:, w], grad[w]
+    K[:, nw] = grad[w]
     K[:n_u] += S.T @ HT
-    K[n_u:] += H[tpl.ith, ix] @ T
+    K[n_u:] += H_thx @ T
 
     def solve(G_A, rhs_A):
         G_r = G_A[:, ix] @ T
@@ -647,10 +657,16 @@ def _kkt_solver(tpl: _Template, H: np.ndarray, lin: tuple):
     return solve
 
 
-def _kkt_residual(lin: tuple, mult: np.ndarray) -> float:
-    """||grad f + C_J' nu + G_A' lam||_inf at a linearised point; mult = (nu, lam)."""
-    _, C_J, G_A, grad = lin
-    res = grad + C_J.T @ mult[: len(C_J)] + G_A.T @ mult[len(C_J) :]
+def _kkt_residual(tpl: _Template, lin: tuple, mult: np.ndarray) -> float:
+    """||grad f + C_J' nu + G_A' lam||_inf at a linearised point; mult = (nu, lam).
+    C_J' nu is taken by stage: -B_l' nu_l on u_l, and nu_{l-1} - A_l' nu_l on x_l."""
+    _, A, B, G_A, grad = lin
+    nu = mult[: tpl.n_eq].reshape(tpl.N, tpl.nx)
+    res = grad + G_A.T @ mult[tpl.n_eq :]
+    res[tpl.iu_all] -= (nu[:, None] @ B).reshape(-1)
+    res_x = res[tpl.ix_all].reshape(tpl.N, tpl.nx)
+    res_x += nu
+    res_x[:-1] -= (nu[1:, None] @ A[1:])[:, 0]
     return float(np.linalg.norm(res, ord=np.inf))
 
 
@@ -663,8 +679,9 @@ REFINE_PASSES = 6
 EXPAND_STEPS = (0.05, 0.1, 0.2, 0.4)
 
 
-def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, passes: int):
-    """Primal active-set SQP from a near-feasible z.
+def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opts: SqpOptions, reg: float,
+                passes: int):
+    """Primal active-set SQP from a near-feasible z, its gaps c and values g.
 
     Every inequality is treated as g <= -backoff.  Each pass is one Newton
     step on the KKT system of the cost, the linearised dynamics and the
@@ -696,24 +713,17 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
     nz = tpl.nz
     n_eq = tpl.n_eq
     term_idx = tpl.G.shape[0]
-    g = tpl.ineq_values(z)
     work = np.flatnonzero(g >= -opts.backoff - 1e-9)
     mult = np.zeros(n_eq + len(work))  # (nu, lam) of the last KKT solve
     lam_term = 0.0
     best = None
     held = 0
-    lin = _linearization(ws, z, work)
+    lin = _linearization(ws, z, work, c)
     for k in range(opts.max_iter - passes):
         passes += 1
         delta = EXPAND_STEPS[k % len(EXPAND_STEPS)] * opts.backoff
-        _, C_J, G_A, _ = lin
-        H = ws.H_cost.copy()  # H_cost + reg I + lam_term H_term, bit for bit, without nz x nz temporaries
-        H.flat[:: nz + 1] += reg
-        if lam_term:
-            H += lam_term * tpl.H_term
-        if not tpl.model.constant_jacobians:  # the exact Hessian of the Lagrangian
-            tpl.add_dynamics_curvature(H, z, mult[:n_eq])
-        kkt_solve = _kkt_solver(tpl, H, lin)
+        _, A, B, G_A, _ = lin
+        kkt_solve = _kkt_solver(ws, z, lin, mult[:n_eq], reg, lam_term)
         while True:
             nA = len(work)
             try:
@@ -722,7 +732,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
                 keep = np.flatnonzero(~((lam < -1e-9) & (g[work] + opts.backoff <= delta)))
             except np.linalg.LinAlgError:
                 # a singular KKT matrix: some working rows depend on the others
-                keep = _independent_rows(C_J, G_A, g[work])
+                keep = _independent_rows(tpl.eq_jacobian(A, B), G_A, g[work])
                 if len(keep) == nA:
                     raise NumericalBreakdownError("singular KKT matrix with independent working rows") from None
             if len(keep) == nA:
@@ -749,7 +759,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
         # judge the stepped point with the multipliers that stepped there;
         # the next pass starts from the same linearisation
         lin = _linearization(ws, z_try, work)
-        kkt = _kkt_residual(lin, mult)
+        kkt = _kkt_residual(tpl, lin, mult)
         eq_try = float(np.linalg.norm(lin[0], ord=np.inf))
         if (
             eq_try <= opts.tol_equality
@@ -770,7 +780,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float, pas
             break
     if best is not None:
         return best[0], best[1], passes, True
-    return z, _kkt_residual(lin, mult), passes, False
+    return z, _kkt_residual(tpl, lin, mult), passes, False
 
 
 def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: SqpOptions | None = None) -> OcpSolution:
@@ -793,9 +803,9 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
         z = tpl.pack(warm.u_seq, warm.x_seq, warm.xbar, warm.ubar)
     else:
         z = _cold_start_vector(problem, tpl)
-    z, passes = _phase1(ws, z, opts)
+    z, passes, c, g = _phase1(ws, z, opts)
     reg = opts.regularization * max(1.0, ws.H_max)
-    z, kkt, passes, solved = _active_set(ws, z, opts, reg, passes)
+    z, kkt, passes, solved = _active_set(ws, z, c, g, opts, reg, passes)
     solution = _solution(ws, z, "solved" if solved else "max-iter", passes, kkt)
     if not solved:
         eq_res, max_g = _residuals(ws, z)
@@ -837,29 +847,18 @@ def shift_warm_start(problem: OcpProblem, prev: OcpSolution) -> OcpSolution:
     violation is raised, since with unchanged dynamics it certifies loss of
     recursive feasibility.
     """
-    model = problem.model
-    ts = problem.terminal
-    N = problem.horizon
-    kappa = prev.ubar + ts.K @ (prev.x_seq[N] - prev.xbar)
-    u_seq = np.vstack([prev.u_seq[1:], kappa[None, :]])
-    x_last = model.step(prev.x_seq[N], kappa)
-    x_seq = np.vstack([prev.x_seq[1:], x_last[None, :]])
     ws = _workspace(problem)
-    z = ws.tpl.pack(u_seq, x_seq, prev.xbar, prev.ubar)
-    candidate = OcpSolution(
-        u_seq, x_seq, prev.xbar.copy(), prev.ubar.copy(),
-        model.C @ prev.xbar, ws.cost(z), "candidate",
-    )
-    _verify_candidate(ws, z)
-    return candidate
-
-
-def _verify_candidate(ws: _Workspace, z: np.ndarray):
+    ws.tpl.check_shapes(prev.u_seq, prev.x_seq, prev.xbar)
+    N = problem.horizon
+    kappa = prev.ubar + problem.terminal.K @ (prev.x_seq[N] - prev.xbar)
+    x_last = problem.model.step(prev.x_seq[N], kappa)
+    z = ws.tpl.pack(np.vstack([prev.u_seq[1:], kappa]), np.vstack([prev.x_seq[1:], x_last]), prev.xbar, prev.ubar)
     eq_res, max_g = _residuals(ws, z)
     if eq_res > 1e-7:
         raise RecursiveFeasibilityError(f"candidate dynamics residual {eq_res:.3e}")
     if max_g > 1e-9:
         raise RecursiveFeasibilityError(f"candidate constraint violation {max_g:.3e}")
+    return _solution(ws, z, "candidate")
 
 
 def solution_feasibility(problem: OcpProblem, sol: OcpSolution) -> dict:

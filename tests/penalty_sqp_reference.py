@@ -3,9 +3,11 @@ replaced it, kept as a test reference.
 
 The options, the solution record and the three solver functions below are
 copied verbatim from that version of `rigid_coverage/mpc.py`, except that
-`np.eye(nz)` stands for the template's identity, which the package no longer
-keeps.  They call the package's template, workspace and cold start, so they
-solve the package's current layout of the problem.  Their
+`np.eye(nz)` stands for the template's identity and `_H_cost`, `_H_term` and
+`_eq_jacobian` build the dense cost Hessian, terminal Hessian and equality
+Jacobian, which the package keeps by stage only, with the arithmetic of the
+arrays it kept then.  They call the package's template, workspace and cold
+start, so they solve the package's current layout of the problem.  Their
 `np` is a recorder: `_polish` calls `np.delete` only to drop rows with a
 negative multiplier and `np.union1d` only to add rows a step crossed, so
 `np.dropped` and `np.crossed` tell which solves left the working set of the
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy
 
 from rigid_coverage.errors import OcpInfeasibleError
-from rigid_coverage.mpc import _cold_start_vector, _ineq_jacobian, _Workspace, _workspace
+from rigid_coverage.mpc import _cold_start_vector, _Workspace, _workspace
 
 
 class _Recorder:
@@ -77,6 +79,23 @@ class OcpSolution:
 
 
 
+def _H_cost(ws: _Workspace) -> np.ndarray:
+    """2 M'M of the structural rows, plus 2 Mb'Mb on theta."""
+    H = 2.0 * ws.tpl.M_struct.T @ ws.tpl.M_struct
+    H[ws.tpl.ith, ws.tpl.ith] += 2.0 * ws.Mb.T @ ws.Mb
+    return H
+
+
+def _H_term(ws: _Workspace) -> np.ndarray:
+    """Curvature of the terminal-ellipsoid row in the z layout."""
+    T = ws.tpl.T_term
+    return T.T @ (2.0 * ws.tpl.P_term / ws.tpl.zeta_scale) @ T
+
+
+def _eq_jacobian(ws: _Workspace, z: np.ndarray) -> np.ndarray:
+    return ws.tpl.eq_jacobian(*ws.stage_jacobians(z))
+
+
 def _penalty_terms(ws: _Workspace, z: np.ndarray, mu_pen: float, backoff: float):
     g = ws.tpl.ineq_values(z)
     active = g + backoff > 0.0
@@ -111,9 +130,9 @@ def _polish(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float):
     for _ in range(6):
         J_all = _ineq_jacobian(ws, z)
         c = ws.eq_constraints(z)
-        C_J = ws.eq_jacobian(z)
+        C_J = _eq_jacobian(ws, z)
         grad = ws.cost_grad(z)
-        H = ws.H_cost + reg * np.eye(nz) + lam_term * tpl.H_term
+        H = _H_cost(ws) + reg * np.eye(nz) + lam_term * _H_term(ws)
         sol = lam = None
         for _drop in range(8):
             nA = len(work)
@@ -150,7 +169,7 @@ def _polish(ws: _Workspace, z: np.ndarray, opts: SqpOptions, reg: float):
             continue
         # judge the stepped point on its own multipliers, not the stale ones
         grad_try = ws.cost_grad(z_try)
-        J_rows = np.vstack([ws.eq_jacobian(z_try), _ineq_jacobian(ws, z_try)[work]])
+        J_rows = np.vstack([_eq_jacobian(ws, z_try), _ineq_jacobian(ws, z_try)[work]])
         mult, *_ = np.linalg.lstsq(J_rows.T, -grad_try, rcond=None)
         lam_fit = mult[n_eq:]
         res = grad_try + J_rows.T @ mult
@@ -187,7 +206,7 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
         z = _cold_start_vector(problem, tpl)
     mu_pen = opts.penalty_init
     sigma = 1.0
-    reg_base = opts.regularization * max(1.0, float(np.max(np.abs(ws.H_cost))))
+    reg_base = opts.regularization * max(1.0, float(np.max(np.abs(_H_cost(ws)))))
     reg = reg_base
     iterations = 0
     status = "max-iter"
@@ -197,7 +216,7 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
 
     for iterations in range(1, opts.max_iter + 1):
         c = ws.eq_constraints(z)
-        C_J = ws.eq_jacobian(z)
+        C_J = _eq_jacobian(ws, z)
         g, active, viol, _ = _penalty_terms(ws, z, mu_pen, opts.backoff)
 
         max_g = float(np.max(g)) if len(g) else -math.inf
@@ -228,7 +247,7 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
         else:
             viol_history.clear()
         grad = ws.cost_grad(z)
-        H = ws.H_cost.copy()
+        H = _H_cost(ws)
         if np.any(active[:-1]):
             Ga = tpl.G[active[:-1]]
             va = viol[:-1][active[:-1]]

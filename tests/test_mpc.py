@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -15,7 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from rigid_coverage import mpc
 from rigid_coverage.config import config_from_dict
-from rigid_coverage.dynamics import BoxBounds, DoubleIntegrator, DragDoubleIntegrator, steady_state_from_position
+from rigid_coverage.dynamics import (
+    BoxBounds,
+    DoubleIntegrator,
+    DragDoubleIntegrator,
+    SecondOrderModel,
+    steady_state_from_position,
+)
 from rigid_coverage.errors import InvalidInputError, OcpInfeasibleError, RecursiveFeasibilityError
 from rigid_coverage.geometry import ConvexRegion
 from rigid_coverage.mpc import (
@@ -451,10 +458,37 @@ class TestWarmStart:
         calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        # phase 1 hands the gaps and inequality values of its point on: no
+        # point's values are computed twice
+        points = {"eq_constraints": [], "ineq_values": []}
+        for cls, name in ((mpc._Workspace, "eq_constraints"), (mpc._Template, "ineq_values")):
+            f = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda obj, z, f=f, seen=points[name]: seen.append(z.tobytes()) or f(obj, z))
         sol = solve_ocp(prob, warm=warm)
         assert sol.status == "solved"
         assert sol.iterations >= 1
         assert calls == []
+        for name, seen in points.items():
+            assert len(seen) == len(set(seen)), name
+
+    @pytest.mark.parametrize("prev_horizon", [8, 12])
+    def test_a_solution_of_another_horizon_is_refused(self, prev_horizon, double_integrator, terminal_double):
+        # the shift of an 8-step solution would index past its states, and a
+        # 12-step one would leave a candidate with 12 inputs for 10 steps
+        x0 = np.array([0.2, 0.2, 0.0, 0.0])
+        prev = solve_ocp(make_problem(double_integrator, terminal_double, x0, [0.6, 0.5], horizon=prev_horizon))
+        prob = make_problem(double_integrator, terminal_double, double_integrator.step(x0, prev.u_seq[0]),
+                            [0.6, 0.5], horizon=10)
+        with pytest.raises(InvalidInputError, match="u_seq must have shape"):
+            shift_warm_start(prob, prev)
+        with pytest.raises(InvalidInputError, match="u_seq must have shape"):
+            solve_ocp(prob, warm=prev)
+        with pytest.raises(InvalidInputError, match="u_seq must have shape"):
+            solution_feasibility(prob, prev)
+        with pytest.raises(InvalidInputError, match="x_seq must have shape"):
+            solve_ocp(prob, warm=replace(prev, u_seq=np.zeros((10, 2))))
+        with pytest.raises(InvalidInputError, match="xbar must have shape"):
+            solve_ocp(prob, warm=replace(cold_start(prob), xbar=np.zeros(2)))
 
     def test_cold_start_is_feasible(self, double_integrator, terminal_double):
         prob = make_problem(double_integrator, terminal_double,
@@ -763,7 +797,7 @@ def _loop_cost_rows(problem):
         r = N * nx + l * nu
         M[r : r + nu, tpl.iu(l)] = L_R
     r = N * (nx + nu)
-    M[r : r + nx, tpl.ixN] = L_P
+    M[r : r + nx, tpl.ix(N)] = L_P
     M[r : r + nx, tpl.ith] = -L_P @ E
     M[r + nx :, tpl.ith] = np.sqrt(w.mu) * mpc._psd_sqrt(w.S_r)
     return M
@@ -788,9 +822,25 @@ def _loop_residual(problem):
     return np.vstack(rows), np.concatenate(offsets)
 
 
+def _cost_hessian(ws):
+    """The cost Hessian as one matrix, scattered stage by stage from the
+    template's blocks and the instance's theta-theta block; zero elsewhere."""
+    tpl = ws.tpl
+    H = np.zeros((tpl.nz, tpl.nz))
+    for l in range(tpl.N):
+        H[tpl.iu(l), tpl.iu(l)] = tpl.H_uu[l]
+        x = tpl.ix(l + 1)
+        H[x, x] = tpl.H_xx[l]
+        H[x, tpl.ith] = tpl.H_xth[l]
+        H[tpl.ith, x] = tpl.H_thx[:, l * tpl.nx : (l + 1) * tpl.nx]
+    H[tpl.ith, tpl.ith] = ws.H_thth
+    return H
+
+
 class TestClosedFormCost:
-    """The workspace's cost Hessian is the template's H_struct plus a small
-    block on xbar for the bearings; no residual matrix is built per problem."""
+    """The workspace's cost Hessian is the template's stage blocks plus a
+    small block on theta for the bearings; no residual matrix is built per
+    problem."""
 
     @staticmethod
     def _problem(model, ts, horizon, n_bearings, mu=0.7):
@@ -816,15 +866,15 @@ class TestClosedFormCost:
             return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
         H = 2.0 * M.T @ M
-        assert close(ws.H_cost, H)
-        assert ws.H_max == np.max(np.abs(ws.H_cost))
+        assert close(_cost_hessian(ws), H)
+        assert ws.H_max == np.max(np.abs(_cost_hessian(ws)))
         for z in np.random.default_rng(horizon).uniform(-0.5, 0.5, (3, ws.tpl.nz)):
             res = M @ z + f0
             assert abs(ws.cost(z) - res @ res) <= 1e-13 * (res @ res)
             assert close(ws.cost_grad(z), 2.0 * M.T @ res)
         if n_bearings:
-            assert ws.H_cost is not ws.tpl.H_struct
-            assert not np.array_equal(ws.H_cost, ws.tpl.H_struct)
+            assert ws.H_thth is not ws.tpl.H_thth
+            assert not np.array_equal(ws.H_thth, ws.tpl.H_thth)
 
     @pytest.mark.parametrize("horizon", [1, 10, 40])
     @pytest.mark.parametrize("linear", [True, False])
@@ -839,15 +889,15 @@ class TestClosedFormCost:
         M, f0 = _loop_residual(prob)
         assert np.array_equal(ws.f0, f0)
         H = 2.0 * M.T @ M
-        assert np.array_equal(ws.H_cost, H)
-        assert ws.H_cost is ws.tpl.H_struct  # shared, not copied
+        assert np.array_equal(_cost_hessian(ws), H)
+        assert ws.H_thth is ws.tpl.H_thth  # shared, not copied
         for z in np.random.default_rng(horizon).uniform(-0.5, 0.5, (3, ws.tpl.nz)):
             assert ws.cost(z) == float((M @ z + f0) @ (M @ z + f0))
             assert np.array_equal(ws.cost_grad(z), 2.0 * M.T @ (M @ z + f0))
         regs = []
         active_set = mpc._active_set
-        monkeypatch.setattr(mpc, "_active_set", lambda ws, z, opts, reg, passes: regs.append(reg)
-                            or active_set(ws, z, opts, reg, passes))
+        monkeypatch.setattr(mpc, "_active_set", lambda ws, z, c, g, opts, reg, passes: regs.append(reg)
+                            or active_set(ws, z, c, g, opts, reg, passes))
         solve_ocp(prob)
         assert regs == [SqpOptions().regularization * max(1.0, float(np.max(np.abs(H))))]
 
@@ -898,7 +948,7 @@ class TestVectorisedLayout:
         ws = mpc._workspace(make_problem(model, ts, [0.2, 0.2, 0.1, -0.05], [0.6, 0.5], horizon=horizon))
         z = np.random.default_rng(horizon).uniform(-0.4, 0.4, ws.tpl.nz)
         z[ws.tpl.ix(1)][2:] = 0.0  # a stage at rest
-        J = ws.tpl.eq_jacobian_at(*ws.unpack(z)[:2])
+        J = ws.tpl.eq_jacobian(*ws.stage_jacobians(z))
         np.testing.assert_allclose(J, _loop_eq_jacobian(ws.tpl, *ws.unpack(z)[:2]), rtol=1e-15, atol=0.0)
 
     def test_pack_unpack_and_dynamics_gaps_match_the_loop(self, problem):
@@ -923,7 +973,7 @@ class TestConstantJacobian:
         assert not DragDoubleIntegrator.constant_jacobians
 
     @pytest.mark.parametrize("linear", [True, False])
-    def test_equality_jacobian_moves_with_z_only_when_nonlinear(
+    def test_stage_jacobians_move_with_z_only_when_nonlinear(
         self, linear, double_integrator, drag_model, terminal_double, terminal_drag
     ):
         model, ts = (double_integrator, terminal_double) if linear else (drag_model, terminal_drag)
@@ -932,29 +982,31 @@ class TestConstantJacobian:
         rng = np.random.default_rng(3)
         z1 = rng.uniform(-0.4, 0.4, ws.tpl.nz)
         z2 = rng.uniform(-0.4, 0.4, ws.tpl.nz)
-        J1, J2 = ws.eq_jacobian(z1), ws.eq_jacobian(z2)
-        # the Jacobian assembled from linearize at z is what either path returns
-        assert np.array_equal(J1, ws.tpl.eq_jacobian_at(*ws.unpack(z1)[:2]))
-        assert np.array_equal(J2, ws.tpl.eq_jacobian_at(*ws.unpack(z2)[:2]))
+        (A1, B1), (A2, B2) = ws.stage_jacobians(z1), ws.stage_jacobians(z2)
+        # the Jacobians of linearize at the stages of z are what either path returns
+        for z, A, B in ((z1, A1, B1), (z2, A2, B2)):
+            u_seq, x_seq = ws.unpack(z)[:2]
+            A_ref, B_ref = model.jacobians(x_seq[:-1], u_seq)
+            assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
         if linear:
-            assert J1 is J2 is ws.tpl.eq_jac
+            assert A1 is A2 is ws.tpl.A and B1 is B2 is ws.tpl.B
         else:
-            assert ws.tpl.eq_jac is None
-            assert not np.array_equal(J1, J2)
+            assert ws.tpl.A is None and ws.tpl.Cx_inv is None
+            assert not np.array_equal(A1, A2)
 
     def test_drag_solve_linearises_each_iterate_once(self, monkeypatch, drag_model, terminal_drag):
         builds, calls = [], []
-        build, linearize = mpc._Template.eq_jacobian_at, mpc.linearize
+        build, linearize = mpc._Workspace.stage_jacobians, mpc.linearize
 
-        def recorded_build(tpl, *args):
-            builds.append(b"".join(np.ascontiguousarray(a, dtype=float).tobytes() for a in args))
-            return build(tpl, *args)
+        def recorded_build(ws, z):
+            builds.append(z.tobytes())
+            return build(ws, z)
 
         def counted_linearize(*args):
             calls.append(1)
             return linearize(*args)
 
-        monkeypatch.setattr(mpc._Template, "eq_jacobian_at", recorded_build)
+        monkeypatch.setattr(mpc._Workspace, "stage_jacobians", recorded_build)
         monkeypatch.setattr(mpc, "linearize", counted_linearize)
         prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
                             region=square_region())
@@ -969,13 +1021,26 @@ class TestConstantJacobian:
                             region=square_region())
         tpl = mpc._workspace(prob).tpl
         arrays = {name: v for name, v in vars(tpl).items() if isinstance(v, np.ndarray)}
-        assert {"G", "h", "M_struct", "H_struct", "H_term", "T_term", "eq_struct", "eq_jac", "Cx_inv", "S"} <= set(arrays)
+        blocks = {"H_xx", "H_uu", "H_xth", "H_thx", "H_thth", "W_term", "A", "B", "Cx_inv", "S"}
+        assert {"G", "h", "M_struct", "T_term"} | blocks <= set(arrays)
         for name, arr in arrays.items():
             assert not arr.flags.writeable, name
         with pytest.raises(ValueError):
             tpl.G[0, 0] = 1.0
         with pytest.raises(ValueError):
-            tpl.eq_jac += 1.0
+            tpl.A += 1.0
+
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_no_template_or_instance_keeps_a_z_wide_hessian_or_jacobian(
+        self, linear, double_integrator, drag_model, terminal_double, terminal_drag
+    ):
+        model, ts = (double_integrator, terminal_double) if linear else (drag_model, terminal_drag)
+        prob = make_problem(model, ts, [0.2, 0.2, 0.1, -0.05], [0.6, 0.5], mu=0.7,
+                            bearings=((1, np.array([0.6, 0.8])),), anchors={1: np.array([0.3, 0.4])}, horizon=40)
+        ws = mpc._workspace(prob)
+        tpl = ws.tpl
+        for name, value in [*vars(tpl).items(), *vars(ws).items()]:
+            assert np.shape(value) not in {(tpl.nz, tpl.nz), (tpl.n_eq, tpl.nz)}, name
 
 
 def _drag_chain(model, ts, horizon, x, r_ref, steps=5):
@@ -994,7 +1059,9 @@ class TestExactHessian:
     dynamics' curvature weighted by their multipliers: Newton, not
     Gauss-Newton, steps on a nonlinear model."""
 
-    def test_template_curvature_matches_finite_differences(self, drag_model, terminal_drag):
+    def test_pass_curvature_matches_finite_differences(self, drag_model, terminal_drag):
+        # the curvature of the dense pass Hessian that TestCondensedKkt's
+        # full KKT solve uses, and the condensed solve must match
         prob = make_problem(drag_model, terminal_drag, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], horizon=3)
         ws = mpc._workspace(prob)
         tpl = ws.tpl
@@ -1005,8 +1072,8 @@ class TestExactHessian:
             v = rng.normal(size=2)
             z[tpl.ix(l)][2:] = rng.uniform(0.1, 0.45) * v / np.linalg.norm(v)
         nu = rng.uniform(-3.0, 3.0, tpl.n_eq)
-        H = ws.H_cost.copy()
-        tpl.add_dynamics_curvature(H, z, nu)
+        H = _dense_pass_hessian(prob, z, nu, 0.0, 0.0)
+        H_cost = _dense_pass_hessian(prob, z, np.zeros(tpl.n_eq), 0.0, 0.0)
 
         def phi(z):
             return float(nu @ ws.eq_constraints(z))
@@ -1020,7 +1087,7 @@ class TestExactHessian:
                     phi(z + E[j] + E[k]) - phi(z + E[j] - E[k]) - phi(z - E[j] + E[k]) + phi(z - E[j] - E[k])
                 ) / (4 * step * step)
         assert np.max(np.abs(fd)) > 0.1  # the curvature is there to be found
-        np.testing.assert_allclose(H - ws.H_cost, fd, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(H - H_cost, fd, rtol=0.0, atol=1e-6)
 
     def test_a_warm_drag_pass_cuts_the_residual_quadratically(self, monkeypatch, drag_model, terminal_drag):
         residuals = []
@@ -1049,7 +1116,8 @@ class TestExactHessian:
         starts = [([0.2, 0.2, 0.3, -0.2], [0.7, 0.5]), ([0.5, 0.6, 0.0, 0.0], [0.3, 0.2]),
                   ([0.4, 0.7, 0.45, 0.1], [1.2, -0.3])]
         newton = [_drag_chain(model, ts, horizon, np.array(x0), r_ref) for x0, r_ref in starts]
-        monkeypatch.setattr(mpc._Template, "add_dynamics_curvature", lambda *a: None)
+        # Gauss-Newton: the Q-blocks without the dynamics' curvature
+        monkeypatch.setattr(DragDoubleIntegrator, "state_curvature", SecondOrderModel.state_curvature)
         gauss_newton = [_drag_chain(model, ts, horizon, np.array(x0), r_ref) for x0, r_ref in starts]
         for chain, reference in zip(newton, gauss_newton):
             for sol, ref in zip(chain, reference):
@@ -1074,20 +1142,36 @@ class TestExactHessian:
         assert chain[0].iterations < 20
 
 
+def _dense_pass_hessian(problem, z, nu, reg, lam_term):
+    """The Hessian of an active-set pass as one matrix: the whole residual
+    matrix's 2 M'M, reg I, lam_term times the terminal row's curvature on
+    T_term, and nu . d2c/dz2 of the dynamics rows, c_l = x_{l+1} - f(x_l,
+    u_l), from the model's curvature at x_1 .. x_{N-1}."""
+    tpl = mpc._workspace(problem).tpl
+    M, _ = _loop_residual(problem)
+    T = tpl.T_term
+    H = 2.0 * M.T @ M + reg * np.eye(tpl.nz) + lam_term * T.T @ (2.0 * problem.terminal.P / tpl.zeta_scale) @ T
+    nu = nu.reshape(tpl.N, tpl.nx)
+    for l in range(1, tpl.N):
+        H[tpl.ix(l), tpl.ix(l)] -= problem.model.state_curvature(z[tpl.ix(l)], nu[l])
+    return H
+
+
+PASS_REG, PASS_LAM_TERM = 1e-9, 0.7
+
+
 def _pass(model, ts, horizon, seed):
-    """A problem with a bearing, at a random point, and the Hessian of an
-    active-set pass there: cost, regularisation, terminal curvature and the
-    dynamics' curvature under random multipliers."""
+    """A problem with a bearing, at a random point, random dynamics
+    multipliers nu, and the dense Hessian of an active-set pass there with
+    PASS_REG and PASS_LAM_TERM."""
     prob = make_problem(model, ts, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
                         bearings=((1, np.array([0.6, 0.8])),), anchors={1: np.array([0.3, 0.4])},
                         region=square_region(), horizon=horizon)
     ws = mpc._workspace(prob)
-    tpl = ws.tpl
     rng = np.random.default_rng(seed)
-    z = rng.uniform(-0.4, 0.4, tpl.nz)
-    H = ws.H_cost + 1e-9 * np.eye(tpl.nz) + 0.7 * tpl.H_term
-    tpl.add_dynamics_curvature(H, z, rng.uniform(-3.0, 3.0, tpl.n_eq))
-    return ws, z, H, rng
+    z = rng.uniform(-0.4, 0.4, ws.tpl.nz)
+    nu = rng.uniform(-3.0, 3.0, ws.tpl.n_eq)
+    return ws, z, nu, _dense_pass_hessian(prob, z, nu, PASS_REG, PASS_LAM_TERM), rng
 
 
 def _box_row(tpl, col, upper):
@@ -1128,33 +1212,34 @@ class TestCondensedKkt:
 
     @pytest.mark.parametrize("horizon", [1, 2, 10, 40])
     def test_the_blocks_the_elimination_relies_on(self, horizon, model_and_terminal):
-        ws, z, H, _ = _pass(*model_and_terminal, horizon, seed=horizon)
+        ws, z, _, H, _ = _pass(*model_and_terminal, horizon, seed=horizon)
         tpl = ws.tpl
         N, nx, x = tpl.N, tpl.nx, tpl.ix_all
-        # H: no u-x block, H_xx block-diagonal, theta coupled to x
-        assert not np.any(H[tpl.iu_all, x])
-        diagonal = mpc._diagonal_blocks(N, 0, 0, nx, nx)
-        H_xx = np.zeros((N * nx, N * nx))
-        H_xx[diagonal] = H[x, x][diagonal]
-        assert np.array_equal(H[x, x], H_xx)
+        # H: no u-x or u-theta block, H_xx and H_uu block-diagonal, theta coupled to x
+        assert not np.any(H[tpl.iu_all, x]) and not np.any(H[tpl.iu_all, tpl.ith])
+        for n, idx in ((nx, x), (tpl.nu, tpl.iu_all)):
+            diagonal = mpc._diagonal_blocks(N, 0, 0, n, n)
+            H_diag = np.zeros((N * n, N * n))
+            H_diag[diagonal] = H[idx, idx][diagonal]
+            assert np.array_equal(H[idx, idx], H_diag)
         assert np.any(H[x, tpl.ith])
         # only shooting rows: unit block lower-bidiagonal in x, nothing on theta
-        C_J = ws.eq_jacobian(z)
-        Cx_inv, S = tpl.condense(C_J)
+        C_J = _loop_eq_jacobian(tpl, *ws.unpack(z)[:2])
+        Cx_inv, S = tpl.condense(*ws.stage_jacobians(z))
         assert C_J.shape == (N * nx, tpl.nz)
         C_x = C_J[:, x].copy()
-        assert np.array_equal(C_x[diagonal], np.broadcast_to(np.eye(nx), (N, nx, nx)))
+        assert np.array_equal(C_x[mpc._diagonal_blocks(N, 0, 0, nx, nx)], np.broadcast_to(np.eye(nx), (N, nx, nx)))
         assert not np.any(C_J[:, tpl.ith])
         # the condensing inverts C_x and maps du to dx
         np.testing.assert_allclose(Cx_inv @ C_x, np.eye(N * nx), rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(S, -Cx_inv @ C_J[:, tpl.iu_all], rtol=0.0, atol=1e-13)
-        C_x[diagonal] = 0.0
+        C_x[mpc._diagonal_blocks(N, 0, 0, nx, nx)] = 0.0
         C_x[mpc._diagonal_blocks(N - 1, nx, 0, nx, nx)] = 0.0
         assert not np.any(C_x)
 
     @pytest.mark.parametrize("horizon", [1, 2, 10, 40])
     def test_matches_the_full_kkt_solve(self, horizon, model_and_terminal):
-        ws, z, H, rng = _pass(*model_and_terminal, horizon, seed=100 + horizon)
+        ws, z, nu, H, rng = _pass(*model_and_terminal, horizon, seed=100 + horizon)
         tpl = ws.tpl
         N, nx, nz, n_eq = tpl.N, tpl.nx, tpl.nz, tpl.n_eq
         n_region = len(square_region().half_planes()[1])
@@ -1167,7 +1252,8 @@ class TestCondensedKkt:
             len(tpl.h),  # the terminal ellipsoid
         ])
         lin = mpc._linearization(ws, z, work)
-        c, C_J, G_A, grad = lin
+        c, _, _, G_A, grad = lin
+        C_J = _loop_eq_jacobian(tpl, *ws.unpack(z)[:2])
         nA = len(work)
         assert np.linalg.matrix_rank(np.vstack([C_J, G_A])) == n_eq + nA
         KKT = np.block([
@@ -1177,10 +1263,14 @@ class TestCondensedKkt:
         ])
         rhs_A = rng.uniform(-1e-3, 1e-3, nA)
         want = np.linalg.solve(KKT, np.concatenate([-grad, -c, rhs_A]))
-        got = mpc._kkt_solver(tpl, H, lin)(G_A, rhs_A)
+        got = mpc._kkt_solver(ws, z, lin, nu, PASS_REG, PASS_LAM_TERM)(G_A, rhs_A)
         assert got.shape == want.shape
         for part in (slice(0, nz), slice(nz, nz + n_eq), slice(nz + n_eq, None)):  # step, nu, lam
             np.testing.assert_allclose(got[part], want[part], rtol=0.0, atol=1e-10 * np.max(np.abs(want[part])))
+        # the stationarity residual takes C_J' nu stage by stage
+        mult = rng.uniform(-1.0, 1.0, n_eq + nA)
+        res = np.linalg.norm(grad + C_J.T @ mult[:n_eq] + G_A.T @ mult[n_eq:], ord=np.inf)
+        assert mpc._kkt_residual(tpl, lin, mult) == pytest.approx(res, rel=1e-12)
 
     @pytest.mark.parametrize("horizon", [10, 40])
     def test_a_solve_factors_no_full_kkt_matrix(self, monkeypatch, horizon, model_and_terminal):
@@ -1193,6 +1283,24 @@ class TestCondensedKkt:
         assert sol.status == "solved"
         assert len(sizes) >= sol.iterations
         assert max(sizes) < mpc._workspace(prob).tpl.nz
+
+    def test_a_warm_drag_solve_peaks_under_1_5_mb(self, drag_model, terminal_drag):
+        # an nz x nz pass Hessian (242 x 242 here) and an n_eq x nz equality
+        # Jacobian per pass took the peak to 2.1 MB
+        kw = dict(mu=0.7, bearings=((1, np.array([0.6, 0.8])),), anchors={1: np.array([0.3, 0.4])},
+                  region=square_region(), horizon=40)
+        x0 = np.array([0.2, 0.2, 0.3, -0.2])
+        cold = solve_ocp(make_problem(drag_model, terminal_drag, x0, [0.7, 0.5], **kw))
+        prob = make_problem(drag_model, terminal_drag, drag_model.step(x0, cold.u_seq[0]), [0.7, 0.5], **kw)
+        warm = shift_warm_start(prob, cold)
+        tracemalloc.start()
+        try:
+            sol = solve_ocp(prob, warm=warm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == "solved" and sol.iterations >= 2
+        assert peak < 1.5 * 2**20
 
     def test_dependent_working_rows_leave_the_set_on_the_drag_model(self, monkeypatch, drag_model, terminal_drag):
         prob, warm = _dependent_start(drag_model, terminal_drag)

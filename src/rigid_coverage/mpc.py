@@ -16,9 +16,9 @@ setpoint polygon, terminal ellipsoid) is solved as g <= -backoff: the
 working set is held there, a step stops on the first other row that would
 cross it, which joins, and rows whose multiplier turns negative leave; a
 working tolerance that grows every pass (EXPAND) keeps steps of positive
-length at degenerate points.  A start that is not near-feasible first goes
-through a Gauss-Newton phase 1 on the squared violation, which certifies
-infeasibility when the violation stops falling while still positive.
+length at degenerate points.  A warm start far from feasible is replaced by
+the cold start; a working row far above its level is held softly (elastic
+mode, as in SNOPT), and its stalled violation certifies infeasibility.
 
 A pass keeps its data by stage: the gaps c, the stage Jacobians A and B,
 and the Hessian's Q-blocks, R-blocks, x-theta border and theta-theta block;
@@ -50,12 +50,18 @@ from .errors import (
     NumericalBreakdownError,
     OcpInfeasibleError,
     RecursiveFeasibilityError,
+    _integer,
 )
 from .geometry import ConvexRegion
 from .terminal import TerminalSet, check_weight
 
 BEARING_UNIT_TOL = 1e-9
-LINESEARCH_STEPS = 40  # trial steps of one phase-1 pass, the full step first
+# a warm start needs dynamics gaps <= WARM_GAP and no row above SOFT_LEVEL * backoff; a working row above
+# that level is held softly, with weight PENALTY * max(1, H_max), and must lose STALL of its violation a pass
+WARM_GAP = 1e-6
+SOFT_LEVEL = 10.0
+PENALTY = 1e6
+STALL = 1e-6
 
 
 def _psd_sqrt(Q: np.ndarray) -> np.ndarray:
@@ -125,37 +131,39 @@ class OcpProblem:
     setpoint_region: ConvexRegion | None = None
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        r_ref = np.asarray(self.r_ref, dtype=float)
-        if self.horizon < 1:
-            raise InvalidInputError("horizon must be at least 1")
-        if x0.shape != (self.model.n_x,):
-            raise InvalidInputError(f"x0 must have shape ({self.model.n_x},)")
-        if r_ref.shape != (self.model.dim,):
-            raise InvalidInputError(f"r_ref must have shape ({self.model.dim},)")
+        d = self.model.dim
+        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon", least=1))
+        x0 = _own_vector(self.x0, self.model.n_x, "x0")
         if not self.model.state_bounds.contains(x0, tol=1e-9):
             raise InvalidInputError("initial state violates the state box")
+        r_ref = _own_vector(self.r_ref, d, "r_ref")
+        anchors = {j: _own_vector(a, d, f"anchor of {j}") for j, a in self.neighbor_anchors.items()}
         bearings = []
         for j, g in self.desired_bearings:
-            g = np.asarray(g, dtype=float)
+            g = _own_vector(g, d, f"desired bearing toward {j}")
             if abs(np.linalg.norm(g) - 1.0) > BEARING_UNIT_TOL:
                 raise InvalidInputError(f"desired bearing toward {j} is not unit")
-            if j not in self.neighbor_anchors:
+            if j not in anchors:
                 raise InvalidInputError(f"missing anchor for neighbor {j}")
             bearings.append((int(j), g))
         bearings.sort(key=lambda item: item[0])
-        object.__setattr__(self, "desired_bearings", tuple(bearings))
-        # own copies: the solver's instance of a problem is reused between
-        # calls, so a caller's later write to its array must not reach it
-        for name, value in (("x0", x0), ("r_ref", r_ref)):
-            value = value.copy()
-            value.setflags(write=False)
+        # own copies: a problem's instance is reused, so a caller's later write to an array must not reach it
+        for name, value in dict(x0=x0, r_ref=r_ref, desired_bearings=tuple(bearings), neighbor_anchors=anchors).items():
             object.__setattr__(self, name, value)
+
+
+def _own_vector(value, n: int, name: str) -> np.ndarray:
+    """A read-only copy of `value` as a finite float vector of shape (n,)."""
+    v = np.array(value, dtype=float)
+    if v.shape != (n,) or not all(map(math.isfinite, v)):
+        raise InvalidInputError(f"{name} must be a finite vector of shape ({n},)")
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
 class SqpOptions:
-    max_iter: int = 150  # Newton passes, phase 1 and the active-set loop together
+    max_iter: int = 150  # Newton passes of the active-set loop
     tol_equality: float = 1e-9
     tol_stationarity: float = 1e-6
     # every inequality is solved as g <= -backoff, not g <= 0: the terminal
@@ -233,9 +241,7 @@ class _Template:
         self.P_term = np.array(problem.terminal.P, dtype=float)
         self.zeta = problem.terminal.zeta
         self.zeta_scale = max(self.zeta, 1e-12)
-        # the terminal row's curvature in x_N - xbar, and a square root of it in z
-        self.W_term = 2.0 * self.P_term / self.zeta_scale
-        self.L_term = math.sqrt(2.0 / self.zeta_scale) * _psd_sqrt(self.P_term) @ self.T_term
+        self.W_term = 2.0 * self.P_term / self.zeta_scale  # the terminal row's curvature in x_N - xbar
         self.A = self.B = self.Cx_inv = self.S = None
         if model.constant_jacobians:  # then any point will do
             A, B = linearize(model, np.zeros((N, self.nx)), np.zeros((N, self.nu)))
@@ -351,9 +357,8 @@ class _Template:
 
     # --- equalities ----------------------------------------------------------
     def eq_jacobian(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """The equality Jacobian (C_u, C_x, 0) of the stage Jacobians as dense
-        rows, row block l for c_l = x_{l+1} - f(x_l, u_l); only the rare paths
-        that need whole rows build it: a phase-1 step and `_independent_rows`."""
+        """The equality Jacobian (C_u, C_x, 0) of the stage Jacobians as dense rows, row block l
+        for c_l = x_{l+1} - f(x_l, u_l); only `_independent_rows`, a rare path, builds it."""
         N, nx, nu = self.N, self.nx, self.nu
         J = np.zeros((self.n_eq, self.nz))
         J[:, self.ix_all] = np.eye(self.n_eq)
@@ -510,63 +515,6 @@ def _residuals(ws: _Workspace, z: np.ndarray):
     return float(np.linalg.norm(ws.eq_constraints(z), ord=np.inf)), float(np.max(ws.tpl.ineq_values(z)))
 
 
-def _violation(ws: _Workspace, z: np.ndarray, backoff: float):
-    """Dynamics gaps c, inequality values g, the violations max(g + backoff, 0)
-    and phase 1's objective ||max(g + backoff, 0)||^2 + ||c||^2 at z."""
-    c = ws.eq_constraints(z)
-    g = ws.tpl.ineq_values(z)
-    viol = np.maximum(g + backoff, 0.0)
-    return c, g, viol, float(c @ c + viol @ viol)
-
-
-def _phase1(ws: _Workspace, z: np.ndarray, opts: SqpOptions):
-    """Gauss-Newton on the squared violation ||max(g + backoff, 0)||^2 + ||c||^2.
-
-    Each pass takes the least-norm step that best zeroes the violated rows
-    and the dynamics gaps, both linearised.  The terminal ellipsoid is
-    curved, so while it is violated its Hessian, weighted by the violation,
-    joins the Gauss-Newton model; without it a step aimed at the tangent
-    plane of an ellipsoid out of reach overshoots again and again.  The step
-    is halved until the violation falls by an Armijo fraction.
-
-    Returns (z, passes, c, g), c and g the gaps and values at z, at the first
-    point close enough to feasible for the active-set loop, whose working set
-    takes in every row above -backoff, or when the passes run out.  Raises
-    OcpInfeasibleError when the violation stops falling while still positive:
-    at a stationary point of the violation, or when no halving helps.
-    """
-    tpl = ws.tpl
-    passes = 0
-    c, g, viol, phi = _violation(ws, z, opts.backoff)
-    while passes < opts.max_iter:
-        eq_res, max_g = float(np.linalg.norm(c, ord=np.inf)), float(np.max(g))
-        if eq_res <= 1e-6 and max_g <= 10.0 * opts.backoff:
-            break
-        passes += 1
-        rows = viol > 0.0
-        r = np.concatenate([c, viol[rows]])
-        G_all = np.vstack([tpl.G, tpl.ineq_jacobian_row_terminal(z)])
-        J = np.vstack([tpl.eq_jacobian(*ws.stage_jacobians(z)), G_all[rows]])
-        # least squares on [J; L] is the Newton step with Hessian J'J + L'L
-        L = math.sqrt(viol[-1]) * tpl.L_term
-        step = np.linalg.lstsq(np.vstack([J, L]), np.concatenate([-r, np.zeros(len(L))]), rcond=None)[0]
-        slope = 2.0 * float(r @ (J @ step))
-        alpha = 1.0
-        for _ in range(LINESEARCH_STEPS if slope < -1e-6 * phi else 0):
-            trial = _violation(ws, z + alpha * step, opts.backoff)
-            if trial[3] <= phi + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            raise OcpInfeasibleError(
-                f"constraint violation stalls at {math.sqrt(phi):.3e} (eq {eq_res:.3e}, ineq {max_g:.3e})",
-                _solution(ws, z, "infeasible", passes),
-            )
-        z = z + alpha * step
-        c, g, viol, phi = trial
-    return z, passes, c, g
-
-
 def _blocking_step(tpl: _Template, z: np.ndarray, step: np.ndarray, g: np.ndarray, g_try: np.ndarray, rows, level):
     """The fraction of `step` at which the first of `rows` reaches g = level,
     and that row.  Exact for the linear rows; along the step the terminal
@@ -599,7 +547,9 @@ def _independent_rows(C_J: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.nd
 
 def _kkt_solver(ws: _Workspace, z: np.ndarray, lin: tuple, nu_last: np.ndarray, reg: float, lam_term: float):
     """Solver of one pass's KKT system for working rows G_A step = rhs_A;
-    returns (step, nu, lam) in one vector.
+    returns (step, nu, lam) in one vector.  `soft` (0 when every row is hard) is 1/(2 rho) on
+    each soft row, whose linearised violation s_i = lam_i / (2 rho) in G_i step - s_i = rhs_i
+    bears the penalty rho s_i^2.
 
     The Hessian is the Lagrangian's by blocks (the cost's, reg on the
     diagonal, then lam_term and nu_last times the terminal row's and the
@@ -643,12 +593,14 @@ def _kkt_solver(ws: _Workspace, z: np.ndarray, lin: tuple, nu_last: np.ndarray, 
     K[:n_u] += S.T @ HT
     K[n_u:] += H_thx @ T
 
-    def solve(G_A, rhs_A):
+    def solve(G_A, rhs_A, soft=0.0):
         G_r = G_A[:, ix] @ T
         G_r[:, :nw] += G_A[:, w]
         m = nw + len(G_A)
         KKT = np.zeros((m, m))
         KKT[:nw, :nw], KKT[:nw, nw:], KKT[nw:, :nw] = K[:, :nw], G_r[:, :nw].T, G_r[:, :nw]
+        if np.ndim(soft):
+            KKT[nw:, nw:][np.diag_indices(len(G_A))] = -soft
         red = np.linalg.solve(KKT, np.concatenate([-K[:, nw], rhs_A - G_r[:, nw]]))
         dw1 = np.append(red[:nw], 1.0)
         nu = -(Cx_inv.T @ (HT @ dw1 + G_A[:, ix].T @ red[nw:]))
@@ -679,17 +631,15 @@ REFINE_PASSES = 6
 EXPAND_STEPS = (0.05, 0.1, 0.2, 0.4)
 
 
-def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opts: SqpOptions, reg: float,
-                passes: int):
-    """Primal active-set SQP from a near-feasible z, its gaps c and values g.
+def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opts: SqpOptions, reg: float):
+    """Primal active-set SQP from z, its gaps c and values g.
 
-    Every inequality is treated as g <= -backoff.  Each pass is one Newton
-    step on the KKT system of the cost, the linearised dynamics and the
-    working set, whose rows are held at g = -backoff; it gives the
-    multipliers (nu, lam) too.  A row whose lam is negative leaves the set
-    once it is within the working tolerance delta of -backoff, and so does
-    a row that the dynamics and the other rows already fix; the step is then
-    solved again.  A step that would raise a row outside the set past
+    Each pass is one Newton step, with multipliers (nu, lam), on the KKT
+    system of the cost, the linearised dynamics and the working set, whose
+    rows are held at g = -backoff.  A row whose lam is negative leaves the
+    set once it is within the working tolerance delta of -backoff, and so
+    does a row that the dynamics and the other rows already fix; the step
+    is then solved again.  A step that would raise a row outside the set past
     -backoff + delta stops where the first such row reaches that level, and
     the row joins; a row already above the level (one that a restart of
     delta or a dependent pair left there) blocks at once, but only when the
@@ -699,7 +649,11 @@ def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opt
     backoff / 2, so each accepted point is strictly feasible.  The Hessian is
     the Lagrangian's: the terminal row (the only curved inequality) and the
     dynamics add their curvature, weighted by the last KKT solve's lam and
-    nu.  Each KKT system is condensed (`_kkt_solver`).
+    nu.  Each KKT system is condensed (`_kkt_solver`).  A working row above
+    SOFT_LEVEL * backoff is held softly, by a penalty rho s^2 on its
+    linearised violation s (curvature weight 2 rho (g_term + backoff) on the
+    terminal row); a step that leaves more than 1 - STALL of the soft rows'
+    violation raises OcpInfeasibleError.
 
     A stepped point passes when it is feasible, its dynamics gap is small,
     no lam is negative and its stationarity residual with (nu, lam) is
@@ -713,21 +667,27 @@ def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opt
     nz = tpl.nz
     n_eq = tpl.n_eq
     term_idx = tpl.G.shape[0]
+    soft_level = SOFT_LEVEL * opts.backoff
+    rho = PENALTY * max(1.0, ws.H_max)
     work = np.flatnonzero(g >= -opts.backoff - 1e-9)
     mult = np.zeros(n_eq + len(work))  # (nu, lam) of the last KKT solve
     lam_term = 0.0
     best = None
     held = 0
     lin = _linearization(ws, z, work, c)
-    for k in range(opts.max_iter - passes):
-        passes += 1
-        delta = EXPAND_STEPS[k % len(EXPAND_STEPS)] * opts.backoff
+    for passes in range(1, opts.max_iter + 1):
+        delta = EXPAND_STEPS[(passes - 1) % len(EXPAND_STEPS)] * opts.backoff
         _, A, B, G_A, _ = lin
+        if len(work) and work[-1] == term_idx and g[-1] > soft_level:
+            lam_term = 2.0 * rho * (g[-1] + opts.backoff)
+        kkt_solve = None  # the last pass's condensing goes before this one's is built
         kkt_solve = _kkt_solver(ws, z, lin, mult[:n_eq], reg, lam_term)
+        any_soft = float(np.max(g)) > soft_level
         while True:
             nA = len(work)
+            soft = np.where(g[work] > soft_level, 0.5 / rho, 0.0) if any_soft else 0.0
             try:
-                sol = kkt_solve(G_A, -(g[work] + opts.backoff))
+                sol = kkt_solve(G_A, -(g[work] + opts.backoff), soft)
                 lam = sol[nz + n_eq :]
                 keep = np.flatnonzero(~((lam < -1e-9) & (g[work] + opts.backoff <= delta)))
             except np.linalg.LinAlgError:
@@ -739,6 +699,11 @@ def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opt
                 break
             work, G_A = work[keep], G_A[keep]
             held = 0
+        if np.ndim(soft):
+            violation = float(np.sum(g[work][soft > 0.0] + opts.backoff))
+            if float(soft @ lam) > (1.0 - STALL) * violation:
+                raise OcpInfeasibleError(f"constraint violation stalls at {violation:.3e} after {passes} passes",
+                                         _solution(ws, z, "infeasible", passes))
         mult = sol[nz:]
         # the working rows stay sorted, so the terminal row is the last one
         lam_term = max(float(lam[-1]), 0.0) if nA and work[-1] == term_idx else 0.0
@@ -786,26 +751,26 @@ def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opt
 def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: SqpOptions | None = None) -> OcpSolution:
     """Solve the tracking problem; returns a strictly feasible local optimum.
 
-    Starts from `warm`, or from a cold start that holds position.  A start
-    that is not near-feasible first goes through phase 1 (`_phase1`); the
-    primal active-set SQP (`_active_set`) then solves from there.  The
-    status is "solved" when a point passed its stopping test and "max-iter"
-    when the passes ran out at a feasible point; `iterations` counts the
-    Newton passes of both phases.
+    Starts from `warm` when it is near-feasible (dynamics gaps at most
+    WARM_GAP, no row above SOFT_LEVEL * backoff), and otherwise from a cold
+    start that holds position; the primal active-set SQP (`_active_set`)
+    solves from there.  The status is "solved" when a point passed its
+    stopping test and "max-iter" when the passes ran out at a feasible
+    point; `iterations` counts the Newton passes.
 
-    Raises OcpInfeasibleError when phase 1 stalls with the violation still
-    positive, or when the passes run out at an infeasible point.
+    Raises OcpInfeasibleError when the soft rows' violation stalls, or when
+    the passes run out at an infeasible point.
     """
     opts = options or SqpOptions()
     ws = _workspace(problem)
     tpl = ws.tpl
-    if warm is not None:
-        z = tpl.pack(warm.u_seq, warm.x_seq, warm.xbar, warm.ubar)
-    else:
+    z = _cold_start_vector(problem, tpl) if warm is None else tpl.pack(warm.u_seq, warm.x_seq, warm.xbar, warm.ubar)
+    c, g = ws.eq_constraints(z), tpl.ineq_values(z)
+    if warm is not None and not (np.linalg.norm(c, ord=np.inf) <= WARM_GAP and np.max(g) <= SOFT_LEVEL * opts.backoff):
         z = _cold_start_vector(problem, tpl)
-    z, passes, c, g = _phase1(ws, z, opts)
+        c, g = ws.eq_constraints(z), tpl.ineq_values(z)
     reg = opts.regularization * max(1.0, ws.H_max)
-    z, kkt, passes, solved = _active_set(ws, z, c, g, opts, reg, passes)
+    z, kkt, passes, solved = _active_set(ws, z, c, g, opts, reg)
     solution = _solution(ws, z, "solved" if solved else "max-iter", passes, kkt)
     if not solved:
         eq_res, max_g = _residuals(ws, z)

@@ -138,6 +138,35 @@ class TestProblemValidation:
                 bearings=((1, np.array([1.0, 0.0])),),
             )
 
+    @pytest.mark.parametrize("change, message", [
+        ({"horizon": 2.5}, "horizon must be an integer"),
+        ({"horizon": True}, "horizon must be an integer"),
+        ({"r_ref": np.array([np.nan, 0.5])}, "r_ref must be a finite vector"),
+        ({"r_ref": np.array([np.inf, 0.5])}, "r_ref must be a finite vector"),
+        ({"neighbor_anchors": {1: np.array([np.nan, 0.0])}}, "anchor of 1 must be a finite vector"),
+        ({"neighbor_anchors": {1: np.zeros(3)}}, "anchor of 1 must be a finite vector"),
+        ({"desired_bearings": ((1, np.array([1.0, 0.0, 0.0])),)}, "desired bearing toward 1 must be a finite vector"),
+    ], ids=["fractional horizon", "boolean horizon", "NaN r_ref", "infinite r_ref", "NaN anchor",
+            "3-d anchor", "3-d bearing"])
+    def test_malformed_entries_raise_typed_errors(self, change, message, double_integrator, terminal_double):
+        # a NaN or infinite r_ref or anchor used to run to max-iter with a NaN
+        # cost, and a 3-d anchor or bearing raised numpy's bare ValueError
+        kw = dict(model=double_integrator, horizon=10, weights=scenario_weights(), terminal=terminal_double,
+                  x0=np.zeros(4), r_ref=np.array([0.5, 0.5]), desired_bearings=((1, np.array([1.0, 0.0])),),
+                  neighbor_anchors={1: np.zeros(2)})
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            OcpProblem(**{**kw, **change})
+
+    def test_bearings_and_anchors_are_read_only_copies(self, double_integrator, terminal_double):
+        g, anchor = np.array([1.0, 0.0]), np.array([0.3, 0.4])
+        prob = make_problem(double_integrator, terminal_double, np.zeros(4), [0.5, 0.5],
+                            bearings=((1, g),), anchors={1: anchor})
+        g[:], anchor[:] = 0.0, 0.0
+        assert np.array_equal(prob.desired_bearings[0][1], [1.0, 0.0])
+        assert np.array_equal(prob.neighbor_anchors[1], [0.3, 0.4])
+        for value in (prob.desired_bearings[0][1], prob.neighbor_anchors[1]):
+            assert not value.flags.writeable
+
 
 class TestSolveNominal:
     def test_steady_start_at_reference_costs_nothing(self, double_integrator, terminal_double):
@@ -445,20 +474,20 @@ class TestWarmStart:
             shift_warm_start(other, sol)
 
     @pytest.mark.parametrize("drag", [False, True])
-    def test_shifted_warm_start_solve_takes_no_least_squares(
+    def test_shifted_warm_start_is_never_replaced(
         self, monkeypatch, drag, double_integrator, drag_model, terminal_double, terminal_drag,
     ):
-        # the shifted candidate is feasible, so phase 1 does not run, and the
-        # stop test reads the multipliers of the KKT solve it stepped with
+        # the shifted candidate is certified feasible, so the solve starts
+        # from it and not from the cold start
         model, ts = (drag_model, terminal_drag) if drag else (double_integrator, terminal_double)
         x0 = np.array([0.2, 0.2, 0.0, 0.0])
         prev = solve_ocp(make_problem(model, ts, x0, [0.6, 0.5], region=square_region()))
         prob = make_problem(model, ts, model.step(x0, prev.u_seq[0]), [0.6, 0.5], region=square_region())
         warm = shift_warm_start(prob, prev)
         calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-        # phase 1 hands the gaps and inequality values of its point on: no
+        cold_start_vector = mpc._cold_start_vector
+        monkeypatch.setattr(mpc, "_cold_start_vector", lambda *a: calls.append(1) or cold_start_vector(*a))
+        # the start's gaps and inequality values are handed to the loop: no
         # point's values are computed twice
         points = {"eq_constraints": [], "ineq_values": []}
         for cls, name in ((mpc._Workspace, "eq_constraints"), (mpc._Template, "ineq_values")):
@@ -896,8 +925,8 @@ class TestClosedFormCost:
             assert np.array_equal(ws.cost_grad(z), 2.0 * M.T @ (M @ z + f0))
         regs = []
         active_set = mpc._active_set
-        monkeypatch.setattr(mpc, "_active_set", lambda ws, z, c, g, opts, reg, passes: regs.append(reg)
-                            or active_set(ws, z, c, g, opts, reg, passes))
+        monkeypatch.setattr(mpc, "_active_set", lambda ws, z, c, g, opts, reg: regs.append(reg)
+                            or active_set(ws, z, c, g, opts, reg))
         solve_ocp(prob)
         assert regs == [SqpOptions().regularization * max(1.0, float(np.max(np.abs(H))))]
 
@@ -1284,9 +1313,10 @@ class TestCondensedKkt:
         assert len(sizes) >= sol.iterations
         assert max(sizes) < mpc._workspace(prob).tpl.nz
 
-    def test_a_warm_drag_solve_peaks_under_1_5_mb(self, drag_model, terminal_drag):
+    def test_a_warm_drag_solve_peaks_under_1_mb(self, drag_model, terminal_drag):
         # an nz x nz pass Hessian (242 x 242 here) and an n_eq x nz equality
-        # Jacobian per pass took the peak to 2.1 MB
+        # Jacobian per pass took the peak to 2.1 MB, and two passes'
+        # condensings alive at once to 1.2 MB
         kw = dict(mu=0.7, bearings=((1, np.array([0.6, 0.8])),), anchors={1: np.array([0.3, 0.4])},
                   region=square_region(), horizon=40)
         x0 = np.array([0.2, 0.2, 0.3, -0.2])
@@ -1300,7 +1330,7 @@ class TestCondensedKkt:
         finally:
             tracemalloc.stop()
         assert sol.status == "solved" and sol.iterations >= 2
-        assert peak < 1.5 * 2**20
+        assert peak < 2**20
 
     def test_dependent_working_rows_leave_the_set_on_the_drag_model(self, monkeypatch, drag_model, terminal_drag):
         prob, warm = _dependent_start(drag_model, terminal_drag)
@@ -1388,13 +1418,69 @@ def _unreachable_terminal_problem(terminal_double):
     )
 
 
-class TestPhaseOneAndFallback:
+class TestFallbackAndSoftRows:
     def test_unreachable_terminal_is_certified_before_max_iter(self, terminal_double):
+        # Gauss-Newton on the squared violation took 35 linearly converging
+        # passes here
         with pytest.raises(OcpInfeasibleError) as exc_info:
             solve_ocp(_unreachable_terminal_problem(terminal_double))
         assert exc_info.value.solution.status == "infeasible"
-        assert exc_info.value.solution.iterations < SqpOptions().max_iter
+        assert exc_info.value.solution.iterations <= 10
         assert "stalls" in str(exc_info.value)
+
+    def test_far_from_feasible_warm_guesses_return_the_cold_solution(
+        self, double_integrator, drag_model, terminal_double, terminal_drag,
+    ):
+        # a guess with open shooting gaps restarts cold, so the solve is the
+        # cold solve, bit for bit
+        for model, ts in ((double_integrator, terminal_double), (drag_model, terminal_drag)):
+            for seed in range(25):
+                rng = np.random.default_rng(seed)
+                x0 = np.r_[rng.uniform(0.2, 0.8, 2), rng.uniform(-0.3, 0.3, 2)]
+                prob = make_problem(model, ts, x0, rng.uniform(-0.2, 1.2, 2), region=square_region(),
+                                    horizon=int(rng.integers(5, 15)))
+                cold = solve_ocp(prob)
+                scale = rng.uniform(0.5, 3.0)
+                x_seq = cold.x_seq.copy()
+                x_seq[1:] += scale * rng.standard_normal(x_seq[1:].shape)
+                guess = replace(cold, u_seq=cold.u_seq + scale * rng.standard_normal(cold.u_seq.shape), x_seq=x_seq,
+                                xbar=cold.xbar + scale * rng.standard_normal(cold.xbar.shape), status="candidate")
+                sol = solve_ocp(prob, warm=guess)
+                assert _solution_bytes(sol) == _solution_bytes(cold), (model, seed)
+
+    def test_cold_starts_are_solved_or_certified_infeasible(self, double_integrator, drag_model, terminal_double,
+                                                            terminal_drag):
+        # cold starts that leave the velocity box or the terminal set: the
+        # violated rows are held softly until they are back near their level
+        options = SqpOptions()
+        outcomes = []
+        for i in range(300):
+            rng = np.random.default_rng(1000 + i)
+            model, ts = ((double_integrator, terminal_double), (drag_model, terminal_drag))[rng.integers(2)]
+            horizon = int(rng.integers(2, 13))
+            x0 = np.r_[rng.uniform(0.05, 0.95, 2), rng.uniform(-0.5, 0.5, 2)]
+            r_ref = rng.uniform(-0.5, 1.5, 2)
+            bearings, anchors = [], {}
+            for j in range(1, int(rng.integers(0, 4)) + 1):
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                bearings.append((j, np.array([np.cos(angle), np.sin(angle)])))
+                anchors[j] = rng.uniform(0.0, 1.0, 2)
+            prob = make_problem(model, ts, x0, r_ref, mu=rng.uniform(0.3, 1.0), bearings=tuple(bearings),
+                                anchors=anchors, region=square_region(), horizon=horizon)
+            try:
+                sol = solve_ocp(prob, options=options)
+            except OcpInfeasibleError as exc:
+                assert "stalls" in str(exc), i
+                assert exc.solution.status == "infeasible"
+                assert exc.solution.iterations < options.max_iter, i
+                outcomes.append("infeasible")
+                continue
+            assert sol.status == "solved", i
+            assert sol.kkt_residual <= options.tol_stationarity, i
+            report = solution_feasibility(prob, sol)
+            assert report["inequality"] <= 1e-12 and report["dynamics"] <= options.tol_equality, i
+            outcomes.append("solved")
+        assert 0 < outcomes.count("infeasible") < 0.1 * len(outcomes)
 
     def test_infeasible_warm_guess_reaches_the_cold_start_solution(self, double_integrator, terminal_double):
         prob = make_problem(double_integrator, terminal_double, [0.3, 0.6, 0.2, -0.2], [1.25, 1.1],
@@ -1416,7 +1502,7 @@ class TestPhaseOneAndFallback:
         package = str(Path(mpc.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")])))
-        test = f"{__file__}::TestPhaseOneAndFallback::test_infeasible_warm_guess_reaches_the_cold_start_solution"
+        test = f"{__file__}::TestFallbackAndSoftRows::test_infeasible_warm_guess_reaches_the_cold_start_solution"
         run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
                              env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stdout[-2000:]

@@ -6,16 +6,18 @@ twice the cell's largest vertex radius away and so cannot cut it (Cortés,
 Martínez, Karataş & Bullo 2004).  A cell's centroid and its share of
 the locational cost H are read from one set of density moments taken about
 the cell's site (`cell_moments`): the mass, the first moment and the second
-moment.  The moments come from one quadrature pass over all cells of a
-partition and are kept on it, so the centroids and H of one partition cost
-one pass.  Every density, uniform included, goes through that pass.
+moment.  The moments come from one pass over all cells of a partition and
+are kept on it, so the centroids and H of one partition cost one pass.
 
-The quadrature fans each cell into triangles and applies a symmetric
-triangle rule, refined by uniform subdivision until two successive
-estimates agree.  Each level evaluates the integrand once on the rule
-points of every cell still open, and each cell's triangles are kept in the
-order a cell integrated alone would have, so its result is the same to the
-bit.
+A Gaussian mixture takes that pass in its own exact kernel
+(`GaussianMixtureDensity.moments`): edge integrals of analytic functions by
+the divergence theorem, at round-off.  Every other density (uniform, grid,
+any callable) goes through the adaptive quadrature, which fans each cell
+into triangles and applies a symmetric triangle rule, refined by uniform
+subdivision until two successive estimates agree.  Each level evaluates the
+integrand once on the rule points of every cell still open.  Either way a
+cell's moments depend only on the cell, so they are the same to the bit
+whichever cells share its pass.
 """
 
 from __future__ import annotations
@@ -82,6 +84,187 @@ class GaussianMixtureDensity:
             z = (pts - c.mean) ** 2 / c.cov_diag
             total += c.weight * np.exp(-0.5 * z.sum(axis=1))
         return total
+
+    def moments(self, cells, sites) -> np.ndarray:
+        """(n, 4) moments of each counter-clockwise convex polygon about its
+        site p_i: the integrals of phi, (q - p_i) phi and |q - p_i|^2 phi,
+        exact to round-off.  A polygon with fewer than 3 vertices gives
+        zeros.  Every edge of every polygon is integrated for every
+        component in one vectorised pass, and a polygon's moments depend
+        only on its own edges, so they are the same to the bit whichever
+        polygons share the call.
+
+        In unit-variance coordinates u = (q - m) / sigma of a component, with
+        g = exp(-|u|^2 / 2) and outward normal n, the divergence theorem
+        turns each moment into an edge integral of an analytic function:
+
+            int g       = closed int (1 - g) (u . n) / |u|^2 ds
+            int u_k g   = -closed int g n_k ds
+            int u_k^2 g = int g - closed int u_k g n_k ds
+
+        (the first is the edge form of the bivariate normal over a polygon,
+        Owen 1956), then scaled by w sigma_x sigma_y and shifted to each
+        site.  The mass field cancels to an absolute 1e-16 far from the
+        mean, so a polygon that excludes the mean and whose edges all stay
+        _FAR sigma from it integrates -g (u . n) / |u|^2 instead: the
+        dropped u / |u|^2 term winds zero times round it.  Edges are cut
+        into pieces no longer than one sigma, and shorter where g falls
+        fast along them, each integrated by 8-point Gauss-Legendre.  Where
+        g is negligible on an edge its terms are dropped, and the mass field
+        there is u / |u|^2, whose integral is the angle the part subtends;
+        so no edge takes more than about 25 pieces, however narrow the bump.
+        """
+        sites = np.asarray(sites, dtype=float)
+        out = np.zeros((len(cells), 4))
+        live = [i for i, v in enumerate(cells) if len(v) >= 3]
+        if not live:
+            return out
+        polys = [np.asarray(cells[i], dtype=float) for i in live]
+        counts = np.array([len(v) for v in polys])
+        tails = np.concatenate(polys)
+        ends = np.cumsum(counts)
+        head_idx = np.arange(1, len(tails) + 1)
+        head_idx[ends - 1] = ends - counts
+        parts = _gaussian_moments(self.components, tails, tails[head_idx], counts, sites[live])
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        out[live] = total
+        return out
+
+
+# 8-point Gauss-Legendre on [0, 1], from the 25-digit tables of the nodes
+# and weights on [-1, 1]; exact for polynomials of degree 15.
+_GL_X = np.array([0.1834346424956498049, 0.5255324099163289858, 0.7966664774136267396, 0.9602898564975362317])
+_GL_W = np.array([0.3626837833783619830, 0.3137066458778872873, 0.2223810344533744705, 0.1012285362903762592])
+_GL_NODES = 0.5 * np.concatenate((1.0 - _GL_X[::-1], 1.0 + _GL_X))[:, None]
+_GL_WEIGHTS = 0.5 * np.concatenate((_GL_W[::-1], _GL_W))
+# Along an edge, s sigma from the foot of the mean on its line, g falls by a
+# factor of about exp(-|s| l) over a piece of length l.  Pieces are at most
+# one sigma long, and at most _PIECE_DECAY / |s|, which keeps 8-point
+# Gauss-Legendre at round-off relative to each piece.
+_PIECE_DECAY = 4.0
+# Where g is below exp(-_NEGLIGIBLE) (4e-18) of its largest value on an edge,
+# the edge's g terms are dropped.
+_NEGLIGIBLE = 40.0
+# A polygon whose edges all stay this many sigma from the mean is far: the
+# poles of 1 / |u|^2 lie far enough from every piece for Gauss-Legendre.
+_FAR = 2.0
+
+
+def _stretch(s):
+    """Odd, increasing map of the arc position s whose unit steps are the
+    longest pieces allowed at s; _unstretch is its inverse."""
+    x = np.abs(s)
+    k = _PIECE_DECAY
+    return np.copysign(np.where(x <= k, x, 0.5 * k + x * x / (2.0 * k)), s)
+
+
+def _unstretch(y):
+    x = np.abs(y)
+    k = _PIECE_DECAY
+    return np.copysign(np.where(x <= k, x, np.sqrt(np.maximum(2.0 * k * x - k * k, 0.0))), y)
+
+
+def _gaussian_moments(components, tails, heads, counts, sites) -> np.ndarray:
+    """(C, n, 4) moments about the sites of each of C weighted Gaussian
+    components over n polygons, given as the edges tails -> heads stacked
+    polygon by polygon, counts[i] of them for polygon i; see
+    GaussianMixtureDensity.moments.  Every edge is taken once per component,
+    in one pass: bin b = c n + i collects component c over polygon i."""
+    n_comp, n = len(components), len(counts)
+    mean = np.array([c.mean for c in components])
+    sd = np.sqrt([c.cov_diag for c in components])
+    ax = ((tails[:, 0] - mean[:, :1]) / sd[:, :1]).ravel()
+    ay = ((tails[:, 1] - mean[:, 1:]) / sd[:, 1:]).ravel()
+    ex = ((heads[:, 0] - mean[:, :1]) / sd[:, :1]).ravel() - ax
+    ey = ((heads[:, 1] - mean[:, 1:]) / sd[:, 1:]).ravel() - ay
+    bins = n_comp * n
+    edge_bin = (n * np.arange(n_comp)[:, None] + np.repeat(np.arange(n), counts)).ravel()
+    bin_start = (len(tails) * np.arange(n_comp)[:, None] + (np.cumsum(counts) - counts)).ravel()
+    cross = ax * ey - ay * ex  # u x e, the same at every point u of the edge
+    len2 = ex * ex + ey * ey
+    moving = len2 > 0
+    span = np.sqrt(np.where(moving, len2, 1.0))
+    # arc positions of the edge's ends from the foot of the mean on its line,
+    # and the nearest one to it
+    sa = (ax * ex + ay * ey) / span
+    sb = sa + span
+    nearest = np.maximum(0.0, np.maximum(sa, -sb))
+    gap2 = np.where(moving, cross * cross / len2 + nearest * nearest, ax * ax + ay * ay)
+    # far: the mean lies outside and every edge stays _FAR sigma from it
+    far = (np.minimum.reduceat(gap2, bin_start) >= _FAR * _FAR) & (np.minimum.reduceat(cross, bin_start) < 0)
+    far_edge = far[edge_bin]
+    # [lo, hi]: the part of each edge's parameter where g is not negligible,
+    # cut into pieces evenly in the stretched arc position
+    reach = np.sqrt(nearest * nearest + 2.0 * _NEGLIGIBLE)
+    lo = np.where(sa < -reach, (-reach - sa) / span, 0.0)
+    hi = np.where(sb > reach, (reach - sa) / span, 1.0)
+    y_lo = _stretch(np.maximum(sa, -reach))
+    y_span = _stretch(np.minimum(sb, reach)) - y_lo
+    pieces = np.where(moving, np.ceil(y_span), 0.0).astype(int)
+    y_step = y_span / np.maximum(pieces, 1)
+    # the pieces + 1 bounds of each moving edge, as edge parameters
+    marks = np.where(moving, pieces + 1, 0)
+    owner = np.repeat(np.arange(len(ax)), marks)
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(marks) - marks, marks)
+    inner = (_unstretch(y_lo[owner] + j * y_step[owner]) - sa[owner]) / span[owner]
+    last = pieces[owner]
+    bounds = np.where(j == 0, lo[owner], np.where(j == last, hi[owner], inner))
+    at = np.flatnonzero(j < last)
+    edge = owner[at]
+    start = bounds[at]
+    step = bounds[at + 1] - start
+    # (8, pieces) nodes
+    t = start + step * _GL_NODES
+    ux = ax[edge] + t * ex[edge]
+    uy = ay[edge] + t * ey[edge]
+    r2 = ux * ux + uy * uy
+    # per node: the mass field, g, u_x g and u_y g
+    values = np.empty((len(_GL_WEIGHTS), 4, len(edge)))
+    g = np.exp(-0.5 * r2, out=values[:, 1])
+    field = values[:, 0]
+    field.fill(0.5)  # the near field's limit at u = 0
+    np.divide(np.where(far_edge[edge], -g, -np.expm1(-0.5 * r2)), r2, out=field, where=r2 > 0)
+    np.multiply(ux, g, out=values[:, 2])
+    np.multiply(uy, g, out=values[:, 3])
+    sums = _GL_WEIGHTS[0] * values[0]
+    for w, node_values in zip(_GL_WEIGHTS[1:], values[1:]):
+        sums = sums + w * node_values
+    s_field, s_g, s_xg, s_yg = sums * step
+    ex_p, ey_p, piece_bin = ex[edge], ey[edge], edge_bin[edge]
+
+    def per_bin(weights):
+        return np.bincount(piece_bin, weights=weights, minlength=bins)
+
+    mass = per_bin(cross[edge] * s_field)
+    # beyond [lo, hi] g is negligible and the mass field of a near polygon
+    # is u / |u|^2, which integrates to the angle its part subtends
+    cut = np.flatnonzero(((lo > 0) | (hi < 1)) & moving & ~far_edge)
+    if len(cut):
+        x0, y0, x1, y1 = ax[cut], ay[cut], ax[cut] + ex[cut], ay[cut] + ey[cut]
+        xl, yl = x0 + lo[cut] * ex[cut], y0 + lo[cut] * ey[cut]
+        xh, yh = x0 + hi[cut] * ex[cut], y0 + hi[cut] * ey[cut]
+        tail = np.arctan2(x0 * yl - y0 * xl, x0 * xl + y0 * yl) + np.arctan2(xh * y1 - yh * x1, xh * x1 + yh * y1)
+        mass = mass + np.bincount(edge_bin[cut], weights=tail, minlength=bins)
+    m1x = per_bin(-ey_p * s_g)
+    m1y = per_bin(ex_p * s_g)
+    m2x = mass + per_bin(-ey_p * s_xg)
+    m2y = mass + per_bin(ex_p * s_yg)
+    # back to q about each site: q - p = sigma u + d with d = m - p
+    mass, m1x, m1y, m2x, m2y = (v.reshape(n_comp, n) for v in (mass, m1x, m1y, m2x, m2y))
+    sx, sy = sd[:, :1], sd[:, 1:]
+    dx, dy = mean[:, :1] - sites[:, 0], mean[:, 1:] - sites[:, 1]
+    scale = np.array([c.weight for c in components])[:, None] * sx * sy
+    return scale[..., None] * np.stack(
+        [
+            mass,
+            sx * m1x + dx * mass,
+            sy * m1y + dy * mass,
+            sx * sx * m2x + sy * sy * m2y + 2.0 * (sx * dx * m1x + sy * dy * m1y) + (dx * dx + dy * dy) * mass,
+        ],
+        axis=-1,
+    )
 
 
 class GridDensity:
@@ -327,18 +510,22 @@ def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPar
 def cell_moments(partition: VoronoiPartition, density) -> np.ndarray:
     """(n, 4) density moments of each cell about its own site p_i: the
     integrals of phi, (q - p_i) phi and |q - p_i|^2 phi, all from one batched
-    quadrature pass.  The read-only result is kept on the partition, one
-    entry per density, so later calls read it back.
+    pass: a Gaussian mixture's exact kernel, or else the adaptive
+    quadrature.  The read-only result is kept on the partition, one entry per
+    density, so later calls read it back.
     """
     if density not in partition._moments:
         sites = partition.sites
+        if isinstance(density, GaussianMixtureDensity):
+            values = density.moments(partition.cells, sites)
+        else:
 
-        def moments(pts, owner):
-            phi = density(pts)
-            diff = pts - sites[owner]
-            return np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
+            def moments(pts, owner):
+                phi = density(pts)
+                diff = pts - sites[owner]
+                return np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
 
-        values = integrate_over_polygons(partition.cells, moments)
+            values = integrate_over_polygons(partition.cells, moments)
         values.setflags(write=False)
         partition._moments[density] = values
     return partition._moments[density]
@@ -347,12 +534,15 @@ def cell_moments(partition: VoronoiPartition, density) -> np.ndarray:
 def centroid(cell, density) -> np.ndarray:
     """Density-weighted centroid of one cell, or, given a VoronoiPartition,
     the (n, 2) centroids of all its cells: each site plus its cell's first
-    moment over its mass.  A lone polygon is taken as the one-cell partition
-    of itself, with its vertex mean as the site.
+    moment over its mass.  A lone polygon, in either orientation, is taken
+    as the one-cell partition of itself in counter-clockwise order, with its
+    vertex mean as the site.
     """
     batch = isinstance(cell, VoronoiPartition)
     if not batch:
         poly = np.asarray(cell, dtype=float)
+        if polygon_area(poly) < 0:  # clockwise: the same polygon, counter-clockwise
+            poly = poly[::-1]
         cell = VoronoiPartition((poly,), None, poly.mean(axis=0, keepdims=True))
     m = cell_moments(cell, density)
     light = np.flatnonzero(m[:, 0] < MASS_TOL)

@@ -200,14 +200,27 @@ def _apply(team: _Team, config: SimConfig, k: int, updated: bool, measure: _Meas
         solver_iterations=tuple(sol.iterations for sol in sols),
         solver_kkt=tuple(sol.kkt_residual for sol in sols),
     )
-    for li, (oid, u) in enumerate(zip(alive, inputs)):
-        model = config.models[oid]
-        if not model.input_bounds.contains(u, tol=1e-9):
-            raise NumericalBreakdownError(f"applied input of robot {oid} violates bounds at step {k}")
-        nxt = model.step(team.states[li], u)
-        if not model.state_bounds.contains(nxt, tol=1e-9):
-            raise NumericalBreakdownError(f"state of robot {oid} leaves the box at step {k}")
-        team.states[li] = nxt
+    # one step and one box check per model: both act row by row
+    groups: dict = {}
+    for li, oid in enumerate(alive):
+        groups.setdefault(config.models[oid], []).append(li)
+    stepped = np.empty_like(team.states)
+    inside = True
+    for model, rows in groups.items():
+        stepped[rows] = model.step(team.states[rows], inputs[rows])
+        inside = (
+            inside
+            and model.input_bounds.contains(inputs[rows], tol=1e-9)
+            and model.state_bounds.contains(stepped[rows], tol=1e-9)
+        )
+    if not inside:  # name the first robot that breaks a box, its input first
+        for li, oid in enumerate(alive):
+            model = config.models[oid]
+            if not model.input_bounds.contains(inputs[li], tol=1e-9):
+                raise NumericalBreakdownError(f"applied input of robot {oid} violates bounds at step {k}")
+            if not model.state_bounds.contains(stepped[li], tol=1e-9):
+                raise NumericalBreakdownError(f"state of robot {oid} leaves the box at step {k}")
+    team.states = stepped
     team.prev_sols = sols
     return record
 

@@ -31,6 +31,39 @@ from rigid_coverage.sim import StepRecord, run
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def _fine_integral(polygon, func, splits=3, nodes=14):
+    """Integral of func(points) over a convex polygon by a fixed fine rule:
+    the fan triangles, each split `splits` times, and a collapsed nodes x
+    nodes Gauss-Legendre product rule on every piece.  (k,) values give (k,)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = (x + 1) / 2, w / 2
+    u, v = (g.ravel() for g in np.meshgrid(x, x, indexing="ij"))
+    poly = np.asarray(polygon, dtype=float)
+    tris = np.stack([np.broadcast_to(poly[0], poly[1:-1].shape), poly[1:-1], poly[2:]], axis=1)
+    for _ in range(splits):
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+        tris = np.concatenate([np.stack(t, axis=1) for t in ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))])
+    a, b, c = tris[:, 0, None], tris[:, 1, None], tris[:, 2, None]
+    # x = a + u (b - a) + u v (c - b), Jacobian 2 |T| u
+    pts = (a + u[:, None] * (b - a) + (u * v)[:, None] * (c - b)).reshape(-1, 2)
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    twice_area = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    weights = (twice_area[:, None] * (np.outer(w, w).ravel() * u)[None, :]).ravel()
+    return weights @ np.asarray(func(pts))
+
+
+def _fine_moments(cell, site, density):
+    """Mass, first and second moment of a cell about its site by the fine rule."""
+
+    def moments(pts):
+        phi = density(pts)
+        diff = pts - site
+        return np.column_stack([phi, diff * phi[:, None], np.sum(diff**2, axis=1) * phi])
+
+    return _fine_integral(cell, moments)
+
+
 def grid_reference(region_lo, region_hi, func, n=400):
     """Midpoint-rule value of func over an axis-aligned box."""
     xs = np.linspace(region_lo[0], region_hi[0], n, endpoint=False) + (region_hi[0] - region_lo[0]) / (2 * n)
@@ -270,13 +303,11 @@ class TestCoverageCost:
             part = voronoi_partition(pos, unit_square)
         assert not np.array_equal(part.sites, pos)
         density = DENSITIES["gaussian"]
-
-        def weighted_sq(pts, owner):
-            diff = pts - pos[owner]
-            return (diff[:, 0] ** 2 + diff[:, 1] ** 2) * density(pts)
-
-        direct = integrate_over_polygons(part.cells, weighted_sq).sum()
-        assert coverage_cost(pos, part, density) == pytest.approx(direct, rel=1e-9)
+        direct = sum(
+            _fine_integral(cell, lambda pts, p=p: np.sum((pts - p) ** 2, axis=1) * density(pts))
+            for cell, p in zip(part.cells, pos)
+        )
+        assert coverage_cost(pos, part, density) == pytest.approx(direct, rel=1e-13)
 
     def test_lloyd_iterations_never_increase_cost(self, unit_square):
         rng = np.random.default_rng(5)
@@ -321,10 +352,11 @@ class TestPartitionUpdateDue:
         assert not partition_update_due(pos, refs, stored)
 
 
-# --- batched quadrature against the per-cell loop it replaced ----------------
+# --- batched moments against a per-cell loop ---------------------------------
 # The oracle below is the per-cell refinement loop verbatim, applied to each
-# cell's moments about its site; the batched kernel must reproduce it bit for
-# bit, cell by cell.
+# cell's moments about its site; the batched quadrature must reproduce it bit
+# for bit, cell by cell.  A Gaussian mixture's moments come from its own
+# kernel, so for it the per-cell oracle is that kernel on one cell at a time.
 
 def _oracle_fan_triangles(vertices):
     v = np.asarray(vertices, dtype=float)
@@ -382,6 +414,9 @@ def _oracle_integrate(vertices, func, tol=QUAD_REFINE_TOL, max_levels=6):
 
 
 def _oracle_moments(cell, site, density):
+    if isinstance(density, GaussianMixtureDensity):
+        return density.moments([cell], np.asarray(site)[None])[0]
+
     def moments(pts):
         phi = density(pts)
         diff = pts - site
@@ -548,3 +583,105 @@ class TestBatchedQuadrature:
                     assert x == y, field.name
         assert batched.events == per_cell.events
         assert batched.summary == per_cell.summary
+
+
+# --- exact Gaussian moments ---------------------------------------------------
+
+def _gaussian(*components):
+    return GaussianMixtureDensity(
+        tuple(GaussianComponent(np.array(m, float), np.array(c, float), w) for m, c, w in components)
+    )
+
+
+GAUSSIANS = {
+    "fault6": _gaussian(([0.7, 0.7], [0.04, 0.04], 1.0)),
+    "swarm96": _gaussian(([0.3, 0.35], [0.03, 0.03], 1.0), ([0.7, 0.6], [0.03, 0.03], 0.6)),
+    "anisotropic": DENSITIES["gaussian"],
+    "narrow": _gaussian(([0.62, 0.41], [0.002, 0.02], 1.0), ([0.25, 0.8], [0.01, 0.002], 0.8)),
+}
+
+
+def _interval_moments(lo, hi, mean, sd):
+    """Integrals of exp(-(q - mean)^2 / (2 sd^2)) times 1, (q - mean) and
+    (q - mean)^2 over [lo, hi], in closed form, accurate far into the tail."""
+    A, B = (lo - mean) / sd, (hi - mean) / sd
+    if A >= 0:
+        ratio = math.erfc(A / math.sqrt(2)) - math.erfc(B / math.sqrt(2))
+    elif B <= 0:
+        ratio = math.erfc(-B / math.sqrt(2)) - math.erfc(-A / math.sqrt(2))
+    else:
+        ratio = math.erf(B / math.sqrt(2)) - math.erf(A / math.sqrt(2))
+    g0 = sd * math.sqrt(math.pi / 2) * ratio
+    ga, gb = math.exp(-A * A / 2), math.exp(-B * B / 2)
+    return g0, sd * sd * (ga - gb), sd**3 * (A * ga - B * gb) + sd * sd * g0
+
+
+class TestGaussianMoments:
+    @pytest.mark.parametrize("name", sorted(GAUSSIANS))
+    def test_partition_moments_match_a_fine_rule(self, unit_square, name):
+        density = GAUSSIANS[name]
+        rng = np.random.default_rng(8)
+        for n in (1, 6, 24):
+            part = voronoi_partition(rng.uniform(0.02, 0.98, (n, 2)), unit_square)
+            got = coverage.cell_moments(part, density)
+            want = np.array([_fine_moments(c, s, density) for c, s in zip(part.cells, part.sites)])
+            totals = np.abs(want).sum(axis=0)
+            assert np.all(np.abs(got - want) <= 1e-13 * totals)
+
+    @pytest.mark.parametrize("k", [1.0, 2.0, 3.5, 5.0, 6.5, 8.0])
+    @pytest.mark.parametrize("box", ["diagonal", "radial"])
+    def test_far_cells_keep_relative_accuracy(self, k, box):
+        # a rectangle k sigma from the mean along x, off the axis or across
+        # it (its long edges' lines then pass half a sigma from the mean)
+        mean, var = np.array([0.3, -0.2]), np.array([0.0025, 0.04])
+        sd = np.sqrt(var)
+        density = _gaussian((mean, var, 0.8))
+        (x0, x1), (y0, y1) = (k, k + 1.5), ((1.0, 2.0) if box == "diagonal" else (-0.5, 0.5))
+        lo, hi = mean + sd * [x0, y0], mean + sd * [x1, y1]
+        cell = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
+        (mx, fx, _), (my, fy, _) = (_interval_moments(lo[i], hi[i], mean[i], sd[i]) for i in (0, 1))
+        site = cell.mean(axis=0)
+        m = density.moments([cell], site[None])[0]
+        assert m[0] == pytest.approx(0.8 * mx * my, rel=1e-13, abs=0)
+        # beyond 6 sigma the mass is below MASS_TOL, so read the centroid off the moments
+        ref = mean + [fx / mx, fy / my]
+        assert np.all(np.abs(site + m[1:3] / m[0] - ref) <= 1e-13 * sd)
+
+    def test_bumps_far_narrower_or_wider_than_the_cell(self):
+        # every edge far beyond the bump's reach, or one piece for the whole cell
+        narrow = _gaussian(([0.4, 0.55], [1e-12, 4e-12], 1.0))
+        m = narrow.moments([SQUARE], np.array([[0.4, 0.55]]))[0]
+        assert m[0] == pytest.approx(2 * np.pi * 2e-12, rel=1e-14)
+        assert np.all(np.abs(m[1:3]) <= 1e-14 * m[0] * 1e-6)
+        assert m[3] == pytest.approx(m[0] * 5e-12, rel=1e-14)
+        wide = _gaussian(([0.3, 0.6], [400.0, 900.0], 2.0))
+        (mx, _, _), (my, _, _) = (_interval_moments(0.0, 1.0, m, s) for m, s in ((0.3, 20.0), (0.6, 30.0)))
+        assert wide.moments([SQUARE], np.array([[0.5, 0.5]]))[0, 0] == pytest.approx(2 * mx * my, rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["fault6", "narrow"])
+    def test_a_cells_bits_do_not_depend_on_its_batch(self, unit_square, name):
+        density = GAUSSIANS[name]
+        part = voronoi_partition(np.random.default_rng(9).uniform(0.02, 0.98, (30, 2)), unit_square)
+        batch = density.moments(part.cells, part.sites)
+        for i, (cell, site) in enumerate(zip(part.cells, part.sites)):
+            assert _bitwise_equal(batch[i], density.moments([cell], site[None])[0])
+        order = np.random.default_rng(10).permutation(30)
+        mixed = [part.cells[i] for i in order] + [SQUARE[:2]]
+        reordered = density.moments(mixed, np.vstack([part.sites[order], [0.5, 0.5]]))
+        assert _bitwise_equal(reordered[:30], batch[order])
+
+    def test_degenerate_polygons_give_zeros(self):
+        density = GAUSSIANS["narrow"]
+        cells = [SQUARE, SQUARE[:2], SQUARE[:1], np.zeros((0, 2)), SQUARE]
+        values = density.moments(cells, np.full((5, 2), 0.5))
+        assert np.array_equal(values[1:4], np.zeros((3, 4)))
+        assert _bitwise_equal(values[0], values[4]) and values[0, 0] > 0
+        assert np.array_equal(density.moments([SQUARE[:2]], np.zeros((1, 2))), np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_clockwise_polygon_gives_the_same_centroid(self, name):
+        density = DENSITIES[name]
+        for k in (3, 5, 8):
+            poly = _random_convex_polygon(np.random.default_rng(k), k)
+            assert polygon_area(poly[::-1]) < 0
+            assert _bitwise_equal(centroid(poly[::-1], density), centroid(poly, density))

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import make_scenario
 from rigid_coverage import coverage, sim
 from rigid_coverage.config import config_from_dict
 from rigid_coverage.coverage import coverage_cost, voronoi_partition
-from rigid_coverage.errors import InvalidInputError
+from rigid_coverage.errors import InvalidInputError, NumericalBreakdownError
 from rigid_coverage.sim import SimTrace, export, run
 
 
@@ -72,21 +73,25 @@ def test_coverage_cost_non_increasing_at_updates(short_trace):
         prev = rec.coverage_cost
 
 
-def test_one_quadrature_pass_per_step(monkeypatch):
-    # an update step reads its centroids and H from one pass over its
-    # partition; the final H of the summary takes one more
-    calls = []
-    integrate = coverage.integrate_over_polygons
+def test_one_moment_pass_per_step(monkeypatch):
+    # an update step reads its centroids and H from one moment evaluation
+    # over its partition; the final H of the summary takes one more.  The
+    # Gaussian density's exact kernel takes every one: no cell reaches the
+    # quadrature.
+    kernel_calls, quadrature_calls = [], []
+    kernel = coverage.GaussianMixtureDensity.moments
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return integrate(*args, **kwargs)
+    def counted(density, cells, sites):
+        kernel_calls.append(cells)
+        return kernel(density, cells, sites)
 
-    monkeypatch.setattr(coverage, "integrate_over_polygons", counted)
+    monkeypatch.setattr(coverage.GaussianMixtureDensity, "moments", counted)
+    monkeypatch.setattr(coverage, "integrate_over_polygons", lambda *args, **kwargs: quadrature_calls.append(args))
     steps = 12
     trace = run(config_from_dict(make_scenario(mu=0.7, steps=steps, faults=[{"at_step": 5, "robot": 2}])))
     assert sum(r.updated for r in trace.records) > 2
-    assert len(calls) == steps + 1
+    assert len(kernel_calls) == steps + 1
+    assert quadrature_calls == []
 
 
 def test_recorded_coverage_cost_does_not_rise_at_updates_after_a_fault():
@@ -189,6 +194,62 @@ def test_mixed_team_builds_one_terminal_set_per_model(monkeypatch):
     assert sorted(built) == ["DoubleIntegrator", "DragDoubleIntegrator"]
     assert trace.summary["alive"] == [0, 2, 3]
     assert statuses == ["solved"] * (2 * 4 + 4 * 3)
+
+
+def _mixed_team_at_apply(velocities, inputs):
+    """A config of alternating models, its team and one-step solutions with
+    the given first inputs, ready for sim._apply."""
+    data = make_scenario(steps=1)
+    kinds = ["double_integrator", "drag_double_integrator"] * 3
+    positions = data["robots"]["initial_positions"]
+    data["robots"] = [
+        {"position": p, "velocity": list(v), "model": kind} for p, v, kind in zip(positions, velocities, kinds)
+    ]
+    config = config_from_dict(data)
+    team = sim._Team(list(range(6)), config.initial_states.copy(), config.graph, None, [None] * 6)
+    team.refs, team.errors = config.initial_states[:, :2].copy(), np.zeros(6)
+    sols = [
+        types.SimpleNamespace(u_seq=np.array([u], dtype=float), cost=0.0, iterations=1, kkt_residual=0.0)
+        for u in inputs
+    ]
+    return config, team, sols
+
+
+def test_apply_steps_each_robot_by_its_own_model():
+    rng = np.random.default_rng(4)
+    velocities, inputs = rng.uniform(-0.3, 0.3, (6, 2)), rng.uniform(-0.9, 0.9, (6, 2))
+    config, team, sols = _mixed_team_at_apply(velocities, inputs)
+    expected = np.array([config.models[i].step(team.states[i], u) for i, u in enumerate(inputs)])
+    before = team.states.copy()
+    record = sim._apply(team, config, 3, False, sim._Measure(None, 0.0, 0.0, None), sols)
+    assert team.states.tobytes() == expected.tobytes()
+    assert record.states.tobytes() == before.tobytes() and record.inputs.tobytes() == inputs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "breaches, message",
+    [
+        ({1: "state", 3: "input"}, "state of robot 1 leaves the box at step 7"),
+        ({1: "input", 3: "state"}, "applied input of robot 1 violates bounds at step 7"),
+        ({2: "state", 4: "input", 5: "state"}, "state of robot 2 leaves the box at step 7"),
+        ({0: "input"}, "applied input of robot 0 violates bounds at step 7"),
+        ({5: "input"}, "applied input of robot 5 violates bounds at step 7"),
+        ({2: "both", 3: "state"}, "applied input of robot 2 violates bounds at step 7"),
+    ],
+)
+def test_box_breach_names_the_first_robot(breaches, message):
+    # at v_max a full push leaves the state box; 1.5 is beyond u_max
+    velocities, inputs = np.zeros((6, 2)), np.zeros((6, 2))
+    for robot, kind in breaches.items():
+        if kind == "state":
+            velocities[robot], inputs[robot] = [0.5, 0.0], [1.0, 0.0]
+        elif kind == "input":
+            inputs[robot] = [0.0, -1.5]
+        else:  # both: a push beyond u_max at v_max
+            velocities[robot], inputs[robot] = [0.5, 0.0], [1.5, 0.0]
+    config, team, sols = _mixed_team_at_apply(velocities, inputs)
+    with pytest.raises(NumericalBreakdownError, match=f"^{message}$"):
+        sim._apply(team, config, 7, False, sim._Measure(None, 0.0, 0.0, None), sols)
 
 
 def test_one_framework_per_step(monkeypatch):

@@ -11,13 +11,16 @@ are kept on it, so the centroids and H of one partition cost one pass.
 
 A Gaussian mixture takes that pass in its own exact kernel
 (`GaussianMixtureDensity.moments`): edge integrals of analytic functions by
-the divergence theorem, at round-off.  Every other density (uniform, grid,
-any callable) goes through the adaptive quadrature, which fans each cell
-into triangles and applies a symmetric triangle rule, refined by uniform
-subdivision until two successive estimates agree.  Each level evaluates the
-integrand once on the rule points of every cell still open.  Either way a
-cell's moments depend only on the cell, so they are the same to the bit
-whichever cells share its pass.
+the divergence theorem, at round-off.  Every other density goes through one
+fixed quadrature: each cell is fanned into triangles and the symmetric
+7-point rule, exact for polynomials of degree 5, is applied once, with one
+evaluation of the integrand on the rule points of every cell.  The uniform
+density's moments have degree 2, so they are exact.  A grid density's cells
+are first cut at the grid lines into pieces on which the bilinear
+interpolant is a polynomial, so its degree-4 moments are exact too.  Any
+other callable gets the same rule, exact only for a polynomial density of
+degree at most 3.  Either way a cell's moments depend only on the cell, so
+they are the same to the bit whichever cells share its pass.
 """
 
 from __future__ import annotations
@@ -33,11 +36,10 @@ from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
-from .geometry import ConvexRegion, clip_polygon_halfplane, polygon_area
+from .geometry import GEOM_EPS, ConvexRegion, clip_polygon_halfplane, polygon_area
 
 MIN_SITE_SEPARATION = 1e-7
 AREA_TILE_RTOL = 1e-8
-QUAD_REFINE_TOL = 1e-7
 CONVERGENCE_TOL = 1e-6
 MASS_TOL = 1e-12
 
@@ -63,9 +65,11 @@ class GaussianMixtureDensity:
     def __init__(self, components):
         comps = []
         for c in components:
-            mean = np.asarray(c.mean if isinstance(c, GaussianComponent) else c[0], dtype=float)
-            cov = np.asarray(c.cov_diag if isinstance(c, GaussianComponent) else c[1], dtype=float)
-            weight = float(c.weight if isinstance(c, GaussianComponent) else c[2])
+            try:
+                mean, cov, weight = (c.mean, c.cov_diag, c.weight) if isinstance(c, GaussianComponent) else c
+                mean, cov, weight = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float), float(weight)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"each component needs a mean, a diagonal covariance and a weight: {exc}") from exc
             if mean.shape != (2,) or cov.shape != (2,):
                 raise InvalidInputError("each component needs a 2-vector mean and diagonal covariance")
             if not np.all(np.isfinite(mean)):
@@ -268,21 +272,29 @@ def _gaussian_moments(components, tails, heads, counts, sites) -> np.ndarray:
 
 
 class GridDensity:
-    """Bilinear interpolation of positive samples on a regular grid."""
+    """Bilinear interpolation of positive samples on a regular grid, held
+    at its edge value beyond lo and hi.  values[j, i] is the sample at
+    x_i, y_j of the grid lines; values, lo and hi are read-only copies."""
 
     def __init__(self, values: np.ndarray, lo, hi):
-        vals = np.asarray(values, dtype=float)
+        try:
+            vals, self.lo, self.hi = (np.array(a, dtype=float) for a in (values, lo, hi))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"grid values and bounds must be numeric arrays: {exc}") from exc
         if vals.ndim != 2 or vals.shape[0] < 2 or vals.shape[1] < 2:
             raise InvalidInputError("grid values must be 2-D with at least 2 samples per axis")
         if not np.all((vals > 0) & (vals < np.inf)):
             raise InvalidInputError("grid density values must be positive and finite")
         self.values = vals
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != (2,) or self.hi.shape != (2,):
             raise InvalidInputError("grid bounds lo and hi must be 2-vectors")
         if not np.all((-np.inf < self.lo) & (self.lo < self.hi) & (self.hi < np.inf)):
             raise InvalidInputError("grid bounds must be finite with lo < hi")
+        ny, nx = vals.shape
+        self._xs = np.linspace(self.lo[0], self.hi[0], nx)
+        self._ys = np.linspace(self.lo[1], self.hi[1], ny)
+        for a in (self.values, self.lo, self.hi):
+            a.setflags(write=False)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -301,6 +313,49 @@ class GridDensity:
             + z[j0 + 1, i0] * (1 - fu) * fv
             + z[j0 + 1, i0 + 1] * fu * fv
         )
+
+    def pieces(self, polygon) -> list[np.ndarray]:
+        """A convex polygon cut at every grid line, lo and hi included, into
+        pieces that each lie in one grid square or one strip beyond lo or
+        hi, where the density is a polynomial of degree at most 2.  The
+        strips between x-lines come left to right, each cut bottom to top
+        by the y-lines.  The rows of a strip that lie wholly inside it are
+        rectangles, taken without clipping."""
+        out = []
+        for strip in _slices(np.asarray(polygon, dtype=float), 0, self._xs):
+            # The strip's lower boundary is convex and its upper one concave,
+            # so a y-line crosses it from side to side when it crosses both
+            # its left face (x = a) and its right face (x = b).
+            a, b = strip[:, 0].min(), strip[:, 0].max()
+            left, right = strip[strip[:, 0] <= a + GEOM_EPS, 1], strip[strip[:, 0] >= b - GEOM_EPS, 1]
+            ys = self._ys[(self._ys >= max(left.min(), right.min())) & (self._ys <= min(left.max(), right.max()))]
+            if len(ys) < 2:
+                out += _slices(strip, 1, self._ys)
+                continue
+            out += _slices(clip_polygon_halfplane(strip, np.array([0.0, 1.0]), ys[0]), 1, self._ys)
+            rows = np.column_stack([ys[:-1], ys[:-1], ys[1:], ys[1:]])
+            out += list(np.stack([np.broadcast_to([a, b, b, a], rows.shape), rows], axis=-1))
+            out += _slices(clip_polygon_halfplane(strip, np.array([0.0, -1.0]), -ys[-1]), 1, self._ys)
+        return out
+
+
+def _slices(polygon: np.ndarray, axis: int, lines: np.ndarray) -> list[np.ndarray]:
+    """The parts of a convex polygon between successive lines q[axis] = c
+    of the ascending lines, in order, two clips per part; empty parts are
+    left out."""
+    normal = np.eye(2)[axis]
+    if len(polygon) == 0:
+        return []
+    inside = lines[(lines > polygon[:, axis].min()) & (lines < polygon[:, axis].max())]
+    parts = []
+    for c in inside.tolist():
+        part = clip_polygon_halfplane(polygon, normal, c)
+        polygon = clip_polygon_halfplane(polygon, -normal, -c)
+        if len(part):
+            parts.append(part)
+    if len(polygon):
+        parts.append(polygon)
+    return parts
 
 
 # The degree-5 symmetric 7-point triangle rule in barycentric coordinates:
@@ -324,113 +379,48 @@ def _triangle_rule():
 _TRI_RULE = _triangle_rule()
 
 
-def _fan_triangles(polygons) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (N, 3, 2) triangle fans from vertex 0 of each convex polygon,
-    polygon by polygon, and the number of triangles of each."""
-    fans = [
-        np.stack([np.broadcast_to(v[0], (len(v) - 2, 2)), v[1:-1], v[2:]], axis=1)
-        for v in polygons
-    ]
-    return np.concatenate(fans), np.array([len(f) for f in fans])
+def _segment_sums(values: np.ndarray, counts) -> np.ndarray:
+    """Sums of successive runs of rows, counts[i] of them for run i, each
+    added up in order on its own; an empty run gives zeros."""
+    counts = np.asarray(counts, dtype=int)
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros((len(counts),) + values.shape[1:])
+    for j in range(counts.max(initial=0)):
+        runs = np.flatnonzero(counts > j)
+        sums[runs] += values[starts[runs] + j]
+    return sums
 
 
-def _subdivide(tris: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Split every triangle into four at its edge midpoints.  Each polygon's
-    children stay together: all its a-corner children, then the b-corner,
-    c-corner and middle ones."""
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-    children = np.stack(
-        [
-            np.stack([a, ab, ca], axis=1),
-            np.stack([ab, b, bc], axis=1),
-            np.stack([ca, bc, c], axis=1),
-            np.stack([ab, bc, ca], axis=1),
-        ]
-    )
-    # child q of the j-th triangle of a polygon with t triangles from s on
-    # goes to 4 s + q t + j
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    sizes = np.repeat(counts, counts)
-    dest = 3 * starts + np.arange(len(tris)) + np.arange(4)[:, None] * sizes
-    out = np.empty((4 * len(tris), 3, 2))
-    out[dest.ravel()] = children.reshape(-1, 3, 2)
-    return out
-
-
-def _integrate_triangles(tris, counts, owners, func) -> np.ndarray:
-    """(p, k) rule estimates for p polygons whose triangles are stacked
-    polygon by polygon, counts[i] of them for polygon owners[i]."""
-    bary, wts = _TRI_RULE
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    areas = 0.5 * np.abs(
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
-    )
-    pts = bary[:, 0, None, None] * a + bary[:, 1, None, None] * b + bary[:, 2, None, None] * c
-    vals = np.asarray(func(pts.reshape(-1, 2), np.tile(np.repeat(owners, counts), len(wts))))
-    vals = vals.reshape(len(wts), len(tris), -1)
-    total = (wts[0] * areas)[:, None] * vals[0]
-    for w, v in zip(wts[1:], vals[1:]):
-        total = total + (w * areas)[:, None] * v
-    # each polygon's (t, k) block is summed on its own, as if it were alone
-    ends = np.cumsum(counts)
-    return np.array([total[s:e].sum(axis=0) for s, e in zip(ends - counts, ends)])
-
-
-def integrate_over_polygons(
-    polygons,
-    func,
-    tol: float = QUAD_REFINE_TOL,
-    max_levels: int = 6,
-) -> np.ndarray:
+def integrate_over_polygons(polygons, func) -> np.ndarray:
     """Integrate a vector-valued function over each of n convex polygons.
 
     func(points, owner) receives (P, 2) points and the (P,) index of the
     polygon each lies in, and returns (P,) or (P, k) values; the result is
-    (n, k).  All polygons are refined together: each level evaluates func
-    once on the rule points of every polygon still open, and a polygon
-    closes when two successive levels agree to tol in every component.  A
-    polygon's value depends only on its own triangles, so it is the same
-    whichever polygons share its batch.
+    (n, k).  Each polygon is fanned into triangles from its vertex 0, and
+    the 7-point rule is applied once to every triangle, with one call of
+    func for all polygons.  The rule is exact where func is a polynomial of
+    degree at most 5 on the polygon.  A polygon's value is its triangles'
+    terms added up in order, so it is the same whichever polygons share its
+    batch; one with fewer than 3 vertices gives zeros.
     """
-    polys = [np.asarray(v, dtype=float) for v in polygons]
-    results: list = [None] * len(polys)
-    for i, v in enumerate(polys):
-        if len(v) < 3:
-            results[i] = np.zeros_like(np.asarray(func(np.zeros((1, 2)), np.array([i]))).reshape(-1))
-    live = np.flatnonzero([len(v) >= 3 for v in polys])
-    if len(live) == 0:
-        return np.array(results)
-    tris, counts = _fan_triangles([polys[i] for i in live])
-    est = _integrate_triangles(tris, counts, live, func)
-    for _ in range(max_levels):
-        tris, counts = _subdivide(tris, counts), 4 * counts
-        nxt = _integrate_triangles(tris, counts, live, func)
-        done = np.max(np.abs(nxt - est), axis=1) < tol
-        for i, value in zip(live[done], nxt[done]):
-            results[i] = value
-        keep = ~done
-        tris, counts, live, est = tris[np.repeat(keep, counts)], counts[keep], live[keep], nxt[keep]
-        if len(live) == 0:
-            return np.array(results)
-    warnings.warn("polygon quadrature did not meet tolerance; returning finest estimate")
-    for i, value in zip(live, est):
-        results[i] = value
-    return np.array(results)
-
-
-def integrate_over_polygon(
-    vertices: np.ndarray,
-    func,
-    tol: float = QUAD_REFINE_TOL,
-    max_levels: int = 6,
-) -> np.ndarray:
-    """Integrate a vector-valued function over a convex polygon.
-
-    Subdivides the fan triangulation until two successive levels agree to
-    tol in every component.
-    """
-    return integrate_over_polygons([vertices], lambda pts, _owner: func(pts), tol, max_levels)[0]
+    polys = [np.asarray(v, dtype=float).reshape(-1, 2) for v in polygons]
+    sizes = np.array([len(v) for v in polys], dtype=int)
+    counts = np.maximum(sizes - 2, 0)
+    verts = np.concatenate(polys + [np.zeros((0, 2))])
+    # triangle j of a polygon whose vertices start at s is (s, s + j + 1, s + j + 2)
+    first = np.repeat(np.cumsum(sizes) - sizes, counts)
+    j = np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b, c = verts[first], verts[first + j + 1], verts[first + j + 2]
+    areas = 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+    bary, wts = _TRI_RULE
+    pts = bary[:, 0, None, None] * a + bary[:, 1, None, None] * b + bary[:, 2, None, None] * c
+    owners = np.repeat(np.arange(len(polys)), counts)
+    vals = np.asarray(func(pts.reshape(-1, 2), np.tile(owners, len(wts))))
+    vals = vals.reshape(len(wts), len(first), *(vals.shape[1:] or (1,)))
+    total = (wts[0] * areas)[:, None] * vals[0]
+    for w, v in zip(wts[1:], vals[1:]):
+        total = total + (w * areas)[:, None] * v
+    return _segment_sums(total, counts)
 
 
 @dataclass(frozen=True)
@@ -510,22 +500,28 @@ def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPar
 def cell_moments(partition: VoronoiPartition, density) -> np.ndarray:
     """(n, 4) density moments of each cell about its own site p_i: the
     integrals of phi, (q - p_i) phi and |q - p_i|^2 phi, all from one batched
-    pass: a Gaussian mixture's exact kernel, or else the adaptive
-    quadrature.  The read-only result is kept on the partition, one entry per
-    density, so later calls read it back.
+    pass: a Gaussian mixture's exact kernel, or else one pass of the fixed
+    rule of integrate_over_polygons, with a grid density's cells first cut
+    into their grid pieces and each cell's pieces summed in order.  Exact
+    for the built-in densities; any other callable density only where it is
+    a polynomial of degree at most 3.  The read-only result is kept on the
+    partition, one entry per density, so later calls read it back.
     """
     if density not in partition._moments:
-        sites = partition.sites
+        cells, sites = partition.cells, partition.sites
         if isinstance(density, GaussianMixtureDensity):
-            values = density.moments(partition.cells, sites)
+            values = density.moments(cells, sites)
         else:
+            pieces = [density.pieces(c) if isinstance(density, GridDensity) else [c] for c in cells]
+            counts = [len(p) for p in pieces]
+            cell_of = np.repeat(np.arange(len(cells)), counts)
 
-            def moments(pts, owner):
+            def moments(pts, piece):
                 phi = density(pts)
-                diff = pts - sites[owner]
+                diff = pts - sites[cell_of[piece]]
                 return np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
 
-            values = integrate_over_polygons(partition.cells, moments)
+            values = _segment_sums(integrate_over_polygons([q for p in pieces for q in p], moments), counts)
         values.setflags(write=False)
         partition._moments[density] = values
     return partition._moments[density]

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
+from test_coverage import grid_moments_reference
 from rigid_coverage.cli import main
 from rigid_coverage.config import config_from_dict
-from rigid_coverage.coverage import coverage_cost, voronoi_partition
+from rigid_coverage.coverage import GridDensity, coverage_cost, voronoi_partition
 from rigid_coverage.graphs import Graph, graph_from_dict, graph_to_json, laman_check
 
 NON_LAMAN = {
@@ -278,6 +279,29 @@ def test_coverage_cost_matches_library(tmp_path, capsys):
     pts = np.asarray(positions)
     expected = coverage_cost(pts, voronoi_partition(pts, cfg.region), cfg.density)
     assert printed == pytest.approx(expected, rel=1e-8)
+
+
+def test_coverage_cost_on_a_grid_density(tmp_path, capsys, recwarn):
+    scenario = make_scenario()
+    values = [[0.5, 1.0, 1.5, 0.8], [2.0, 0.4, 1.1, 1.7], [0.9, 1.3, 0.6, 2.2]]
+    scenario["density"] = {"type": "grid", "values": values, "lo": [0.1, 0.0], "hi": [0.9, 1.0]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(scenario))
+    positions = [[0.2, 0.2], [0.6, 0.3], [0.4, 0.8]]
+    pos_path = tmp_path / "pos.json"
+    pos_path.write_text(json.dumps(positions))
+
+    assert main(["coverage", "cost", "--config", str(cfg_path), "--positions", str(pos_path)]) == 0
+    printed = float(capsys.readouterr().out)
+
+    # every site lies in the region, so each cell's second moment about its
+    # site is its share of H
+    density = GridDensity(np.array(values), [0.1, 0.0], [0.9, 1.0])
+    pts = np.asarray(positions)
+    part = voronoi_partition(pts, config_from_dict(scenario).region)
+    reference = sum(grid_moments_reference(c, p, density)[3] for c, p in zip(part.cells, pts))
+    assert printed == pytest.approx(reference, rel=1e-8)
+    assert not recwarn.list
 
 
 def test_validate_ok(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Voronoi partitions, density integrals, locational cost."""
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from rigid_coverage import coverage, sim
 from rigid_coverage.config import config_from_dict
 from rigid_coverage.coverage import (
     MASS_TOL,
-    QUAD_REFINE_TOL,
     _TRI_RULE,
     GaussianComponent,
     GaussianMixtureDensity,
@@ -19,7 +17,6 @@ from rigid_coverage.coverage import (
     UniformDensity,
     centroid,
     coverage_cost,
-    integrate_over_polygon,
     integrate_over_polygons,
     partition_update_due,
     voronoi_partition,
@@ -53,15 +50,16 @@ def _fine_integral(polygon, func, splits=3, nodes=14):
     return weights @ np.asarray(func(pts))
 
 
-def _fine_moments(cell, site, density):
-    """Mass, first and second moment of a cell about its site by the fine rule."""
+def _fine_moments(cell, site, density, **rule):
+    """Mass, first and second moment of a cell about its site by the fine
+    rule, or by _fine_integral with the given splits and nodes."""
 
     def moments(pts):
         phi = density(pts)
         diff = pts - site
         return np.column_stack([phi, diff * phi[:, None], np.sum(diff**2, axis=1) * phi])
 
-    return _fine_integral(cell, moments)
+    return _fine_integral(cell, moments, **rule)
 
 
 def grid_reference(region_lo, region_hi, func, n=400):
@@ -77,13 +75,31 @@ def grid_reference(region_lo, region_hi, func, n=400):
 class TestIntegration:
     def test_polynomial_exactness(self):
         # degree-5 rule integrates low-order monomials exactly
-        val = integrate_over_polygon(SQUARE, lambda p: p[:, 0] ** 2 * p[:, 1])
+        val = integrate_over_polygons([SQUARE], lambda p, _o: p[:, 0] ** 2 * p[:, 1])[0]
         assert val == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+    def test_monomials_exact_to_degree_5(self):
+        # over the unit triangle, int x^i y^j = i! j! / (i + j + 2)!; a
+        # quadrilateral takes two fan triangles
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        quad = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) * [1.5, 0.5] + [-0.4, 0.3]
+        for degree in range(7):
+            for i in range(degree + 1):
+                j = degree - i
+                got_tri, got_quad = integrate_over_polygons([tri, quad], lambda p, _o: p[:, 0] ** i * p[:, 1] ** j)[:, 0]
+                want_tri = math.factorial(i) * math.factorial(j) / math.factorial(degree + 2)
+                want_quad = (1.1 ** (i + 1) - (-0.4) ** (i + 1)) * (0.8 ** (j + 1) - 0.3 ** (j + 1)) / ((i + 1) * (j + 1))
+                if degree <= 5:
+                    assert got_tri == pytest.approx(want_tri, rel=1e-14)
+                    assert got_quad == pytest.approx(want_quad, rel=1e-14, abs=1e-16)
+                elif i == 0 or j == 0:
+                    # degree 6 is beyond the rule
+                    assert abs(got_tri - want_tri) > 1e-6 * want_tri
 
     def test_gaussian_mass_matches_closed_form(self):
         comp = GaussianComponent(mean=np.array([0.7, 0.7]), cov_diag=np.array([0.04, 0.04]))
         density = GaussianMixtureDensity((comp,))
-        val = integrate_over_polygon(SQUARE, density)
+        val = density.moments([SQUARE], np.array([[0.5, 0.5]]))[0, 0]
         sigma = 0.2
 
         def gauss_interval(lo, hi, mu):
@@ -93,7 +109,7 @@ class TestIntegration:
             return sigma * math.sqrt(math.pi / 2) * (math.erf(b) - math.erf(a))
 
         expected = gauss_interval(0, 1, 0.7) ** 2
-        assert val == pytest.approx(expected, rel=1e-6)
+        assert val == pytest.approx(expected, rel=1e-14)
 
 
 class TestDensities:
@@ -113,9 +129,55 @@ class TestDensities:
         with pytest.raises(InvalidInputError):
             GridDensity(np.array([[0.0, 1.0], [2.0, 3.0]]), lo=[0, 0], hi=[1, 1])
 
+    @pytest.mark.parametrize(
+        "values, lo, hi",
+        [
+            ([["a", 1.0], [2.0, 3.0]], [0, 0], [1, 1]),
+            ([[1.0, 1.0], [2.0]], [0, 0], [1, 1]),
+            ([[1.0, 1.0], [2.0, 3.0]], ["x", 0], [1, 1]),
+            ([[1.0, 1.0], [2.0, 3.0]], [0, 0], None),
+            ([[1.0, 1.0], [2.0, 3.0]], [0, 0], [0, 1]),
+        ],
+    )
+    def test_grid_density_rejects_malformed_input(self, values, lo, hi):
+        with pytest.raises(InvalidInputError):
+            GridDensity(values, lo=lo, hi=hi)
+
+    def test_grid_density_keeps_read_only_copies(self, unit_square):
+        values, lo, hi = np.array([[0.5, 1.0, 1.5], [2.0, 3.0, 0.7]]), np.array([0.0, 0.0]), np.array([1.0, 1.0])
+        density = GridDensity(values, lo, hi)
+        part = voronoi_partition(np.array([[0.3, 0.4], [0.7, 0.6]]), unit_square)
+        before = coverage.cell_moments(part, density).copy()
+        values[0, 0], lo[0], hi[1] = -5.0, 0.5, 9.0
+        assert density(np.array([[0.0, 0.0]]))[0] == 0.5
+        assert np.array_equal(coverage.cell_moments(voronoi_partition(part.sites, unit_square), density), before)
+        for array in (density.values, density.lo, density.hi):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
     def test_mixture_requires_components(self):
         with pytest.raises(InvalidInputError):
             GaussianMixtureDensity(())
+
+    @pytest.mark.parametrize(
+        "component",
+        [
+            ([0.5, 0.5], [0.01, 0.01]),
+            ([0.5, 0.5], [0.01, 0.01], "heavy"),
+            ([0.5, 0.5], [0.01, 0.01], None),
+            ([0.5, 0.5], [0.01, 0.01], 1.0, 2.0),
+            ([0.5, "a"], [0.01, 0.01], 1.0),
+            ([[0.5], [0.5, 0.2]], [0.01, 0.01], 1.0),
+            ([0.5, 0.5, 0.5], [0.01, 0.01], 1.0),
+            ([0.5, 0.5], [0.01, 0.0], 1.0),
+            ([0.5, 0.5], [0.01, 0.01], -1.0),
+            3.0,
+            None,
+        ],
+    )
+    def test_mixture_rejects_malformed_components(self, component):
+        with pytest.raises(InvalidInputError):
+            GaussianMixtureDensity([component])
 
 
 class TestVoronoi:
@@ -353,10 +415,12 @@ class TestPartitionUpdateDue:
 
 
 # --- batched moments against a per-cell loop ---------------------------------
-# The oracle below is the per-cell refinement loop verbatim, applied to each
-# cell's moments about its site; the batched quadrature must reproduce it bit
-# for bit, cell by cell.  A Gaussian mixture's moments come from its own
-# kernel, so for it the per-cell oracle is that kernel on one cell at a time.
+# The oracle below applies the rule to one cell at a time: its fan
+# triangles, the 7-point rule once on each, summed in order.  A grid
+# density's cell is taken piece by piece (GridDensity.pieces) and its
+# pieces summed in order.  The batched pass must reproduce it bit for bit,
+# cell by cell.  A Gaussian mixture's moments come from its own kernel, so
+# for it the per-cell oracle is that kernel on one cell at a time.
 
 def _oracle_fan_triangles(vertices):
     v = np.asarray(vertices, dtype=float)
@@ -367,50 +431,28 @@ def _oracle_fan_triangles(vertices):
     return tris
 
 
-def _oracle_subdivide(tris):
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-    return np.concatenate(
-        [
-            np.stack([a, ab, ca], axis=1),
-            np.stack([ab, b, bc], axis=1),
-            np.stack([ca, bc, c], axis=1),
-            np.stack([ab, bc, ca], axis=1),
-        ]
-    )
-
-
-def _oracle_integrate_triangles(tris, func):
+def _oracle_integrate(vertices, func):
+    v = np.asarray(vertices, dtype=float)
+    if len(v) < 3:
+        return np.zeros_like(np.asarray(func(np.zeros((1, 2)))).reshape(-1))
+    tris = _oracle_fan_triangles(v)
     bary, wts = _TRI_RULE
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     areas = 0.5 * np.abs(
         (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
     )
-    total = None
+    per_triangle = None
     for lam, w in zip(bary, wts):
         pts = lam[0] * a + lam[1] * b + lam[2] * c
         vals = np.asarray(func(pts))
         if vals.ndim == 1:
             vals = vals[:, None]
         contrib = (w * areas)[:, None] * vals
-        total = contrib if total is None else total + contrib
-    return total.sum(axis=0)
-
-
-def _oracle_integrate(vertices, func, tol=QUAD_REFINE_TOL, max_levels=6):
-    v = np.asarray(vertices, dtype=float)
-    if len(v) < 3:
-        return np.zeros_like(np.asarray(func(np.zeros((1, 2)))).reshape(-1))
-    tris = _oracle_fan_triangles(v)
-    est = _oracle_integrate_triangles(tris, func)
-    for _ in range(max_levels):
-        tris = _oracle_subdivide(tris)
-        nxt = _oracle_integrate_triangles(tris, func)
-        if np.max(np.abs(nxt - est)) < tol:
-            return nxt
-        est = nxt
-    warnings.warn("polygon quadrature did not meet tolerance; returning finest estimate")
-    return est
+        per_triangle = contrib if per_triangle is None else per_triangle + contrib
+    total = np.zeros(per_triangle.shape[1])
+    for row in per_triangle:
+        total = total + row
+    return total
 
 
 def _oracle_moments(cell, site, density):
@@ -422,7 +464,10 @@ def _oracle_moments(cell, site, density):
         diff = pts - site
         return np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
 
-    return _oracle_integrate(cell, moments)
+    total = np.zeros(4)
+    for piece in density.pieces(cell) if isinstance(density, GridDensity) else [cell]:
+        total = total + _oracle_integrate(piece, moments)
+    return total
 
 
 def _oracle_centroid(cell, site, density):
@@ -467,9 +512,6 @@ def _bitwise_equal(a, b):
 
 
 class TestBatchedQuadrature:
-    # the bilinear grid's kinks keep some cells from meeting the tolerance,
-    # which exercises the finest-estimate fallback as well
-    @pytest.mark.filterwarnings("ignore:polygon quadrature did not meet tolerance")
     @pytest.mark.parametrize("seed", [2, 5])
     @pytest.mark.parametrize("name", sorted(DENSITIES))
     def test_mixed_vertex_counts_match_per_cell_loop(self, name, seed):
@@ -487,7 +529,6 @@ class TestBatchedQuadrature:
             expected = _oracle_integrate(poly, lambda p: mass_and_moment(p, None))
             assert _bitwise_equal(row, expected)
 
-    @pytest.mark.filterwarnings("ignore:polygon quadrature did not meet tolerance")
     @pytest.mark.parametrize("seed", [2, 5])
     @pytest.mark.parametrize("name", sorted(DENSITIES))
     def test_partition_centroids_and_cost_match_per_cell_loop(self, unit_square, name, seed):
@@ -511,20 +552,6 @@ class TestBatchedQuadrature:
             H = coverage_cost(pos, part, density)
             assert type(H) is float and H == _oracle_cost(pos, part, density)
         assert vertex_counts >= {3, 4, 5, 6, 7}
-
-    def test_no_convergence_warns_and_returns_finest_estimate(self):
-        density = DENSITIES["gaussian"]
-        rng = np.random.default_rng(7)
-        polygons = [_random_convex_polygon(rng, k) for k in (3, 6, 4)]
-        with pytest.warns(UserWarning, match="did not meet tolerance"):
-            batched = integrate_over_polygons(polygons, lambda p, _o: density(p), tol=0.0, max_levels=3)
-        for poly, row in zip(polygons, batched):
-            with pytest.warns(UserWarning, match="did not meet tolerance"):
-                expected = _oracle_integrate(poly, density, tol=0.0, max_levels=3)
-            assert _bitwise_equal(row, expected)
-        with pytest.warns(UserWarning, match="did not meet tolerance"):
-            single = integrate_over_polygon(polygons[1], density, tol=0.0, max_levels=3)
-        assert _bitwise_equal(single, batched[1])
 
     def test_far_off_mass_names_the_first_light_cell(self, unit_square):
         # a narrow bump at one corner leaves four cells with masses below
@@ -685,3 +712,74 @@ class TestGaussianMoments:
             poly = _random_convex_polygon(np.random.default_rng(k), k)
             assert polygon_area(poly[::-1]) < 0
             assert _bitwise_equal(centroid(poly[::-1], density), centroid(poly, density))
+
+
+# --- exact grid moments -------------------------------------------------------
+
+def _grid_squares(density):
+    """(x0, x1, y0, y1) bounds of every grid square and of every strip
+    beyond lo and hi, infinite outside."""
+    ny, nx = density.values.shape
+    xs = np.concatenate([[-np.inf], np.linspace(density.lo[0], density.hi[0], nx), [np.inf]])
+    ys = np.concatenate([[-np.inf], np.linspace(density.lo[1], density.hi[1], ny), [np.inf]])
+    return [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]
+
+
+def grid_moments_reference(cell, site, density):
+    """A cell's moments about its site under a grid density: the cell
+    clipped to every grid square and strip beyond lo and hi, each piece
+    taken by a collapsed 4 x 4 Gauss product rule, exact on the piece's
+    degree-4 integrand."""
+    total = np.zeros(4)
+    for x0, x1, y0, y1 in _grid_squares(density):
+        piece = np.asarray(cell, dtype=float)
+        for normal, offset in (((-1.0, 0.0), -x0), ((1.0, 0.0), x1), ((0.0, -1.0), -y0), ((0.0, 1.0), y1)):
+            if np.isfinite(offset):
+                piece = clip_polygon_halfplane(piece, np.array(normal), offset)
+        if len(piece) >= 3:
+            total = total + _fine_moments(piece, site, density, splits=0, nodes=4)
+    return total
+
+
+GRIDS = {
+    "unit": DENSITIES["grid"],
+    "inner": GridDensity(np.random.default_rng(4).uniform(0.2, 2.0, (5, 6)), lo=[0.2, 0.3], hi=[0.7, 0.85]),
+}
+
+
+class TestGridMoments:
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_partition_moments_match_a_square_by_square_reference(self, unit_square, name):
+        density = GRIDS[name]
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 6, 13, 30):
+            part = voronoi_partition(rng.uniform(0.02, 0.98, (n, 2)), unit_square)
+            got = coverage.cell_moments(part, density)
+            want = np.array([grid_moments_reference(c, s, density) for c, s in zip(part.cells, part.sites)])
+            totals = np.abs(want).sum(axis=0)
+            assert np.all(np.abs(got - want) <= 1e-13 * totals)
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_pieces_tile_the_cell_within_one_square_each(self, name):
+        density = GRIDS[name]
+        squares = np.array(_grid_squares(density))
+        cells = [SQUARE] + [_random_convex_polygon(np.random.default_rng(20 + k), k) for k in (3, 5, 8)]
+        for cell in cells:
+            pieces = density.pieces(cell)
+            assert sum(polygon_area(p) for p in pieces) == pytest.approx(polygon_area(cell), rel=1e-14)
+            for p in pieces:
+                lo, hi = p.min(axis=0) + 1e-12, p.max(axis=0) - 1e-12
+                within = (squares[:, 0] <= lo[0]) & (hi[0] <= squares[:, 1])
+                assert np.any(within & (squares[:, 2] <= lo[1]) & (hi[1] <= squares[:, 3]))
+
+    def test_rows_wholly_inside_a_strip_are_rectangles(self):
+        # the unit square on the 7 x 9 grid: 8 strips whose faces span every
+        # row, so all 48 pieces are the grid squares, taken without clipping
+        density = GRIDS["unit"]
+        pieces = density.pieces(SQUARE)
+        assert len(pieces) == 48 and all(p.shape == (4, 2) for p in pieces)
+        xs, ys = np.linspace(0, 1, 9), np.linspace(0, 1, 7)
+        for k, p in enumerate(pieces):
+            i, j = divmod(k, 6)
+            box = [[xs[i], ys[j]], [xs[i + 1], ys[j]], [xs[i + 1], ys[j + 1]], [xs[i], ys[j + 1]]]
+            assert np.max(np.abs(np.roll(p, -np.argmin(p.sum(axis=1)), axis=0) - box)) <= 1e-15

@@ -8,14 +8,14 @@ Automatica 2008).  The cost penalizes distance to the artificial steady
 state along the horizon, the gap between theta and the requested
 reference, and the distance of theta from the desired bearing lines
 through neighbor anchor points.  The problem is solved by a primal
-active-set SQP (`solve_ocp`): each pass is a Newton step on the condensed
-KKT system of the Lagrangian, with the dynamics linearised along the
-iterate (all stages in one batched `linearize` call) and their
-multiplier-weighted curvature in its Hessian.  Every inequality (box rows,
-setpoint polygon, terminal ellipsoid) is solved as g <= -backoff: the
-working set is held there, a step stops on the first other row that would
-cross it, which joins, and rows whose multiplier turns negative leave; a
-working tolerance that grows every pass (EXPAND) keeps steps of positive
+active-set SQP (`solve_ocp`): each pass is an exact Newton step (with no
+diagonal shift) on the condensed KKT system of the Lagrangian, with the
+dynamics linearised along the iterate (all stages in one `linearize` call)
+and their multiplier-weighted curvature in its Hessian.  Every inequality
+(box rows, setpoint polygon, terminal ellipsoid) is solved as g <= -backoff:
+the working set is held there, a step stops on the first other row that
+would cross it, which joins, and rows whose multiplier turns negative leave;
+a working tolerance that grows every pass (EXPAND) keeps steps of positive
 length at degenerate points.  A warm start far from feasible is replaced by
 the cold start; a working row far above its level is held softly (elastic
 mode, as in SNOPT), and its stalled violation certifies infeasibility.
@@ -31,7 +31,7 @@ for a model with constant Jacobians, A, B and their condensing.  Templates
 are cached by value, a bounded number at a time, and shared read-only by
 every problem with the same key.  An *instance* (`_Workspace`) adds what
 x0, r_ref and the bearings set (the bearing rows touch only theta); the
-warm-start check and the solve of one `OcpProblem` share it.
+warm-start check and the solve of one `OcpProblem` share it and its values.
 """
 
 from __future__ import annotations
@@ -163,6 +163,7 @@ def _own_vector(value, n: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SqpOptions:
+    """Options of `solve_ocp`: its pass limit, stopping tolerances and constraint backoff."""
     max_iter: int = 150  # Newton passes of the active-set loop
     tol_equality: float = 1e-9
     tol_stationarity: float = 1e-6
@@ -171,7 +172,6 @@ class SqpOptions:
     # value it was held at, and the margin keeps that point, the dynamics'
     # round-off and the working tolerance strictly inside every constraint
     backoff: float = 2e-4
-    regularization: float = 1e-9
 
     def __post_init__(self):
         for f in fields(self):
@@ -438,16 +438,14 @@ class _Workspace:
         self.f0 = np.zeros(len(tpl.M_struct))
         self.f0[: tpl.nx] = tpl.L_Q @ problem.x0
         self.f0[-d:] = -tpl.s_ref * (tpl.L_S @ problem.r_ref)
-        self.Mb = np.empty((len(problem.desired_bearings) * d, d))
-        self.fb = np.empty(len(self.Mb))
-        for k, (j, g) in enumerate(problem.desired_bearings):
-            Pg = tpl.s_b * (np.eye(d) - np.outer(g, g))  # s_b P_g; OcpProblem checked that g is unit
-            self.Mb[k * d : (k + 1) * d] = Pg
-            self.fb[k * d : (k + 1) * d] = -(Pg @ np.asarray(problem.neighbor_anchors[j], dtype=float))
-        self.H_thth = tpl.H_thth  # shared, read-only, when no bearing adds to it
-        if len(self.Mb):
-            self.H_thth = tpl.H_thth + 2.0 * self.Mb.T @ self.Mb
+        g = np.reshape([g for _, g in problem.desired_bearings], (-1, d))
+        anchors = np.reshape([problem.neighbor_anchors[j] for j, _ in problem.desired_bearings], (-1, d, 1))
+        Pg = tpl.s_b * (np.eye(d) - g[:, :, None] * g[:, None, :])  # s_b P_g per bearing; OcpProblem checked g is unit
+        self.Mb = Pg.reshape(-1, d)
+        self.fb = -(Pg @ anchors).reshape(-1)
+        self.H_thth = tpl.H_thth + 2.0 * self.Mb.T @ self.Mb if len(self.Mb) else tpl.H_thth  # shared if no bearing
         self.H_max = max(tpl.H_struct_max, float(np.max(np.abs(self.H_thth))))
+        self.handoff = (None, None, None, None)  # (candidate, z, c, g) of the last shift_warm_start
 
     def unpack(self, z: np.ndarray):
         tpl = self.tpl
@@ -545,20 +543,24 @@ def _independent_rows(C_J: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.nd
     return np.sort(np.array(keep, dtype=int))
 
 
-def _kkt_solver(ws: _Workspace, z: np.ndarray, lin: tuple, nu_last: np.ndarray, reg: float, lam_term: float):
+def _kkt_solver(ws: _Workspace, z: np.ndarray, lin: tuple, nu_last: np.ndarray, lam_term: float):
     """Solver of one pass's KKT system for working rows G_A step = rhs_A;
     returns (step, nu, lam) in one vector.  `soft` (0 when every row is hard) is 1/(2 rho) on
     each soft row, whose linearised violation s_i = lam_i / (2 rho) in G_i step - s_i = rhs_i
     bears the penalty rho s_i^2.
 
-    The Hessian is the Lagrangian's by blocks (the cost's, reg on the
-    diagonal, then lam_term and nu_last times the terminal row's and the
-    dynamics' curvature), with no u-x block and H_xx block-diagonal.  The
-    shooting states are eliminated: the dynamics rows give dx = S du + s0
-    with s0 = -C_x^-1 c (`_Template.condense`), and theta does not enter
-    them, so the reduced Hessian in w = (u, theta) is H_ww + S' H_xx S plus
-    border terms; the factored system holds w and the working rows only, and
-    the dynamics multipliers follow from C_x' nu = -(grad_x + H[x, :] dz + G_x' lam)."""
+    The Hessian is the Lagrangian's by blocks (the cost's, then lam_term and
+    nu_last times the terminal row's and the dynamics' curvature), with no u-x
+    block and H_xx block-diagonal.  The shooting states are eliminated: the
+    dynamics rows give dx = S du + s0 with s0 = -C_x^-1 c (`_Template.condense`),
+    and theta does not enter them, so the reduced Hessian in w = (u, theta) is
+    H_ww + S' H_xx S plus border terms; the factored system holds w and the
+    working rows only, and the dynamics multipliers follow from
+    C_x' nu = -(grad_x + H[x, :] dz + G_x' lam).
+
+    Nothing is added to the diagonal, so each step is an exact Newton step.  None is needed: the rows L_R u_l and
+    sqrt(mu) L_S theta alone make the cost's reduced Hessian >= 2 min(lambda_min(R), mu lambda_min(S_r)) I > 0 (R, S_r
+    definite by CostWeights, mu > 0), lam_term >= 0 adds to it, and no small shift mends the drag model's curvature."""
     tpl = ws.tpl
     c, A, B, _, grad = lin
     Cx_inv, S = tpl.condense(A, B)
@@ -569,9 +571,7 @@ def _kkt_solver(ws: _Workspace, z: np.ndarray, lin: tuple, nu_last: np.ndarray, 
     l = np.arange(N)
     K[:n_u, :n_u].reshape(N, tpl.nu, N, tpl.nu)[l, :, l] = tpl.H_uu  # a view: H_uu[l] at (u_l, u_l)
     K[n_u:, n_u:nw] = ws.H_thth
-    K.flat[:: nw + 2] += reg  # the diagonal of H_ww
     H_xx, H_xth, H_thx = tpl.H_xx.copy(), tpl.H_xth.reshape(n_dyn, -1), tpl.H_thx
-    H_xx.reshape(N, -1)[:, :: nx + 1] += reg
     if lam_term:  # the terminal row's curvature, on x_N - xbar = x_N - E theta
         W, E = lam_term * tpl.W_term, tpl.E
         H_xth, H_thx = H_xth.copy(), H_thx.copy()
@@ -631,7 +631,7 @@ REFINE_PASSES = 6
 EXPAND_STEPS = (0.05, 0.1, 0.2, 0.4)
 
 
-def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opts: SqpOptions, reg: float):
+def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opts: SqpOptions):
     """Primal active-set SQP from z, its gaps c and values g.
 
     Each pass is one Newton step, with multipliers (nu, lam), on the KKT
@@ -649,11 +649,12 @@ def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opt
     backoff / 2, so each accepted point is strictly feasible.  The Hessian is
     the Lagrangian's: the terminal row (the only curved inequality) and the
     dynamics add their curvature, weighted by the last KKT solve's lam and
-    nu.  Each KKT system is condensed (`_kkt_solver`).  A working row above
-    SOFT_LEVEL * backoff is held softly, by a penalty rho s^2 on its
-    linearised violation s (curvature weight 2 rho (g_term + backoff) on the
-    terminal row); a step that leaves more than 1 - STALL of the soft rows'
-    violation raises OcpInfeasibleError.
+    nu, but a solve with soft rows passes on no dynamics curvature (their
+    penalty inflates nu).  Each KKT system is condensed (`_kkt_solver`).  A
+    working row above SOFT_LEVEL * backoff is held softly, by a penalty
+    rho s^2 on its linearised violation s (curvature weight
+    2 rho (g_term + backoff) on the terminal row); a step that leaves more
+    than 1 - STALL of the soft rows' violation raises OcpInfeasibleError.
 
     A stepped point passes when it is feasible, its dynamics gap is small,
     no lam is negative and its stationarity residual with (nu, lam) is
@@ -671,6 +672,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opt
     rho = PENALTY * max(1.0, ws.H_max)
     work = np.flatnonzero(g >= -opts.backoff - 1e-9)
     mult = np.zeros(n_eq + len(work))  # (nu, lam) of the last KKT solve
+    nu_curv = mult[:n_eq]  # the nu that weights the dynamics' curvature
     lam_term = 0.0
     best = None
     held = 0
@@ -681,7 +683,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opt
         if len(work) and work[-1] == term_idx and g[-1] > soft_level:
             lam_term = 2.0 * rho * (g[-1] + opts.backoff)
         kkt_solve = None  # the last pass's condensing goes before this one's is built
-        kkt_solve = _kkt_solver(ws, z, lin, mult[:n_eq], reg, lam_term)
+        kkt_solve = _kkt_solver(ws, z, lin, nu_curv, lam_term)
         any_soft = float(np.max(g)) > soft_level
         while True:
             nA = len(work)
@@ -705,13 +707,19 @@ def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opt
                 raise OcpInfeasibleError(f"constraint violation stalls at {violation:.3e} after {passes} passes",
                                          _solution(ws, z, "infeasible", passes))
         mult = sol[nz:]
+        # a soft row's lam = 2 rho s inflates nu by up to rho, and that nu times the drag model's curvature makes the
+        # reduced Hessian indefinite, so that working rows leave and join over and over with steps of zero length:
+        # a pass after a solve with soft rows takes no dynamics curvature (a Gauss-Newton step)
+        nu_curv = np.zeros(n_eq) if any_soft else mult[:n_eq]
         # the working rows stay sorted, so the terminal row is the last one
         lam_term = max(float(lam[-1]), 0.0) if nA and work[-1] == term_idx else 0.0
         step = sol[:nz]
         z_try = z + step
         g_try = tpl.ineq_values(z_try)
         level = delta - opts.backoff
-        blocking = np.setdiff1d(np.flatnonzero((g_try > level) & (g_try > g)), work)
+        rising = (g_try > level) & (g_try > g)
+        rising[work] = False  # only rows outside the working set block
+        blocking = np.flatnonzero(rising)
         if len(blocking):
             alpha, row = _blocking_step(tpl, z, step, g, g_try, blocking, level)
             z = z + alpha * step
@@ -764,13 +772,15 @@ def solve_ocp(problem: OcpProblem, warm: OcpSolution | None = None, options: Sqp
     opts = options or SqpOptions()
     ws = _workspace(problem)
     tpl = ws.tpl
-    z = _cold_start_vector(problem, tpl) if warm is None else tpl.pack(warm.u_seq, warm.x_seq, warm.xbar, warm.ubar)
-    c, g = ws.eq_constraints(z), tpl.ineq_values(z)
+    if warm is not None and ws.handoff[0] is warm:  # shift_warm_start's candidate: its check evaluated it
+        z, c, g = ws.handoff[1:]
+    else:
+        z = _cold_start_vector(problem, tpl) if warm is None else tpl.pack(warm.u_seq, warm.x_seq, warm.xbar, warm.ubar)
+        c, g = ws.eq_constraints(z), tpl.ineq_values(z)
     if warm is not None and not (np.linalg.norm(c, ord=np.inf) <= WARM_GAP and np.max(g) <= SOFT_LEVEL * opts.backoff):
         z = _cold_start_vector(problem, tpl)
         c, g = ws.eq_constraints(z), tpl.ineq_values(z)
-    reg = opts.regularization * max(1.0, ws.H_max)
-    z, kkt, passes, solved = _active_set(ws, z, c, g, opts, reg)
+    z, kkt, passes, solved = _active_set(ws, z, c, g, opts)
     solution = _solution(ws, z, "solved" if solved else "max-iter", passes, kkt)
     if not solved:
         eq_res, max_g = _residuals(ws, z)
@@ -810,7 +820,8 @@ def shift_warm_start(problem: OcpProblem, prev: OcpSolution) -> OcpSolution:
 
     The candidate must satisfy every constraint of the new problem; a
     violation is raised, since with unchanged dynamics it certifies loss of
-    recursive feasibility.
+    recursive feasibility.  The check's point, gaps and inequality values stay on the problem's
+    instance for `solve_ocp`; they and the candidate's arrays are read-only, so they cannot go stale.
     """
     ws = _workspace(problem)
     ws.tpl.check_shapes(prev.u_seq, prev.x_seq, prev.xbar)
@@ -818,12 +829,17 @@ def shift_warm_start(problem: OcpProblem, prev: OcpSolution) -> OcpSolution:
     kappa = prev.ubar + problem.terminal.K @ (prev.x_seq[N] - prev.xbar)
     x_last = problem.model.step(prev.x_seq[N], kappa)
     z = ws.tpl.pack(np.vstack([prev.u_seq[1:], kappa]), np.vstack([prev.x_seq[1:], x_last]), prev.xbar, prev.ubar)
-    eq_res, max_g = _residuals(ws, z)
+    c, g = ws.eq_constraints(z), ws.tpl.ineq_values(z)
+    eq_res, max_g = float(np.linalg.norm(c, ord=np.inf)), float(np.max(g))
     if eq_res > 1e-7:
         raise RecursiveFeasibilityError(f"candidate dynamics residual {eq_res:.3e}")
     if max_g > 1e-9:
         raise RecursiveFeasibilityError(f"candidate constraint violation {max_g:.3e}")
-    return _solution(ws, z, "candidate")
+    candidate = _solution(ws, z, "candidate")
+    for a in (candidate.u_seq, candidate.x_seq, candidate.xbar, candidate.ubar, z, c, g):
+        a.setflags(write=False)
+    ws.handoff = (candidate, z, c, g)
+    return candidate
 
 
 def solution_feasibility(problem: OcpProblem, sol: OcpSolution) -> dict:

@@ -234,7 +234,7 @@ def test_solver_options():
 @pytest.mark.parametrize(
     "options",
     [{"max_iter": "x"}, {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True}, {"tol_equality": 0},
-     {"tol_stationarity": -1e-6}, {"backoff": -1e-4}, {"regularization": "1e-9"}],
+     {"tol_stationarity": -1e-6}, {"backoff": -1e-4}],
 )
 def test_solver_option_types_and_signs(options):
     data = make_scenario()
@@ -245,11 +245,11 @@ def test_solver_option_types_and_signs(options):
 
 def test_smallest_solver_options_are_valid():
     data = make_scenario()
-    data["mpc"]["solver"] = {"max_iter": 1, "backoff": 0, "regularization": 0.0}
+    data["mpc"]["solver"] = {"max_iter": 1, "backoff": 0}
     assert config_from_dict(data).solver.max_iter == 1
 
 
-@pytest.mark.parametrize("key", ["penalty_init", "penalty_max", "armijo", "max_linesearch"])
+@pytest.mark.parametrize("key", ["penalty_init", "penalty_max", "armijo", "max_linesearch", "regularization"])
 def test_removed_solver_options_are_unknown(key):
     data = make_scenario()
     data["mpc"]["solver"] = {key: 1.0}

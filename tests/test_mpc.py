@@ -500,6 +500,49 @@ class TestWarmStart:
         for name, seen in points.items():
             assert len(seen) == len(set(seen)), name
 
+    @pytest.mark.parametrize("drag", [False, True])
+    def test_the_shifted_candidate_is_evaluated_once(
+        self, monkeypatch, drag, double_integrator, drag_model, terminal_double, terminal_drag,
+    ):
+        # the solve takes the gaps and inequality values that the shift's
+        # check evaluated; a copy of the candidate is evaluated again and
+        # solved to the same bits
+        model, ts = (drag_model, terminal_drag) if drag else (double_integrator, terminal_double)
+        x0 = np.array([0.2, 0.2, 0.0, 0.0])
+        bearings, anchors = ((1, np.array([0.6, 0.8])),), {1: np.array([0.3, 0.4])}
+        prev = solve_ocp(make_problem(model, ts, x0, [0.6, 0.5], mu=0.7, bearings=bearings, anchors=anchors,
+                                      region=square_region()))
+        prob = make_problem(model, ts, model.step(x0, prev.u_seq[0]), [0.6, 0.5], mu=0.7, bearings=bearings,
+                            anchors=anchors, region=square_region())
+        candidate = shift_warm_start(prob, prev)
+        arrays = ("u_seq", "x_seq", "xbar", "ubar")
+        copy = replace(candidate, **{name: np.array(getattr(candidate, name)) for name in arrays})
+        counts = {"eq_constraints": 0, "ineq_values": 0}
+        for cls, name in ((mpc._Workspace, "eq_constraints"), (mpc._Template, "ineq_values")):
+            f = getattr(cls, name)
+
+            def counted(obj, z, f=f, name=name):
+                counts[name] += 1
+                return f(obj, z)
+
+            monkeypatch.setattr(cls, name, counted)
+        solved, evaluated = [], []
+        for warm in (candidate, copy):
+            counts.update(eq_constraints=0, ineq_values=0)
+            solved.append(solve_ocp(prob, warm=warm))
+            evaluated.append(dict(counts))
+        sol, sol_copy = solved
+        handed, repacked = evaluated
+        assert {name: repacked[name] - handed[name] for name in counts} == {"eq_constraints": 1, "ineq_values": 1}
+        assert sol.status == sol_copy.status == "solved"
+        for name in (*arrays, "rbar", "cost", "iterations", "kkt_residual"):
+            assert np.array_equal(getattr(sol, name), getattr(sol_copy, name)), name
+        # the candidate's arrays are read-only, so the values handed on cannot go stale
+        for name in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(candidate, name)[0] = 1.0
+        assert solve_ocp(prob, warm=candidate).cost == sol.cost
+
     @pytest.mark.parametrize("prev_horizon", [8, 12])
     def test_a_solution_of_another_horizon_is_refused(self, prev_horizon, double_integrator, terminal_double):
         # the shift of an 8-step solution would index past its states, and a
@@ -905,6 +948,25 @@ class TestClosedFormCost:
             assert ws.H_thth is not ws.tpl.H_thth
             assert not np.array_equal(ws.H_thth, ws.tpl.H_thth)
 
+    @pytest.mark.parametrize("n_bearings", [0, 1, 2, 3])
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_the_bearing_rows_match_a_loop_over_the_bearings(
+        self, linear, n_bearings, double_integrator, drag_model, terminal_double, terminal_drag
+    ):
+        # the instance builds every bearing's rows at once, to the bits of one bearing at a time
+        model, ts = (double_integrator, terminal_double) if linear else (drag_model, terminal_drag)
+        prob = self._problem(model, ts, 10, n_bearings)
+        ws = mpc._workspace(prob)
+        tpl, d = ws.tpl, ws.tpl.d
+        Mb, fb = np.empty((n_bearings * d, d)), np.empty(n_bearings * d)
+        for k, (j, g) in enumerate(prob.desired_bearings):
+            Pg = tpl.s_b * (np.eye(d) - np.outer(g, g))
+            Mb[k * d : (k + 1) * d] = Pg
+            fb[k * d : (k + 1) * d] = -(Pg @ prob.neighbor_anchors[j])
+        assert np.array_equal(ws.Mb, Mb)
+        assert np.array_equal(ws.fb, fb)
+        assert np.array_equal(ws.H_thth, tpl.H_thth + 2.0 * Mb.T @ Mb if n_bearings else tpl.H_thth)
+
     @pytest.mark.parametrize("horizon", [1, 10, 40])
     @pytest.mark.parametrize("linear", [True, False])
     def test_a_bearing_free_problem_keeps_the_bits_of_the_residual_matrix(
@@ -923,12 +985,12 @@ class TestClosedFormCost:
         for z in np.random.default_rng(horizon).uniform(-0.5, 0.5, (3, ws.tpl.nz)):
             assert ws.cost(z) == float((M @ z + f0) @ (M @ z + f0))
             assert np.array_equal(ws.cost_grad(z), 2.0 * M.T @ (M @ z + f0))
-        regs = []
+        h_max = []
         active_set = mpc._active_set
-        monkeypatch.setattr(mpc, "_active_set", lambda ws, z, c, g, opts, reg: regs.append(reg)
-                            or active_set(ws, z, c, g, opts, reg))
+        monkeypatch.setattr(mpc, "_active_set", lambda ws, z, c, g, opts: h_max.append(ws.H_max)
+                            or active_set(ws, z, c, g, opts))
         solve_ocp(prob)
-        assert regs == [SqpOptions().regularization * max(1.0, float(np.max(np.abs(H))))]
+        assert h_max == [float(np.max(np.abs(H)))]
 
 
 class _SkewedBoxes(DoubleIntegrator):
@@ -1101,8 +1163,8 @@ class TestExactHessian:
             v = rng.normal(size=2)
             z[tpl.ix(l)][2:] = rng.uniform(0.1, 0.45) * v / np.linalg.norm(v)
         nu = rng.uniform(-3.0, 3.0, tpl.n_eq)
-        H = _dense_pass_hessian(prob, z, nu, 0.0, 0.0)
-        H_cost = _dense_pass_hessian(prob, z, np.zeros(tpl.n_eq), 0.0, 0.0)
+        H = _dense_pass_hessian(prob, z, nu, 0.0)
+        H_cost = _dense_pass_hessian(prob, z, np.zeros(tpl.n_eq), 0.0)
 
         def phi(z):
             return float(nu @ ws.eq_constraints(z))
@@ -1171,28 +1233,28 @@ class TestExactHessian:
         assert chain[0].iterations < 20
 
 
-def _dense_pass_hessian(problem, z, nu, reg, lam_term):
+def _dense_pass_hessian(problem, z, nu, lam_term):
     """The Hessian of an active-set pass as one matrix: the whole residual
-    matrix's 2 M'M, reg I, lam_term times the terminal row's curvature on
+    matrix's 2 M'M, lam_term times the terminal row's curvature on
     T_term, and nu . d2c/dz2 of the dynamics rows, c_l = x_{l+1} - f(x_l,
     u_l), from the model's curvature at x_1 .. x_{N-1}."""
     tpl = mpc._workspace(problem).tpl
     M, _ = _loop_residual(problem)
     T = tpl.T_term
-    H = 2.0 * M.T @ M + reg * np.eye(tpl.nz) + lam_term * T.T @ (2.0 * problem.terminal.P / tpl.zeta_scale) @ T
+    H = 2.0 * M.T @ M + lam_term * T.T @ (2.0 * problem.terminal.P / tpl.zeta_scale) @ T
     nu = nu.reshape(tpl.N, tpl.nx)
     for l in range(1, tpl.N):
         H[tpl.ix(l), tpl.ix(l)] -= problem.model.state_curvature(z[tpl.ix(l)], nu[l])
     return H
 
 
-PASS_REG, PASS_LAM_TERM = 1e-9, 0.7
+PASS_LAM_TERM = 0.7
 
 
 def _pass(model, ts, horizon, seed):
     """A problem with a bearing, at a random point, random dynamics
     multipliers nu, and the dense Hessian of an active-set pass there with
-    PASS_REG and PASS_LAM_TERM."""
+    PASS_LAM_TERM."""
     prob = make_problem(model, ts, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7,
                         bearings=((1, np.array([0.6, 0.8])),), anchors={1: np.array([0.3, 0.4])},
                         region=square_region(), horizon=horizon)
@@ -1200,7 +1262,7 @@ def _pass(model, ts, horizon, seed):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-0.4, 0.4, ws.tpl.nz)
     nu = rng.uniform(-3.0, 3.0, ws.tpl.n_eq)
-    return ws, z, nu, _dense_pass_hessian(prob, z, nu, PASS_REG, PASS_LAM_TERM), rng
+    return ws, z, nu, _dense_pass_hessian(prob, z, nu, PASS_LAM_TERM), rng
 
 
 def _box_row(tpl, col, upper):
@@ -1292,7 +1354,7 @@ class TestCondensedKkt:
         ])
         rhs_A = rng.uniform(-1e-3, 1e-3, nA)
         want = np.linalg.solve(KKT, np.concatenate([-grad, -c, rhs_A]))
-        got = mpc._kkt_solver(ws, z, lin, nu, PASS_REG, PASS_LAM_TERM)(G_A, rhs_A)
+        got = mpc._kkt_solver(ws, z, lin, nu, PASS_LAM_TERM)(G_A, rhs_A)
         assert got.shape == want.shape
         for part in (slice(0, nz), slice(nz, nz + n_eq), slice(nz + n_eq, None)):  # step, nu, lam
             np.testing.assert_allclose(got[part], want[part], rtol=0.0, atol=1e-10 * np.max(np.abs(want[part])))
@@ -1354,6 +1416,46 @@ class TestCondensedKkt:
         assert solution_feasibility(prob, sol)["dynamics"] <= SqpOptions().tol_equality
 
 
+class TestExactNewtonSteps:
+    """Nothing is added to a pass's Hessian, so a warm pass on the double
+    integrator's convex problem is an exact Newton step."""
+
+    @pytest.mark.parametrize("n_bearings", [0, 1, 2, 3])
+    @pytest.mark.parametrize("horizon", [1, 10, 40])
+    def test_the_condensed_cost_hessian_is_positive_definite(
+        self, horizon, n_bearings, double_integrator, terminal_double
+    ):
+        # the pass condenses P' H P, dz = P dw on the linearised dynamics,
+        # with nothing on its diagonal; its input rows and reference rows
+        # alone bound it below
+        prob = TestClosedFormCost._problem(double_integrator, terminal_double, horizon, n_bearings)
+        ws = mpc._workspace(prob)
+        tpl = ws.tpl
+        n_u, nw = tpl.N * tpl.nu, len(tpl.iw)
+        P = np.zeros((tpl.nz, nw))
+        P[tpl.iu_all, :n_u] = np.eye(n_u)
+        P[tpl.ix_all, :n_u] = tpl.S
+        P[tpl.ith, n_u:] = np.eye(tpl.d)
+        want = P.T @ _cost_hessian(ws) @ P
+        z = np.random.default_rng(horizon).uniform(-0.4, 0.4, tpl.nz)
+        solve = mpc._kkt_solver(ws, z, mpc._linearization(ws, z, np.zeros(0, dtype=int)), np.zeros(tpl.n_eq), 0.0)
+        K = solve.__closure__[solve.__code__.co_freevars.index("K")].cell_contents[:, :nw]
+        np.testing.assert_allclose(K, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+        w = prob.weights
+        bound = 2.0 * min(np.linalg.eigvalsh(w.R)[0], w.mu * np.linalg.eigvalsh(w.S_r)[0])
+        assert bound > 0.0
+        assert np.linalg.eigvalsh(0.5 * (K + K.T))[0] >= bound
+
+    def test_warm_solves_of_a_faulted_run_take_one_pass(self):
+        from rigid_coverage import sim
+
+        result = sim.run(config_from_dict(make_scenario(steps=30, faults=[{"at_step": 12, "robot": 2}])))
+        warm = [n for record in result.records[1:] for n in record.solver_iterations]
+        assert len(warm) == 6 * 11 + 5 * 18
+        assert sum(n == 1 for n in warm) >= len(warm) - 1
+        assert max(kkt for record in result.records for kkt in record.solver_kkt) <= 1e-12
+
+
 class TestAgainstPenaltySqp:
     """The active-set solver against the penalty SQP it replaced
     (`penalty_sqp_reference`, a verbatim copy)."""
@@ -1385,7 +1487,8 @@ class TestAgainstPenaltySqp:
             assert options == SqpOptions()
             reference.np.reset()
             try:
-                ref = reference.solve_ocp(problem, warm=warm)
+                # unregularised, so that both solvers take exact Newton steps
+                ref = reference.solve_ocp(problem, warm=warm, options=reference.SqpOptions(regularization=0.0))
             except OcpInfeasibleError:
                 ref = None
             sol = solve_ocp(problem, warm=warm, options=options)
@@ -1481,6 +1584,30 @@ class TestFallbackAndSoftRows:
             assert report["inequality"] <= 1e-12 and report["dynamics"] <= options.tol_equality, i
             outcomes.append("solved")
         assert 0 < outcomes.count("infeasible") < 0.1 * len(outcomes)
+
+    def test_passes_after_a_soft_solve_take_no_dynamics_curvature(self, monkeypatch, drag_model, terminal_drag):
+        # the cold start leaves the terminal row far above its level, held
+        # softly; its lam = 2 rho s inflated nu to 1e8-1e9, and the drag
+        # model's curvature weighted by that nu made the reduced Hessian
+        # indefinite: the u_y lower-bound rows left and joined with steps of
+        # zero length for all 150 passes (OcpInfeasibleError)
+        prob = make_problem(drag_model, terminal_drag, [0.5, 0.5, 0.4375, 0.34375], [0.0, 0.0],
+                            region=square_region(), horizon=4)
+        passes = []  # (nu weighting the curvature, whether each KKT solve had soft rows) per pass
+        kkt_solver = mpc._kkt_solver
+
+        def spy(ws, z, lin, nu_last, lam_term):
+            solve, softs = kkt_solver(ws, z, lin, nu_last, lam_term), []
+            passes.append((nu_last.copy(), softs))
+            return lambda G_A, rhs_A, soft=0.0: softs.append(np.ndim(soft) > 0) or solve(G_A, rhs_A, soft)
+
+        monkeypatch.setattr(mpc, "_kkt_solver", spy)
+        sol = solve_ocp(prob)
+        assert sol.status == "solved" and sol.kkt_residual <= SqpOptions().tol_stationarity
+        assert solution_feasibility(prob, sol)["inequality"] <= 1e-12
+        assert passes[0][1][-1] and not passes[-1][1][-1]  # soft rows at the start, none at the end
+        for (_, softs), (nu, _) in zip(passes, passes[1:]):
+            assert np.any(nu) != softs[-1]  # hard solves pass their nu on, soft ones pass none
 
     def test_infeasible_warm_guess_reaches_the_cold_start_solution(self, double_integrator, terminal_double):
         prob = make_problem(double_integrator, terminal_double, [0.3, 0.6, 0.2, -0.2], [1.25, 1.1],
@@ -1596,6 +1723,10 @@ class TestClosedLoopProperty:
              mu=0.6985, bearings=[])
     @example(drag=False, horizon=8, position=(0.5896, 0.576), velocity=(-0.3366, 0.1322), r_ref=(0.0213, 0.8027),
              mu=0.643, bearings=[(5.6288, (0.416, 0.0542))])
+    # the soft terminal row's penalty inflated nu, and the drag curvature it
+    # weighted made the reduced Hessian indefinite: the first solve cycled
+    # among the u_y lower-bound rows for all 150 passes (OcpInfeasibleError)
+    @example(drag=True, horizon=4, position=(0.5, 0.5), velocity=(0.4375, 0.34375), r_ref=(0.0, 0.0), mu=1.0, bearings=[])
     @given(
         drag=st.booleans(),
         horizon=st.integers(3, 12),

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .config import _parse_density, _parse_region, config_from_dict, load_config
+from .config import _load_json_file, _parse_density, _parse_region, config_from_dict, load_config
 from .coverage import coverage_cost, voronoi_partition
 from .errors import InvalidInputError, RigidCoverageError
 from .geometry import parse_points
@@ -28,16 +28,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _load_json_file(path: str, what: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InvalidInputError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None):

@@ -377,13 +377,17 @@ def config_from_dict(data: dict) -> SimConfig:
     )
 
 
-def load_config(path: str) -> SimConfig:
-    """Read a JSON config file; parse errors surface as InvalidInputError."""
+def _load_json_file(path: str, what: str):
+    """Read a JSON file; a missing file or invalid JSON surfaces as InvalidInputError naming it as `what`."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
-        raise InvalidInputError(f"config file not found: {path}") from exc
+        raise InvalidInputError(f"{what} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+        raise InvalidInputError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> SimConfig:
+    """Read a JSON config file; parse errors surface as InvalidInputError."""
+    return config_from_dict(_load_json_file(path, "config"))

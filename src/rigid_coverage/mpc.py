@@ -22,7 +22,8 @@ mode, as in SNOPT), and its stalled violation certifies infeasibility.
 
 A pass keeps its data by stage: the gaps c, the stage Jacobians A and B,
 and the Hessian's Q-blocks, R-blocks, x-theta border and theta-theta block;
-no pass builds an nz-wide Hessian or equality Jacobian.  A *template*
+nothing builds an nz-wide Hessian or equality Jacobian, and dependent
+working rows are found on the rows reduced to (u, theta).  A *template*
 (`_Template`) holds everything fixed by the model, horizon, weights,
 terminal set and setpoint polygon: the layout of the decision vector z, the
 inequality rows G z <= h, the cost residual rows that the bearings leave
@@ -30,8 +31,9 @@ alone and the blocks of their Hessian, the terminal row's curvature and,
 for a model with constant Jacobians, A, B and their condensing.  Templates
 are cached by value, a bounded number at a time, and shared read-only by
 every problem with the same key.  An *instance* (`_Workspace`) adds what
-x0, r_ref and the bearings set (the bearing rows touch only theta); the
-warm-start check and the solve of one `OcpProblem` share it and its values.
+x0, r_ref and the bearings set (the bearing rows touch only theta); it lives
+on its `OcpProblem`, so the warm-start check and the solve of one problem
+share it and its values.
 """
 
 from __future__ import annotations
@@ -299,7 +301,8 @@ class _Template:
         M[r + nx :, self.ith] = self.s_ref * L_S
         self.M_struct = M
         # No row couples u with x or theta, or two stages' x: the blocks below
-        # are all of H.  Its product need not be exactly symmetric, so the
+        # are all of H.  Its product need not be exactly symmetric (with one
+        # BLAS thread the two sides differ by 1.4e-14 at N = 40), so the
         # border is kept as both the x rows and the theta rows read it.
         H = 2.0 * M.T @ M
         self.H_xx = H[_diagonal_blocks(N, N * nu, N * nu, nx, nx)]
@@ -356,16 +359,6 @@ class _Template:
         return self.T_term.T @ (2.0 * (self.P_term @ (self.T_term @ z)) / self.zeta_scale)
 
     # --- equalities ----------------------------------------------------------
-    def eq_jacobian(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """The equality Jacobian (C_u, C_x, 0) of the stage Jacobians as dense rows, row block l
-        for c_l = x_{l+1} - f(x_l, u_l); only `_independent_rows`, a rare path, builds it."""
-        N, nx, nu = self.N, self.nx, self.nu
-        J = np.zeros((self.n_eq, self.nz))
-        J[:, self.ix_all] = np.eye(self.n_eq)
-        J[_diagonal_blocks(N - 1, nx, N * nu, nx, nx)] = -A[1:]
-        J[_diagonal_blocks(N, 0, 0, nx, nu)] = -B
-        return J
-
     def condense(self, A: np.ndarray, B: np.ndarray) -> tuple:
         """The inverse of the unit block lower-bidiagonal C_x (-A_l below its
         diagonal) and S = -C_x^-1 C_u (C_u = diag(-B_l)): the linearised
@@ -426,8 +419,8 @@ class _Workspace:
     Adds what x0, r_ref and the bearings set: the offset f0 of the residual
     rows M_struct z + f0, the bearing rows Mb theta + fb, the theta-theta
     block H_thth of the cost Hessian (the template's plus 2 Mb'Mb) and the
-    Hessian's largest |entry| H_max.  Obtained through `_workspace`, so that
-    a warm-start check and the solve that follows it share one.
+    Hessian's largest |entry| H_max.  Obtained through `_workspace`, which
+    keeps it on its problem.
     """
 
     def __init__(self, problem: OcpProblem):
@@ -480,18 +473,15 @@ class _Workspace:
         return linearize(self.tpl.model, x_seq[:-1], u_seq)
 
 
-_recent = threading.local()
-
-
 def _workspace(problem: OcpProblem) -> _Workspace:
-    """The instance of a problem.  Each thread keeps the last one it built,
-    which the solve after a warm-start check finds again; keeping one only
-    leaves memory flat when a caller holds many problems at once."""
-    if getattr(_recent, "problem", None) is not problem:
-        _recent.problem = _recent.workspace = None  # never two instances at once
-        _recent.workspace = _Workspace(problem)
-        _recent.problem = problem
-    return _recent.workspace
+    """The instance of a problem, built on first use and kept on the problem
+    (outside its fields): it lives as long as the problem, and every call on
+    the problem shares it."""
+    ws = vars(problem).get("_instance")
+    if ws is None:
+        ws = _Workspace(problem)
+        object.__setattr__(problem, "_instance", ws)
+    return ws
 
 
 def _linearization(ws: _Workspace, z: np.ndarray, work: np.ndarray, c: np.ndarray | None = None) -> tuple:
@@ -532,22 +522,25 @@ def _blocking_step(tpl: _Template, z: np.ndarray, step: np.ndarray, g: np.ndarra
     return min(max(float(alpha[k]), 0.0), 1.0), int(rows[k])
 
 
-def _independent_rows(C_J: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _independent_rows(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Indices of the working rows a greedy scan keeps, most active first: a
-    row stays when it raises the rank of the equality Jacobian (full row
-    rank) stacked with the rows kept before it."""
+    row stays when it raises the rank of the rows kept before it.  The rows
+    are the working rows reduced to w = (u, theta) on the linearised
+    dynamics (`_kkt_solver`): C_x is unit block lower-bidiagonal, so
+    invertible, and a reduced row raises their rank exactly when the row
+    raises the rank of the equality Jacobian stacked with the kept rows."""
     keep = []
     for k in np.argsort(-g, kind="stable"):
-        if np.linalg.matrix_rank(np.vstack([C_J, rows[keep + [k]]])) > len(C_J) + len(keep):
+        if np.linalg.matrix_rank(rows[keep + [k]]) > len(keep):
             keep.append(k)
     return np.sort(np.array(keep, dtype=int))
 
 
 def _kkt_solver(ws: _Workspace, z: np.ndarray, lin: tuple, nu_last: np.ndarray, lam_term: float):
     """Solver of one pass's KKT system for working rows G_A step = rhs_A;
-    returns (step, nu, lam) in one vector.  `soft` (0 when every row is hard) is 1/(2 rho) on
-    each soft row, whose linearised violation s_i = lam_i / (2 rho) in G_i step - s_i = rhs_i
-    bears the penalty rho s_i^2.
+    returns (step, nu, lam) in one vector; a singular system raises LinAlgError carrying the working rows reduced to w
+    as `reduced_rows`.  `soft` (0 when every row is hard) is 1/(2 rho) on each soft row, whose linearised violation
+    s_i = lam_i / (2 rho) in G_i step - s_i = rhs_i bears the penalty rho s_i^2.
 
     The Hessian is the Lagrangian's by blocks (the cost's, then lam_term and
     nu_last times the terminal row's and the dynamics' curvature), with no u-x
@@ -601,7 +594,11 @@ def _kkt_solver(ws: _Workspace, z: np.ndarray, lin: tuple, nu_last: np.ndarray, 
         KKT[:nw, :nw], KKT[:nw, nw:], KKT[nw:, :nw] = K[:, :nw], G_r[:, :nw].T, G_r[:, :nw]
         if np.ndim(soft):
             KKT[nw:, nw:][np.diag_indices(len(G_A))] = -soft
-        red = np.linalg.solve(KKT, np.concatenate([-K[:, nw], rhs_A - G_r[:, nw]]))
+        try:
+            red = np.linalg.solve(KKT, np.concatenate([-K[:, nw], rhs_A - G_r[:, nw]]))
+        except np.linalg.LinAlgError as err:
+            err.reduced_rows = G_r[:, :nw]  # what `_independent_rows` ranks
+            raise
         dw1 = np.append(red[:nw], 1.0)
         nu = -(Cx_inv.T @ (HT @ dw1 + G_A[:, ix].T @ red[nw:]))
         return np.concatenate([red[:n_u], T @ dw1, red[n_u:nw], nu, red[nw:]])
@@ -679,7 +676,7 @@ def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opt
     lin = _linearization(ws, z, work, c)
     for passes in range(1, opts.max_iter + 1):
         delta = EXPAND_STEPS[(passes - 1) % len(EXPAND_STEPS)] * opts.backoff
-        _, A, B, G_A, _ = lin
+        G_A = lin[3]
         if len(work) and work[-1] == term_idx and g[-1] > soft_level:
             lam_term = 2.0 * rho * (g[-1] + opts.backoff)
         kkt_solve = None  # the last pass's condensing goes before this one's is built
@@ -692,9 +689,9 @@ def _active_set(ws: _Workspace, z: np.ndarray, c: np.ndarray, g: np.ndarray, opt
                 sol = kkt_solve(G_A, -(g[work] + opts.backoff), soft)
                 lam = sol[nz + n_eq :]
                 keep = np.flatnonzero(~((lam < -1e-9) & (g[work] + opts.backoff <= delta)))
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError as err:
                 # a singular KKT matrix: some working rows depend on the others
-                keep = _independent_rows(tpl.eq_jacobian(A, B), G_A, g[work])
+                keep = _independent_rows(err.reduced_rows, g[work])
                 if len(keep) == nA:
                     raise NumericalBreakdownError("singular KKT matrix with independent working rows") from None
             if len(keep) == nA:

@@ -6,7 +6,9 @@ copied verbatim from that version of `rigid_coverage/mpc.py`, except that
 `np.eye(nz)` stands for the template's identity and `_H_cost`, `_H_term` and
 `_eq_jacobian` build the dense cost Hessian, terminal Hessian and equality
 Jacobian, which the package keeps by stage only, with the arithmetic of the
-arrays it kept then.  They call the package's template, workspace and cold
+arrays it kept then: `eq_jacobian` is the package's last dense equality
+Jacobian, `_Template.eq_jacobian`, copied verbatim as a function of the
+template.  They call the package's template, workspace and cold
 start, so they solve the package's current layout of the problem.  Their
 `np` is a recorder: `_polish` calls `np.delete` only to drop rows with a
 negative multiplier and `np.union1d` only to add rows a step crossed, so
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy
 
 from rigid_coverage.errors import OcpInfeasibleError
-from rigid_coverage.mpc import _cold_start_vector, _Workspace, _workspace
+from rigid_coverage.mpc import _cold_start_vector, _diagonal_blocks, _Workspace, _workspace
 
 
 class _Recorder:
@@ -92,8 +94,19 @@ def _H_term(ws: _Workspace) -> np.ndarray:
     return T.T @ (2.0 * ws.tpl.P_term / ws.tpl.zeta_scale) @ T
 
 
+def eq_jacobian(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The equality Jacobian (C_u, C_x, 0) of the stage Jacobians as dense rows, row block l
+    for c_l = x_{l+1} - f(x_l, u_l); only `_independent_rows`, a rare path, builds it."""
+    N, nx, nu = self.N, self.nx, self.nu
+    J = np.zeros((self.n_eq, self.nz))
+    J[:, self.ix_all] = np.eye(self.n_eq)
+    J[_diagonal_blocks(N - 1, nx, N * nu, nx, nx)] = -A[1:]
+    J[_diagonal_blocks(N, 0, 0, nx, nu)] = -B
+    return J
+
+
 def _eq_jacobian(ws: _Workspace, z: np.ndarray) -> np.ndarray:
-    return ws.tpl.eq_jacobian(*ws.stage_jacobians(z))
+    return eq_jacobian(ws.tpl, *ws.stage_jacobians(z))
 
 
 def _penalty_terms(ws: _Workspace, z: np.ndarray, mu_pen: float, backoff: float):

@@ -724,18 +724,28 @@ class TestTemplateCache:
         solve_ocp(nxt, warm=warm)
         assert mpc._workspace(nxt) is ws
 
-    def test_instances_are_not_kept_past_the_next_problem(self, double_integrator, terminal_double):
-        # a caller holding many problems, as the simulation holds a step's
-        # problems, must not hold an instance for each of them
-        probs = [make_problem(double_integrator, terminal_double, [0.2 + 0.05 * i, 0.2, 0.0, 0.0], [0.6, 0.5])
-                 for i in range(3)]
-        refs = []
+    def test_an_instance_lives_as_long_as_its_problem(self, double_integrator, terminal_double):
+        def problem(x0):
+            return make_problem(double_integrator, terminal_double, x0, [0.6, 0.5])
+
+        sol = solve_ocp(problem([0.45, 0.45, 0.0, 0.0]))
+        p1 = problem(double_integrator.step(sol.x_seq[0], sol.u_seq[0]))
+        p2 = problem([0.2, 0.25, 0.0, 0.0])
+        # two live problems keep separate instances
+        ws1 = mpc._workspace(p1)
+        assert mpc._workspace(p2) is not ws1
+        # a solve of another problem between a warm-start check and its solve leaves the check's instance alone
+        warm = shift_warm_start(p1, sol)
+        solve_ocp(p2)
+        solve_ocp(p1, warm=warm)
+        assert mpc._workspace(p1) is ws1 and ws1.handoff[0] is warm
+        # an instance is freed with its problem, with no cycle left for the collector
+        refs = [weakref.ref(ws1), weakref.ref(mpc._workspace(p2))]
+        del ws1
         gc.disable()
         try:
-            for prob in probs:
-                solve_ocp(prob)
-                refs.append(weakref.ref(mpc._workspace(prob)))
-            assert [r() is None for r in refs] == [True, True, False]
+            del p1, p2
+            assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
 
@@ -1039,7 +1049,9 @@ class TestVectorisedLayout:
         ws = mpc._workspace(make_problem(model, ts, [0.2, 0.2, 0.1, -0.05], [0.6, 0.5], horizon=horizon))
         z = np.random.default_rng(horizon).uniform(-0.4, 0.4, ws.tpl.nz)
         z[ws.tpl.ix(1)][2:] = 0.0  # a stage at rest
-        J = ws.tpl.eq_jacobian(*ws.stage_jacobians(z))
+        import penalty_sqp_reference as reference
+
+        J = reference.eq_jacobian(ws.tpl, *ws.stage_jacobians(z))
         np.testing.assert_allclose(J, _loop_eq_jacobian(ws.tpl, *ws.unpack(z)[:2]), rtol=1e-15, atol=0.0)
 
     def test_pack_unpack_and_dynamics_gaps_match_the_loop(self, problem):
@@ -1292,6 +1304,18 @@ def _dependent_start(model, ts):
     return prob, warm
 
 
+def _strict_solve(monkeypatch):
+    """Make np.linalg.solve refuse a rank-deficient matrix even where round-off hides the singularity."""
+    solve = np.linalg.solve
+
+    def strict_solve(a, b):
+        if np.linalg.matrix_rank(a) < len(a):
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", strict_solve)
+
+
 class TestCondensedKkt:
     """Both models solve each pass's KKT system with the shooting states
     eliminated (`_kkt_solver`); the (step, nu, lam) it returns is the full
@@ -1401,19 +1425,108 @@ class TestCondensedKkt:
         # a solve that refuses a rank-deficient matrix: _independent_rows
         # drops the row even where round-off hides the singularity
         calls = []
-        independent, solve = mpc._independent_rows, np.linalg.solve
-
-        def strict_solve(a, b):
-            if np.linalg.matrix_rank(a) < len(a):
-                raise np.linalg.LinAlgError("singular matrix")
-            return solve(a, b)
-
+        independent = mpc._independent_rows
         monkeypatch.setattr(mpc, "_independent_rows", lambda *a: calls.append(1) or independent(*a))
-        monkeypatch.setattr(np.linalg, "solve", strict_solve)
+        _strict_solve(monkeypatch)
         sol = solve_ocp(prob, warm=warm)
         assert calls
         assert sol.status == "solved" and sol.kkt_residual <= SqpOptions().tol_stationarity
         assert solution_feasibility(prob, sol)["dynamics"] <= SqpOptions().tol_equality
+
+
+def _stacked_independent_rows(C_J, rows, g):
+    """The dependent-row scan as it ran before it ranked reduced rows
+    (`mpc._independent_rows` then, verbatim): the nz-wide working rows
+    stacked under the equality Jacobian C_J."""
+    keep = []
+    for k in np.argsort(-g, kind="stable"):
+        if np.linalg.matrix_rank(np.vstack([C_J, rows[keep + [k]]])) > len(C_J) + len(keep):
+            keep.append(k)
+    return np.sort(np.array(keep, dtype=int))
+
+
+class TestDependentRows:
+    """A singular KKT matrix drops the working rows that depend on the
+    others, ranked by their reduction to (u, theta); C_x is invertible, so
+    the scan keeps the rows that the scan of the nz-wide rows stacked under
+    the equality Jacobian kept."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """(rows kept, rows the stacked scan keeps) of every dependent-row scan."""
+        import penalty_sqp_reference as reference
+
+        found, last = [], {}
+        kkt_solver, independent = mpc._kkt_solver, mpc._independent_rows
+
+        def solver(ws, z, lin, nu_last, lam_term):
+            solve = kkt_solver(ws, z, lin, nu_last, lam_term)
+
+            def watched(G_A, rhs_A, soft=0.0):
+                last.update(tpl=ws.tpl, lin=lin, G_A=G_A)
+                return solve(G_A, rhs_A, soft)
+
+            return watched
+
+        def scan(rows, g):
+            keep = independent(rows, g)
+            C_J = reference.eq_jacobian(last["tpl"], *last["lin"][1:3])
+            found.append((keep, _stacked_independent_rows(C_J, last["G_A"], g)))
+            return keep
+
+        monkeypatch.setattr(mpc, "_kkt_solver", solver)
+        monkeypatch.setattr(mpc, "_independent_rows", scan)
+        return found
+
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_the_pinned_dependent_start(
+        self, scans, monkeypatch, linear, double_integrator, drag_model, terminal_double, terminal_drag
+    ):
+        model, ts = (double_integrator, terminal_double) if linear else (drag_model, terminal_drag)
+        prob, warm = _dependent_start(model, ts)
+        _strict_solve(monkeypatch)
+        assert solve_ocp(prob, warm=warm).status == "solved"
+        assert scans
+        for keep, stacked in scans:
+            assert np.array_equal(keep, [0]) and np.array_equal(keep, stacked)
+
+    def test_the_singular_solves_of_a_drag_chain(self, scans):
+        # TestExactHessian's chain, whose cold solve meets singular KKT
+        # matrices with numpy's own solve
+        model = DragDoubleIntegrator(drag=2.0)
+        ts = build_terminal_set(model, SCENARIO_Q, SCENARIO_R)
+        chain = _drag_chain(model, ts, 10, np.array([0.8, 0.3, -0.4, 0.4]), [0.1, 1.2])
+        assert all(sol.status == "solved" for sol in chain)
+        assert scans
+        for keep, stacked in scans:
+            assert np.array_equal(keep, stacked)
+
+    @pytest.mark.parametrize("plant", ["repeated box row", "repeated polygon row", "row tied by the dynamics"])
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_planted_dependencies(
+        self, scans, monkeypatch, linear, plant, double_integrator, drag_model, terminal_double, terminal_drag
+    ):
+        model, ts = (double_integrator, terminal_double) if linear else (drag_model, terminal_drag)
+        prob = make_problem(model, ts, [0.2, 0.2, 0.3, -0.2], [0.7, 0.5], mu=0.7, region=square_region())
+        ws = mpc._workspace(prob)
+        tpl = ws.tpl
+        z = mpc._cold_start_vector(prob, tpl)
+        u0x, u0y = _box_row(tpl, 0, upper=True), _box_row(tpl, 1, upper=True)
+        v1y = _box_row(tpl, tpl.ix(1).start + 3, upper=True)  # dv_1,y = h du_0,y
+        edge, term = len(tpl.G) - len(square_region().half_planes()[1]), len(tpl.h)
+        work = np.array({
+            "repeated box row": [u0x, v1y, u0x, edge, term],
+            "repeated polygon row": [edge, u0x, edge, term],
+            "row tied by the dynamics": [u0x, v1y, edge, u0y, term],
+        }[plant])
+        lin = mpc._linearization(ws, z, work)
+        g = tpl.ineq_values(z)[work]
+        _strict_solve(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            mpc._kkt_solver(ws, z, lin, np.zeros(tpl.n_eq), 0.0)(lin[3], -(g + SqpOptions().backoff))
+        keep = mpc._independent_rows(err.value.reduced_rows, g)
+        assert len(keep) == len(work) - 1
+        assert len(scans) == 1 and np.array_equal(*scans[0])
 
 
 class TestExactNewtonSteps:
@@ -1662,15 +1775,9 @@ class TestFallbackAndSoftRows:
         prob, warm = _dependent_start(double_integrator, terminal_double)
         plain = solve_ocp(prob, warm=warm)
         calls = []
-        independent, solve = mpc._independent_rows, np.linalg.solve
-
-        def strict_solve(a, b):
-            if np.linalg.matrix_rank(a) < len(a):
-                raise np.linalg.LinAlgError("singular matrix")
-            return solve(a, b)
-
+        independent = mpc._independent_rows
         monkeypatch.setattr(mpc, "_independent_rows", lambda *a: calls.append(1) or independent(*a))
-        monkeypatch.setattr(np.linalg, "solve", strict_solve)
+        _strict_solve(monkeypatch)
         sol = solve_ocp(prob, warm=warm)
         assert calls
         for s in (plain, sol):

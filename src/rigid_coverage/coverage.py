@@ -6,20 +6,21 @@ twice the cell's largest vertex radius away and so cannot cut it (Cortés,
 Martínez, Karataş & Bullo 2004).  A cell's centroid and its share of
 the locational cost H are read from one set of density moments taken about
 the cell's site (`cell_moments`): the mass, the first moment and the second
-moment.  The moments come from one pass over all cells of a partition and
-are kept on it, so the centroids and H of one partition cost one pass.
+moment.  Every density owns its moments: `density.moments(cells, sites)`
+returns them for all cells of a partition in one pass, and the result is
+kept on the partition, so the centroids and H of one partition cost one
+call.  A density without a `moments` method is refused.
 
-A Gaussian mixture takes that pass in its own exact kernel
-(`GaussianMixtureDensity.moments`): edge integrals of analytic functions by
-the divergence theorem, at round-off.  Every other density goes through one
-fixed quadrature: each cell is fanned into triangles and the symmetric
-7-point rule, exact for polynomials of degree 5, is applied once, with one
-evaluation of the integrand on the rule points of every cell.  The uniform
-density's moments have degree 2, so they are exact.  A grid density's cells
-are first cut at the grid lines into pieces on which the bilinear
-interpolant is a polynomial, so its degree-4 moments are exact too.  Any
-other callable gets the same rule, exact only for a polynomial density of
-degree at most 3.  Either way a cell's moments depend only on the cell, so
+A Gaussian mixture takes its moments from its own exact kernel: edge
+integrals of analytic functions by the divergence theorem, at round-off.
+The uniform and grid densities share one fixed quadrature (`_fan_moments`):
+each polygon is fanned into triangles and the symmetric 7-point rule, exact
+for polynomials of degree 5, is applied once, with one evaluation of the
+density on the rule points of every polygon.  The uniform density's
+moments have degree 2, so they are exact.  A grid density first cuts each
+cell at the grid lines into pieces on which the bilinear interpolant is a
+polynomial, so its degree-4 moments are exact too, and adds up each cell's
+pieces in order.  Either way a cell's moments depend only on the cell, so
 they are the same to the bit whichever cells share its pass.
 """
 
@@ -36,7 +37,7 @@ from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
-from .geometry import GEOM_EPS, ConvexRegion, clip_polygon_halfplane, polygon_area
+from .geometry import GEOM_EPS, ConvexRegion, clip_polygon_halfplane, parse_points, polygon_area
 
 MIN_SITE_SEPARATION = 1e-7
 AREA_TILE_RTOL = 1e-8
@@ -50,6 +51,11 @@ class UniformDensity:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.ones(len(pts))
+
+    def moments(self, cells, sites) -> np.ndarray:
+        """(n, 4) moments of each convex cell about its site by _fan_moments;
+        exact, since they are polynomials of degree at most 2."""
+        return _fan_moments(self, cells, sites)
 
 
 @dataclass(frozen=True)
@@ -338,6 +344,15 @@ class GridDensity:
             out += _slices(clip_polygon_halfplane(strip, np.array([0.0, -1.0]), -ys[-1]), 1, self._ys)
         return out
 
+    def moments(self, cells, sites) -> np.ndarray:
+        """(n, 4) moments of each convex cell about its site: every cell's
+        pieces go through one _fan_moments pass, exact on each piece, and a
+        cell adds up its pieces in order."""
+        pieces = [self.pieces(c) for c in cells]
+        counts = [len(p) for p in pieces]
+        per_piece = _fan_moments(self, [q for p in pieces for q in p], np.repeat(sites, counts, axis=0))
+        return _sum_rows(per_piece, np.repeat(np.arange(len(cells)), counts), len(cells))
+
 
 def _slices(polygon: np.ndarray, axis: int, lines: np.ndarray) -> list[np.ndarray]:
     """The parts of a convex polygon between successive lines q[axis] = c
@@ -379,29 +394,24 @@ def _triangle_rule():
 _TRI_RULE = _triangle_rule()
 
 
-def _segment_sums(values: np.ndarray, counts) -> np.ndarray:
-    """Sums of successive runs of rows, counts[i] of them for run i, each
-    added up in order on its own; an empty run gives zeros."""
-    counts = np.asarray(counts, dtype=int)
-    starts = np.cumsum(counts) - counts
-    sums = np.zeros((len(counts),) + values.shape[1:])
-    for j in range(counts.max(initial=0)):
-        runs = np.flatnonzero(counts > j)
-        sums[runs] += values[starts[runs] + j]
-    return sums
+def _sum_rows(rows: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """(n, 4) sums of the (m, 4) rows by owner, each added up in row order
+    from zero (np.bincount adds in index order); an owner of no row gets
+    zeros."""
+    bins = (owner[:, None] * 4 + np.arange(4)).ravel()
+    return np.bincount(bins, weights=rows.ravel(), minlength=4 * n).reshape(n, 4)
 
 
-def integrate_over_polygons(polygons, func) -> np.ndarray:
-    """Integrate a vector-valued function over each of n convex polygons.
-
-    func(points, owner) receives (P, 2) points and the (P,) index of the
-    polygon each lies in, and returns (P,) or (P, k) values; the result is
-    (n, k).  Each polygon is fanned into triangles from its vertex 0, and
-    the 7-point rule is applied once to every triangle, with one call of
-    func for all polygons.  The rule is exact where func is a polynomial of
-    degree at most 5 on the polygon.  A polygon's value is its triangles'
-    terms added up in order, so it is the same whichever polygons share its
-    batch; one with fewer than 3 vertices gives zeros.
+def _fan_moments(density, polygons, sites) -> np.ndarray:
+    """(k, 4) moments of each of k convex polygons about its own site,
+    row i of sites for polygon i: the integrals of phi, (q - p_i) phi and
+    |q - p_i|^2 phi.  Each polygon is fanned into triangles from its vertex
+    0, and the 7-point rule is applied once to every triangle, with one call
+    of the density for all polygons.  The rule is exact where the moments
+    are polynomials of degree at most 5 on the polygon.  A polygon's
+    moments are its triangles' terms added up in order, so they are the
+    same whichever polygons share the call; one with fewer than 3 vertices
+    gives zeros.
     """
     polys = [np.asarray(v, dtype=float).reshape(-1, 2) for v in polygons]
     sizes = np.array([len(v) for v in polys], dtype=int)
@@ -413,14 +423,16 @@ def integrate_over_polygons(polygons, func) -> np.ndarray:
     a, b, c = verts[first], verts[first + j + 1], verts[first + j + 2]
     areas = 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
     bary, wts = _TRI_RULE
-    pts = bary[:, 0, None, None] * a + bary[:, 1, None, None] * b + bary[:, 2, None, None] * c
-    owners = np.repeat(np.arange(len(polys)), counts)
-    vals = np.asarray(func(pts.reshape(-1, 2), np.tile(owners, len(wts))))
-    vals = vals.reshape(len(wts), len(first), *(vals.shape[1:] or (1,)))
+    pts = (bary[:, 0, None, None] * a + bary[:, 1, None, None] * b + bary[:, 2, None, None] * c).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(polys)), counts)
+    phi = density(pts)
+    diff = pts - np.asarray(sites, dtype=float)[np.tile(owner, len(wts))]
+    vals = np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
+    vals = vals.reshape(len(wts), len(first), 4)
     total = (wts[0] * areas)[:, None] * vals[0]
     for w, v in zip(wts[1:], vals[1:]):
         total = total + (w * areas)[:, None] * v
-    return _segment_sums(total, counts)
+    return _sum_rows(total, owner, len(polys))
 
 
 @dataclass(frozen=True)
@@ -437,17 +449,23 @@ def _max_sq_radius(poly: np.ndarray, site: np.ndarray) -> float:
     return max(dx * dx + dy * dy for dx, dy in (poly - site).tolist())
 
 
+def _points(data) -> np.ndarray:
+    """(n, 2) finite points by parse_points; one [x, y] point is a list of one.
+    An object array takes a ragged list too, whose fault parse_points names."""
+    return parse_points([data] if np.array(data, dtype=object).shape == (2,) else data)
+
+
 def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPartition:
     """Voronoi cells of the sites, clipped to the region.
 
-    Each site must be distinct (pairwise separation above 1e-7); sites
-    outside the region are clamped to it with a warning.  A cell starts as
-    the region and is clipped by the bisectors of the other sites in order
-    of distance, ties in index order.  Its clipping stops at the first site
-    more than twice as far away as the cell's farthest vertex so far, since
-    neither it nor any later site can cut the cell.
+    Each site must be finite and distinct (pairwise separation above 1e-7);
+    sites outside the region are clamped to it with a warning.  A cell
+    starts as the region and is clipped by the bisectors of the other sites
+    in order of distance, ties in index order.  Its clipping stops at the
+    first site more than twice as far away as the cell's farthest vertex so
+    far, since neither it nor any later site can cut the cell.
     """
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    pos = _points(positions)
     n = len(pos)
     if n == 0:
         raise InvalidInputError("need at least one site")
@@ -499,29 +517,19 @@ def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPar
 
 def cell_moments(partition: VoronoiPartition, density) -> np.ndarray:
     """(n, 4) density moments of each cell about its own site p_i: the
-    integrals of phi, (q - p_i) phi and |q - p_i|^2 phi, all from one batched
-    pass: a Gaussian mixture's exact kernel, or else one pass of the fixed
-    rule of integrate_over_polygons, with a grid density's cells first cut
-    into their grid pieces and each cell's pieces summed in order.  Exact
-    for the built-in densities; any other callable density only where it is
-    a polynomial of degree at most 3.  The read-only result is kept on the
+    integrals of phi, (q - p_i) phi and |q - p_i|^2 phi, from one call of
+    the density's own moments(cells, sites), exact for every built-in
+    density.  A density without that method, or whose result is not
+    (n, 4), raises InvalidInputError.  The read-only result is kept on the
     partition, one entry per density, so later calls read it back.
     """
     if density not in partition._moments:
-        cells, sites = partition.cells, partition.sites
-        if isinstance(density, GaussianMixtureDensity):
-            values = density.moments(cells, sites)
-        else:
-            pieces = [density.pieces(c) if isinstance(density, GridDensity) else [c] for c in cells]
-            counts = [len(p) for p in pieces]
-            cell_of = np.repeat(np.arange(len(cells)), counts)
-
-            def moments(pts, piece):
-                phi = density(pts)
-                diff = pts - sites[cell_of[piece]]
-                return np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
-
-            values = _segment_sums(integrate_over_polygons([q for p in pieces for q in p], moments), counts)
+        name = type(density).__name__
+        if not callable(getattr(density, "moments", None)):
+            raise InvalidInputError(f"density {name} has no moments(cells, sites) method")
+        values = np.array(density.moments(partition.cells, partition.sites), dtype=float)
+        if values.shape != (len(partition.cells), 4):
+            raise InvalidInputError(f"{name}.moments returned shape {values.shape}, not ({len(partition.cells)}, 4)")
         values.setflags(write=False)
         partition._moments[density] = values
     return partition._moments[density]
@@ -530,9 +538,9 @@ def cell_moments(partition: VoronoiPartition, density) -> np.ndarray:
 def centroid(cell, density) -> np.ndarray:
     """Density-weighted centroid of one cell, or, given a VoronoiPartition,
     the (n, 2) centroids of all its cells: each site plus its cell's first
-    moment over its mass.  A lone polygon, in either orientation, is taken
-    as the one-cell partition of itself in counter-clockwise order, with its
-    vertex mean as the site.
+    moment over its mass, both read from cell_moments.  A lone polygon, in
+    either orientation, is taken as the one-cell partition of itself in
+    counter-clockwise order, with its vertex mean as the site.
     """
     batch = isinstance(cell, VoronoiPartition)
     if not batch:
@@ -553,7 +561,7 @@ def coverage_cost(positions: np.ndarray, partition: VoronoiPartition, density) -
     distance to the assigned robot.  Each cell's second moment about its
     site is moved to the robot's position by the parallel-axis identity,
     which changes nothing where the two agree (all but clamped sites)."""
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    pos = _points(positions)
     if len(pos) != len(partition.cells):
         raise InvalidInputError("positions and partition size differ")
     m = cell_moments(partition, density)
@@ -577,8 +585,8 @@ def partition_update_due(
     stored error, and either some robot got strictly closer or every stored
     error is already below the convergence tolerance.
     """
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    ref = np.atleast_2d(np.asarray(references, dtype=float))
+    pos = _points(positions)
+    ref = _points(references)
     err = np.asarray(stored_errors, dtype=float)
     if len(pos) != len(ref) or len(pos) != len(err):
         raise InvalidInputError("positions, references and errors must have equal length")

@@ -133,7 +133,8 @@ class ConvexRegion:
         return polygon_area(self.vertices)
 
     def contains(self, point, tol: float = 1e-9) -> bool:
-        return point_in_convex_polygon(self.vertices, point, tol)
+        """Whether the point is finite and lies in the region, within tol."""
+        return bool(np.isfinite(point).all()) and point_in_convex_polygon(self.vertices, point, tol)
 
     def half_planes(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows (a_k, b_k) with unit outward normals: interior = {a q <= b}."""
@@ -164,8 +165,9 @@ class ConvexRegion:
         return ConvexRegion(poly)
 
     def project_inside(self, point) -> np.ndarray:
-        """Nearest point of the region (the point itself when interior)."""
-        p = np.asarray(point, dtype=float)
+        """Nearest point of the region (the point itself when interior); a
+        non-finite point raises InvalidInputError."""
+        p = parse_points([point])[0]
         if self.contains(p, tol=0.0):
             return p
         v = self.vertices

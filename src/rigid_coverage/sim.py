@@ -2,11 +2,11 @@
 
 Each step runs three phases, and each returns what the next one reads:
 
-- ``_centralized`` repairs a fault that falls on the step, partitions the
-  region, updates the references when due, and measures H, the bearing
-  error and the rigidity rank on that partition and on one bearing
-  framework of the positions.  It returns whether the references were
-  updated, and the measurement.
+- ``_centralized`` repairs a fault that falls on the step, by the recovery
+  plan of the graph it falls on, partitions the region, updates the
+  references when due, and measures H, the bearing error and the rigidity
+  rank on that partition and on one bearing framework of the positions.
+  It returns whether the references were updated, and the measurement.
 - ``_decentralized`` solves each robot's tracking problem in turn, warm
   started from that robot's previous solution.  A solve reads only its
   problem and that solution, never another robot's result of the step.
@@ -36,7 +36,7 @@ from .coverage import centroid, coverage_cost, partition_update_due, voronoi_par
 from .errors import InvalidInputError, NumericalBreakdownError
 from .graphs import Graph, laman_check
 from .mpc import OcpProblem, shift_warm_start, solve_ocp
-from .recovery import RecoveryPlan, apply_recovery, build_recovery_plan
+from .recovery import apply_recovery, build_recovery_plan
 from .rigidity import (
     Configuration,
     Framework,
@@ -82,7 +82,6 @@ class _Team:
     alive: list  # original ids of the live robots, in graph-vertex order
     states: np.ndarray  # (n, n_x)
     graph: Graph
-    plan: RecoveryPlan
     prev_sols: list  # each robot's previous solution, None before its first
     refs: np.ndarray | None = None
     errors: np.ndarray | None = None  # reference errors at the last update
@@ -125,7 +124,7 @@ def _centralized(team: _Team, config: SimConfig, k: int, fault, events: list) ->
     if fault is not None:
         alive = team.alive
         jf = alive.index(fault.robot)
-        entry = team.plan.for_loss(jf)
+        entry = build_recovery_plan(team.graph).for_loss(jf)
         new_edges = entry.new_edges if entry is not None else frozenset()
         hub = entry.contraction_vertex if entry is not None else None
         event = {
@@ -138,7 +137,6 @@ def _centralized(team: _Team, config: SimConfig, k: int, fault, events: list) ->
         alive.pop(jf)
         team.states = np.delete(team.states, jf, axis=0)
         team.prev_sols.pop(jf)
-        team.plan = build_recovery_plan(team.graph)
         events.append(event)
     positions = team.states[:, :2]
     partition = voronoi_partition(positions, config.region)
@@ -241,8 +239,7 @@ def run(config: SimConfig) -> SimTrace:
     }
     shrunk = config.region.shrink(config.epsilon)
     n0 = config.n_robots
-    plan = build_recovery_plan(config.graph)
-    team = _Team(list(range(n0)), config.initial_states.copy(), config.graph, plan, [None] * n0)
+    team = _Team(list(range(n0)), config.initial_states.copy(), config.graph, [None] * n0)
     faults_by_step = {f.at_step: f for f in config.faults}
     records, events = [], []
     for k in range(config.steps):

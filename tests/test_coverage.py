@@ -15,9 +15,9 @@ from rigid_coverage.coverage import (
     GaussianMixtureDensity,
     GridDensity,
     UniformDensity,
+    _fan_moments,
     centroid,
     coverage_cost,
-    integrate_over_polygons,
     partition_update_due,
     voronoi_partition,
 )
@@ -74,8 +74,9 @@ def grid_reference(region_lo, region_hi, func, n=400):
 
 class TestIntegration:
     def test_polynomial_exactness(self):
-        # degree-5 rule integrates low-order monomials exactly
-        val = integrate_over_polygons([SQUARE], lambda p, _o: p[:, 0] ** 2 * p[:, 1])[0]
+        # degree-5 rule integrates low-order monomials exactly: the mass
+        # column of the fan-rule kernel, with the monomial as the density
+        val = _fan_moments(lambda p: p[:, 0] ** 2 * p[:, 1], [SQUARE], np.zeros((1, 2)))[0, 0]
         assert val == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_monomials_exact_to_degree_5(self):
@@ -86,7 +87,9 @@ class TestIntegration:
         for degree in range(7):
             for i in range(degree + 1):
                 j = degree - i
-                got_tri, got_quad = integrate_over_polygons([tri, quad], lambda p, _o: p[:, 0] ** i * p[:, 1] ** j)[:, 0]
+                got_tri, got_quad = _fan_moments(
+                    lambda p: p[:, 0] ** i * p[:, 1] ** j, [tri, quad], np.zeros((2, 2))
+                )[:, 0]
                 want_tri = math.factorial(i) * math.factorial(j) / math.factorial(degree + 2)
                 want_quad = (1.1 ** (i + 1) - (-0.4) ** (i + 1)) * (0.8 ** (j + 1) - 0.3 ** (j + 1)) / ((i + 1) * (j + 1))
                 if degree <= 5:
@@ -195,6 +198,25 @@ class TestVoronoi:
 
         for site, cell in zip(sites, part.cells):
             assert point_in_convex_polygon(cell, site)
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            [[np.nan, 0.5], [0.2, 0.2]],
+            [[np.inf, 0.5], [0.2, 0.2]],
+            [[0.5, 0.5], [0.2]],  # ragged
+            [[0.5, 0.5, 0.1]],
+            [[0.5, "x"]],
+        ],
+    )
+    def test_malformed_sites_rejected(self, unit_square, sites):
+        with pytest.raises(InvalidInputError):
+            voronoi_partition(sites, unit_square)
+
+    def test_single_point_is_one_site(self, unit_square):
+        part = voronoi_partition([0.4, 0.6], unit_square)
+        assert part.sites.tolist() == [[0.4, 0.6]]
+        assert coverage_cost([0.4, 0.6], part, UniformDensity()) == coverage_cost([[0.4, 0.6]], part, UniformDensity())
 
     def test_coincident_sites_rejected(self, unit_square):
         sites = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -351,6 +373,14 @@ class TestCentroid:
 
 
 class TestCoverageCost:
+    @pytest.mark.parametrize("bad", [[[np.nan, 0.5]], [[0.5, np.inf]], [[0.5]]])
+    def test_malformed_positions_rejected(self, unit_square, bad):
+        part = voronoi_partition([[0.5, 0.5]], unit_square)
+        with pytest.raises(InvalidInputError):
+            coverage_cost(bad, part, UniformDensity())
+        with pytest.raises(InvalidInputError):
+            partition_update_due(bad, [[0.5, 0.5]], [1.0])
+
     def test_single_robot_at_center(self, unit_square):
         pos = np.array([[0.5, 0.5]])
         part = voronoi_partition(pos, unit_square)
@@ -455,15 +485,19 @@ def _oracle_integrate(vertices, func):
     return total
 
 
-def _oracle_moments(cell, site, density):
-    if isinstance(density, GaussianMixtureDensity):
-        return density.moments([cell], np.asarray(site)[None])[0]
-
+def _oracle_integrand(site, density):
     def moments(pts):
         phi = density(pts)
         diff = pts - site
         return np.column_stack([phi, diff * phi[:, None], (diff[:, 0] ** 2 + diff[:, 1] ** 2) * phi])
 
+    return moments
+
+
+def _oracle_moments(cell, site, density):
+    if isinstance(density, GaussianMixtureDensity):
+        return density.moments([cell], np.asarray(site)[None])[0]
+    moments = _oracle_integrand(site, density)
     total = np.zeros(4)
     for piece in density.pieces(cell) if isinstance(density, GridDensity) else [cell]:
         total = total + _oracle_integrate(piece, moments)
@@ -511,6 +545,43 @@ def _bitwise_equal(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+class TestMomentsContract:
+    def test_density_without_moments_is_refused(self, unit_square):
+        part = voronoi_partition([[0.3, 0.3], [0.7, 0.6]], unit_square)
+        with pytest.raises(InvalidInputError, match="density function has no moments"):
+            centroid(part, lambda p: np.ones(len(p)))
+        with pytest.raises(InvalidInputError, match="density object has no moments"):
+            coverage_cost(part.sites, part, object())
+
+    def test_own_moments_are_called_once_per_partition(self, unit_square):
+        class Counted:
+            calls = 0
+
+            def moments(self, cells, sites):
+                Counted.calls += 1
+                return UniformDensity().moments(cells, sites)
+
+        density = Counted()
+        pos = np.array([[0.3, 0.3], [0.7, 0.6], [0.2, 0.8]])
+        part = voronoi_partition(pos, unit_square)
+        refs, H = centroid(part, density), coverage_cost(pos, part, density)
+        centroid(part, density)
+        assert Counted.calls == 1
+        assert _bitwise_equal(refs, centroid(part, UniformDensity()))
+        assert H == coverage_cost(pos, part, UniformDensity())
+        centroid(voronoi_partition(pos, unit_square), density)
+        assert Counted.calls == 2
+
+    def test_moments_of_the_wrong_shape_are_refused(self, unit_square):
+        class Short:
+            def moments(self, cells, sites):
+                return np.ones((len(cells), 3))
+
+        part = voronoi_partition([[0.3, 0.3], [0.7, 0.6]], unit_square)
+        with pytest.raises(InvalidInputError, match=r"Short.moments returned shape \(2, 3\)"):
+            centroid(part, Short())
+
+
 class TestBatchedQuadrature:
     @pytest.mark.parametrize("seed", [2, 5])
     @pytest.mark.parametrize("name", sorted(DENSITIES))
@@ -518,16 +589,11 @@ class TestBatchedQuadrature:
         density = DENSITIES[name]
         rng = np.random.default_rng(seed)
         polygons = [_random_convex_polygon(rng, k) for k in (3, 8, 4, 7, 5, 6, 3, 8, 5)]
-
-        def mass_and_moment(pts, _owner):
-            phi = density(pts)
-            return np.column_stack([phi, pts * phi[:, None]])
-
-        batched = integrate_over_polygons(polygons, mass_and_moment)
-        assert batched.shape == (len(polygons), 3)
-        for poly, row in zip(polygons, batched):
-            expected = _oracle_integrate(poly, lambda p: mass_and_moment(p, None))
-            assert _bitwise_equal(row, expected)
+        sites = rng.random((len(polygons), 2))
+        batched = _fan_moments(density, polygons, sites)
+        assert batched.shape == (len(polygons), 4)
+        for poly, site, row in zip(polygons, sites, batched):
+            assert _bitwise_equal(row, _oracle_integrate(poly, _oracle_integrand(site, density)))
 
     @pytest.mark.parametrize("seed", [2, 5])
     @pytest.mark.parametrize("name", sorted(DENSITIES))
@@ -580,11 +646,12 @@ class TestBatchedQuadrature:
             centroid(part, far)
 
     def test_degenerate_polygon_integrates_to_zero(self):
-        batched = integrate_over_polygons(
-            [SQUARE, SQUARE[:2]], lambda p, _o: np.column_stack([p[:, 0], p[:, 1]])
-        )
-        assert np.array_equal(batched[1], [0.0, 0.0])
-        assert _bitwise_equal(batched[0], _oracle_integrate(SQUARE, lambda p: np.column_stack([p[:, 0], p[:, 1]])))
+        def density(p):
+            return p[:, 0] + p[:, 1]
+
+        batched = _fan_moments(density, [SQUARE, SQUARE[:2]], np.zeros((2, 2)))
+        assert np.array_equal(batched[1], np.zeros(4))
+        assert _bitwise_equal(batched[0], _oracle_integrate(SQUARE, _oracle_integrand(np.zeros(2), density)))
 
     def test_run_matches_per_cell_references(self, monkeypatch):
         cfg = make_scenario(mu=0.7, steps=10, faults=[{"at_step": 4, "robot": 2}])

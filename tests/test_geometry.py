@@ -73,6 +73,13 @@ class TestConvexRegion:
         assert np.all(A @ np.array([0.5, 0.5]) < b)
         assert np.any(A @ np.array([1.5, 0.5]) > b)
 
+    @pytest.mark.parametrize("point", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, -np.inf]])
+    def test_non_finite_point_is_outside(self, unit_square, point):
+        assert not unit_square.contains(point)
+        assert not unit_square.contains(point, tol=np.inf)
+        with pytest.raises(InvalidInputError):
+            unit_square.project_inside(point)
+
     def test_shrink(self, unit_square):
         inner = unit_square.shrink(0.1)
         assert inner.area == pytest.approx(0.64)

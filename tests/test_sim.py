@@ -12,6 +12,7 @@ from rigid_coverage import coverage, sim
 from rigid_coverage.config import config_from_dict
 from rigid_coverage.coverage import coverage_cost, voronoi_partition
 from rigid_coverage.errors import InvalidInputError, NumericalBreakdownError
+from rigid_coverage.recovery import build_recovery_plan
 from rigid_coverage.sim import SimTrace, export, run
 
 
@@ -77,7 +78,7 @@ def test_one_moment_pass_per_step(monkeypatch):
     # an update step reads its centroids and H from one moment evaluation
     # over its partition; the final H of the summary takes one more.  The
     # Gaussian density's exact kernel takes every one: no cell reaches the
-    # quadrature.
+    # fan-rule quadrature.
     kernel_calls, quadrature_calls = [], []
     kernel = coverage.GaussianMixtureDensity.moments
 
@@ -86,12 +87,22 @@ def test_one_moment_pass_per_step(monkeypatch):
         return kernel(density, cells, sites)
 
     monkeypatch.setattr(coverage.GaussianMixtureDensity, "moments", counted)
-    monkeypatch.setattr(coverage, "integrate_over_polygons", lambda *args, **kwargs: quadrature_calls.append(args))
+    monkeypatch.setattr(coverage, "_fan_moments", lambda *args, **kwargs: quadrature_calls.append(args))
     steps = 12
     trace = run(config_from_dict(make_scenario(mu=0.7, steps=steps, faults=[{"at_step": 5, "robot": 2}])))
     assert sum(r.updated for r in trace.records) > 2
     assert len(kernel_calls) == steps + 1
     assert quadrature_calls == []
+
+
+@pytest.mark.parametrize("faults", [[], [{"at_step": 0, "robot": 1}, {"at_step": 3, "robot": 4}]])
+def test_one_recovery_plan_per_fault(monkeypatch, faults):
+    # the plan is built where it is read, at the fault, on the graph of the
+    # moment; a run without faults builds none
+    built = []
+    monkeypatch.setattr(sim, "build_recovery_plan", lambda graph: built.append(graph.n) or build_recovery_plan(graph))
+    run(config_from_dict(make_scenario(mu=0.7, steps=5, faults=faults)))
+    assert built == [6 - i for i in range(len(faults))]
 
 
 def test_recorded_coverage_cost_does_not_rise_at_updates_after_a_fault():

@@ -3,7 +3,9 @@
 Cells come from clipping the workspace polygon with perpendicular-bisector
 half-planes, the nearest other site first, until the next site is more than
 twice the cell's largest vertex radius away and so cannot cut it (Cortés,
-Martínez, Karataş & Bullo 2004).  A cell's centroid and its share of
+Martínez, Karataş & Bullo 2004).  The cells are clipped as lists of plain
+floats by geometry.clip_floats, which also returns the radius, and each
+finished cell becomes an array once.  A cell's centroid and its share of
 the locational cost H are read from one set of density moments taken about
 the cell's site (`cell_moments`): the mass, the first moment and the second
 moment.  Every density owns its moments: `density.moments(cells, sites)`
@@ -26,6 +28,7 @@ they are the same to the bit whichever cells share its pass.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,7 +40,8 @@ from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
-from .geometry import GEOM_EPS, ConvexRegion, clip_polygon_halfplane, parse_points, polygon_area
+from .geometry import GEOM_EPS, ConvexRegion, clip_floats, clip_polygon_halfplane, parse_points
+from .geometry import point_in_convex_polygon, polygon_area
 
 MIN_SITE_SEPARATION = 1e-7
 AREA_TILE_RTOL = 1e-8
@@ -444,11 +448,6 @@ class VoronoiPartition:
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _max_sq_radius(poly: np.ndarray, site: np.ndarray) -> float:
-    # plain floats: a cell has a handful of vertices, too few for numpy
-    return max(dx * dx + dy * dy for dx, dy in (poly - site).tolist())
-
-
 def _points(data) -> np.ndarray:
     """(n, 2) finite points by parse_points; one [x, y] point is a list of one.
     An object array takes a ragged list too, whose fault parse_points names."""
@@ -465,15 +464,12 @@ def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPar
     first site more than twice as far away as the cell's farthest vertex so
     far, since neither it nor any later site can cut the cell.
     """
-    pos = _points(positions)
-    n = len(pos)
-    if n == 0:
+    sites = _points(positions).copy()
+    if len(sites) == 0:
         raise InvalidInputError("need at least one site")
-    sites = pos.copy()
-    for idx in range(n):
-        if not region.contains(sites[idx]):
-            warnings.warn(f"site {idx} lies outside the region; clamping")
-            sites[idx] = region.project_inside(sites[idx])
+    for idx in np.flatnonzero(~point_in_convex_polygon(region.vertices, sites)).tolist():
+        warnings.warn(f"site {idx} lies outside the region; clamping")
+        sites[idx] = region.project_inside(sites[idx])
     gaps = np.linalg.norm(sites[:, None] - sites[None], axis=2)
     close_i, close_j = np.nonzero(np.triu(gaps < MIN_SITE_SEPARATION, k=1))
     if len(close_i):  # nonzero lists pairs in lexicographic order
@@ -486,33 +482,31 @@ def voronoi_partition(positions: np.ndarray, region: ConvexRegion) -> VoronoiPar
     # cannot cut the cell: every point of the cell lies within R of site i
     # and more than R from site j, so each vertex's side of the bisector is
     # < 0 <= GEOM_EPS and the clip would return the cell unchanged.  Every
-    # later site in the row is at least as far.
+    # later site in the row is at least as far.  r2 starts unbounded: the
+    # nearest other site lies in the region, within the region's radius of
+    # site i, so the stop rule never skips its clip, and that clip sets r2.
     order = np.argsort(gaps, axis=1, kind="stable")
     reach = np.take_along_axis(gaps, order, axis=1) ** 2 / 4.0
+    points, corners = sites.tolist(), region.vertices.tolist()
     cells = []
-    for i in range(n):
-        poly = region.vertices
-        site = sites[i]
-        r2 = _max_sq_radius(poly, site)
+    for i, (sx, sy) in enumerate(points):
+        poly, r2 = corners, math.inf
         for j, quarter in zip(order[i].tolist(), reach[i].tolist()):
             if quarter > r2:
                 break
             if j == i:
                 continue
-            normal = sites[j] - site
-            offset = float(normal @ (site + sites[j])) / 2.0
-            poly = clip_polygon_halfplane(poly, normal, offset)
-            if len(poly) < 3:
-                break
-            r2 = _max_sq_radius(poly, site)
-        if len(poly) < 3:
-            raise NumericalBreakdownError(f"cell of site {i} degenerated to zero area")
+            xj, yj = points[j]
+            ax, ay = xj - sx, yj - sy
+            poly, r2 = clip_floats(poly, ax, ay, (ax * (sx + xj) + ay * (sy + yj)) / 2.0, r2, sx, sy)
+            if not poly:
+                raise NumericalBreakdownError(f"cell of site {i} degenerated to zero area")
         cells.append(poly)
-    total = sum(polygon_area(c) for c in cells)
+    total = sum(x * yn - xn * y for c in cells for (x, y), (xn, yn) in zip(c, c[1:] + c[:1])) / 2.0  # shoelace
     area = region.area
     if abs(total - area) > AREA_TILE_RTOL * area:
         raise NumericalBreakdownError(f"cells tile {total:.12f} of region area {area:.12f}")
-    return VoronoiPartition(tuple(cells), region, sites)
+    return VoronoiPartition(tuple(np.array(poly) for poly in cells), region, sites)
 
 
 def cell_moments(partition: VoronoiPartition, density) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Polygons are (k, 2) float arrays of vertices in counter-clockwise order.
 All clipping is against half-planes {q : a . q <= b} via Sutherland-Hodgman,
-which is exact for convex input up to floating point.
+which is exact for convex input up to floating point, by one clipper on
+plain floats (a cell has too few vertices for numpy to pay) and its wrapper.
 """
 
 from __future__ import annotations
@@ -56,42 +57,52 @@ def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
     return np.array([cx, cy])
 
 
-def clip_polygon_halfplane(vertices: np.ndarray, a: np.ndarray, b: float, tol: float = GEOM_EPS) -> np.ndarray:
-    """Intersect a convex polygon with {q : a . q <= b}.
+def clip_floats(poly: list, ax: float, ay: float, b: float, r2: float = 0.0, sx: float = 0.0, sy: float = 0.0,
+                tol: float = GEOM_EPS) -> tuple[list, float]:
+    """Intersect a convex polygon, a list of (x, y) float pairs, with
+    {q : ax x + ay y <= b}, by one Sutherland-Hodgman pass.
 
-    A vertex within `tol` of the line is kept as it is, and an edge yields a
-    crossing point only when its ends lie strictly on opposite sides (beyond
-    `tol`), so no vertex is emitted twice.
+    Returns the part, as a list of pairs, and its largest squared vertex
+    distance from (sx, sy).  A half-plane that cuts nothing returns poly
+    itself and r2, which the caller gives as poly's own radius; a part with
+    fewer than 3 vertices is [].  A vertex within `tol` of the line is kept
+    as it is, and an edge yields a crossing point only when its ends lie
+    strictly on opposite sides (beyond `tol`), so no vertex is emitted twice.
     """
-    v = np.asarray(vertices, dtype=float)
-    if len(v) == 0:
-        return v
-    a = np.asarray(a, dtype=float)
-    side = v @ a - b
-    out: list[np.ndarray] = []
-    k = len(v)
-    for idx in range(k):
-        cur, nxt = v[idx], v[(idx + 1) % k]
-        s_cur, s_nxt = side[idx], side[(idx + 1) % k]
-        if s_cur <= tol:
-            out.append(cur)
-        if (s_cur < -tol and s_nxt > tol) or (s_cur > tol and s_nxt < -tol):
-            out.append(cur + s_cur / (s_cur - s_nxt) * (nxt - cur))
+    sides = [ax * x + ay * y - b for x, y in poly]
+    if max(sides, default=0.0) <= tol:
+        return poly, r2
+    out = []
+    for p, s, q, sn in zip(poly, sides, poly[1:] + poly[:1], sides[1:] + sides[:1]):
+        if s <= tol:
+            out.append(p)
+        if (s < -tol and sn > tol) or (s > tol and sn < -tol):
+            (x, y), (xn, yn) = p, q
+            t = s / (s - sn)
+            out.append((x + t * (xn - x), y + t * (yn - y)))
     if len(out) < 3:
-        return np.zeros((0, 2))
-    return np.asarray(out)
+        return [], 0.0
+    return out, max([(x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y in out])
 
 
-def point_in_convex_polygon(vertices: np.ndarray, point, tol: float = 1e-9) -> bool:
+def clip_polygon_halfplane(vertices: np.ndarray, a: np.ndarray, b: float, tol: float = GEOM_EPS) -> np.ndarray:
+    """Intersect a convex (k, 2) polygon with {q : a . q <= b} by clip_floats;
+    a new (m, 2) array, (0, 2) when fewer than 3 vertices remain."""
+    ax, ay = np.asarray(a, dtype=float).tolist()
+    part, _ = clip_floats(np.asarray(vertices, dtype=float).tolist(), ax, ay, float(b), tol=tol)
+    return np.array(part, dtype=float).reshape(-1, 2)
+
+
+def point_in_convex_polygon(vertices: np.ndarray, point, tol: float = 1e-9):
+    """Whether the point lies in the counter-clockwise convex polygon, within
+    tol; for (n, 2) points, an (n,) boolean array, from the same
+    elementwise cross products."""
     v = np.asarray(vertices, dtype=float)
     p = np.asarray(point, dtype=float)
-    k = len(v)
-    for idx in range(k):
-        edge = v[(idx + 1) % k] - v[idx]
-        rel = p - v[idx]
-        if edge[0] * rel[1] - edge[1] * rel[0] < -tol:
-            return False
-    return True
+    edge = np.concatenate((v[1:], v[:1])) - v  # np.roll(v, -1, axis=0) - v, without its overhead
+    rel = p[..., None, :] - v
+    outside = (edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] < -tol).any(axis=-1)
+    return ~outside if p.ndim == 2 else not outside
 
 
 def _project_to_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,6 +191,3 @@ class ConvexRegion:
             if d < best_d:
                 best, best_d = cand, d
         return best
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)

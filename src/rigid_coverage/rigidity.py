@@ -101,13 +101,10 @@ def edge_bearing(config: Configuration, i: int, j: int) -> np.ndarray:
 
 
 def bearing_function(fw: Framework) -> BearingVector:
-    edges = fw.graph.sorted_edges
-    pos = fw.config.positions
-    out = np.empty((len(edges), fw.config.dim))
-    for k, (i, j) in enumerate(edges):
-        e = pos[j] - pos[i]
-        out[k] = e / np.linalg.norm(e)
-    return BearingVector(edges, out)
+    """Unit bearings of all edges; each norm is the root of the edge's own dot
+    product (a batched matmul), which rounds as np.linalg.norm of one edge."""
+    _, e = _edge_vectors(fw)
+    return BearingVector(fw.graph.sorted_edges, e / np.sqrt(e[:, None, :] @ e[:, :, None])[:, 0])
 
 
 def _edge_vectors(fw: Framework) -> tuple:

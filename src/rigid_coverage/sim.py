@@ -110,10 +110,11 @@ def _measure(team: _Team, partition, density) -> _Measure:
     fw = Framework(team.graph, Configuration(positions)) if team.graph.n >= 2 else None
     bearing_error = 0.0
     if team.g_des:
-        current = _bearings(fw)
-        for edge, g in team.g_des.items():
-            diff = current[edge] - g
-            bearing_error += float(diff @ diff)
+        # each edge's squared gap as its own dot product, added up in edge
+        # order from 0.0 (a cumulative sum adds one term at a time)
+        bv = bearing_function(fw)
+        diff = bv.bearings - np.array([team.g_des[edge] for edge in bv.edge_order])
+        bearing_error = float(np.cumsum(diff[:, None, :] @ diff[:, :, None])[-1])
     rank = rigidity_rank(fw) if fw is not None else None
     return _Measure(fw, coverage_cost(positions, partition, density), bearing_error, rank)
 

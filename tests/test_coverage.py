@@ -22,7 +22,7 @@ from rigid_coverage.coverage import (
     voronoi_partition,
 )
 from rigid_coverage.errors import DegenerateMassError, DegenerateSitesError, InvalidInputError
-from rigid_coverage.geometry import ConvexRegion, clip_polygon_halfplane, polygon_area, polygon_centroid
+from rigid_coverage.geometry import ConvexRegion, clip_floats, clip_polygon_halfplane, polygon_area, polygon_centroid
 from rigid_coverage.sim import StepRecord, run
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -280,7 +280,7 @@ HEXAGON = ConvexRegion(np.array([[np.cos(t), np.sin(t)] for t in np.arange(6) * 
 
 
 def _points_inside(rng, region, n):
-    lo, hi = region.bounding_box()
+    lo, hi = region.vertices.min(axis=0), region.vertices.max(axis=0)
     points = []
     while len(points) < n:
         p = rng.uniform(lo, hi)
@@ -340,12 +340,13 @@ class TestNearestFirstClipping:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return clip_polygon_halfplane(*args, **kwargs)
+            return clip_floats(*args, **kwargs)
 
-        monkeypatch.setattr(coverage, "clip_polygon_halfplane", counted)
+        monkeypatch.setattr(coverage, "clip_floats", counted)
         voronoi_partition(np.round(sites, 6), unit_square)
-        # all pairs would take n (n - 1) = 9120
-        assert len(calls) < 15 * 96
+        # at least one clip per cell, so the spy sits on the partition's
+        # clipper; all pairs would take n (n - 1) = 9120
+        assert 96 < len(calls) < 15 * 96
 
 
 class TestCentroid:

@@ -4,6 +4,7 @@ import pytest
 
 from rigid_coverage.errors import InvalidInputError
 from rigid_coverage.geometry import (
+    GEOM_EPS,
     ConvexRegion,
     clip_polygon_halfplane,
     point_in_convex_polygon,
@@ -46,10 +47,67 @@ def test_clip_through_vertices_lists_each_once():
     assert clip_polygon_halfplane(SQUARE, np.array([1.0, 0.0]), 1.0).tolist() == SQUARE.tolist()
 
 
+def _numpy_clip(vertices, a, b, tol=GEOM_EPS):
+    """The clipper as it was on numpy arrays, kept as the reference: its
+    sides come from one numpy dot per vertex, which rounds once."""
+    v = np.asarray(vertices, dtype=float)
+    if len(v) == 0:
+        return v
+    a = np.asarray(a, dtype=float)
+    side = v @ a - b
+    out = []
+    k = len(v)
+    for idx in range(k):
+        cur, nxt = v[idx], v[(idx + 1) % k]
+        s_cur, s_nxt = side[idx], side[(idx + 1) % k]
+        if s_cur <= tol:
+            out.append(cur)
+        if (s_cur < -tol and s_nxt > tol) or (s_cur > tol and s_nxt < -tol):
+            out.append(cur + s_cur / (s_cur - s_nxt) * (nxt - cur))
+    if len(out) < 3:
+        return np.zeros((0, 2))
+    return np.asarray(out)
+
+
+def test_float_clipper_matches_the_numpy_reference():
+    # Random convex polygons against lines through their box, lines through
+    # a vertex and lines within GEOM_EPS of a vertex.  The float sides round
+    # twice where numpy's dot rounds once, so a crossing point may move: by
+    # the sides' rounding over the rate |a . e| / |e| at which the side
+    # changes along its edge e.  The bound is 4 ulps of the largest
+    # coordinate, over the cosine |a . e| / (|a| |e|) of the least steep
+    # crossing edge; every vertex the reference keeps is kept to the bit.
+    rng = np.random.default_rng(31)
+    for case in range(360):
+        k = int(rng.integers(3, 9))
+        turn = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        poly = rng.uniform(-3, 3, 2) + 10.0 ** rng.uniform(-1, 1) * np.column_stack([np.cos(turn), np.sin(turn)])
+        a = rng.normal(size=2) * 10.0 ** rng.uniform(-1, 1)
+        through = rng.uniform(poly.min(axis=0), poly.max(axis=0)) if case % 3 == 0 else poly[rng.integers(k)]
+        b = a @ through + (rng.uniform(-0.9, 0.9) * GEOM_EPS if case % 3 == 2 else 0.0)
+        want, got = _numpy_clip(poly, a, b), clip_polygon_halfplane(poly, a, b)
+        assert got.shape == want.shape, case
+        if not len(want):
+            continue
+        side = poly @ a - b
+        steep = [1.0] + [
+            abs(s - sn) / np.linalg.norm(a) / np.linalg.norm(q - p)
+            for p, q, s, sn in zip(poly, np.roll(poly, -1, axis=0), side, np.roll(side, -1))
+            if (s < -GEOM_EPS and sn > GEOM_EPS) or (s > GEOM_EPS and sn < -GEOM_EPS)
+        ]
+        assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want))) / min(steep), case
+        kept = (want[:, None] == poly[None]).all(axis=2).any(axis=1)
+        assert got[kept].tolist() == want[kept].tolist(), case
+
+
 def test_point_membership():
     assert point_in_convex_polygon(SQUARE, [0.5, 0.5])
     assert point_in_convex_polygon(SQUARE, [0.0, 0.0])
     assert not point_in_convex_polygon(SQUARE, [1.2, 0.5])
+    # (n, 2) points give the mask of the same tests
+    points = [[0.5, 0.5], [0.0, 0.0], [1.2, 0.5], [0.5, -1e-10], [0.5, -1e-8]]
+    mask = point_in_convex_polygon(SQUARE, points)
+    assert mask.tolist() == [point_in_convex_polygon(SQUARE, p) for p in points] == [True, True, False, True, False]
 
 
 class TestConvexRegion:
@@ -95,7 +153,3 @@ class TestConvexRegion:
         assert np.allclose(q, [0.3, 0.3])
         corner = unit_square.project_inside([2.0, 2.0])
         assert np.allclose(corner, [1.0, 1.0])
-
-    def test_bounding_box(self, unit_square):
-        lo, hi = unit_square.bounding_box()
-        assert np.allclose(lo, [0.0, 0.0]) and np.allclose(hi, [1.0, 1.0])

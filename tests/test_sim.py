@@ -12,6 +12,7 @@ from rigid_coverage import coverage, sim
 from rigid_coverage.config import config_from_dict
 from rigid_coverage.coverage import coverage_cost, voronoi_partition
 from rigid_coverage.errors import InvalidInputError, NumericalBreakdownError
+from rigid_coverage.graphs import henneberg_generate
 from rigid_coverage.recovery import build_recovery_plan
 from rigid_coverage.sim import SimTrace, export, run
 
@@ -292,6 +293,33 @@ def test_one_rigidity_svd_per_measurement(monkeypatch):
     trace = run(config_from_dict(make_scenario(mu=0.7, steps=8, faults=[{"at_step": 3, "robot": 2}])))
     assert len(calls) == 8 + 1
     assert trace.events[0]["rigid"] is True
+
+
+@pytest.mark.parametrize("n", [12, 96])
+def test_bearings_and_bearing_error_match_per_edge_loops(n, unit_square):
+    # the per-edge loops that bearing_function and _measure replaced, as
+    # references: one np.linalg.norm per edge, and one dot per edge added up
+    # in the desired bearings' order from 0.0; equal to the bit
+    rng = np.random.default_rng(n)
+    graph = henneberg_generate(n, seed=0).graph
+    positions, refs = rng.uniform(0.0, 1.0, (2, n, 2))
+    bv = sim.bearing_function(sim.Framework(graph, sim.Configuration(positions)))
+    rows = []
+    for i, j in graph.sorted_edges:
+        e = positions[j] - positions[i]
+        rows.append(e / np.linalg.norm(e))
+    assert bv.edge_order == graph.sorted_edges
+    assert bv.bearings.tobytes() == np.array(rows).tobytes()
+    g_des = sim._bearings(sim.Framework(graph, sim.Configuration(refs)))
+    current = dict(zip(graph.sorted_edges, rows))
+    want = 0.0
+    for edge, g in g_des.items():
+        diff = current[edge] - g
+        want += float(diff @ diff)
+    states = np.column_stack([positions, np.zeros((n, 2))])
+    team = sim._Team(list(range(n)), states, graph, [None] * n, g_des=g_des)
+    measure = sim._measure(team, voronoi_partition(positions, unit_square), coverage.UniformDensity())
+    assert measure.bearing_error == want
 
 
 def test_single_robot_runs_without_graph():

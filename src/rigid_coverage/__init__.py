@@ -70,6 +70,7 @@ from .mpc import (
     offset_optimum,
     shift_warm_start,
     solve_ocp,
+    team_problems,
 )
 from .recovery import (
     ClosingRanks,

@@ -33,7 +33,12 @@ are cached by value, a bounded number at a time, and shared read-only by
 every problem with the same key.  An *instance* (`_Workspace`) adds what
 x0, r_ref and the bearings set (the bearing rows touch only theta); it lives
 on its `OcpProblem`, so the warm-start check and the solve of one problem
-share it and its values.
+share it and its values.  `team_problems` sets up the robots of one model
+at a step together: it checks the stacked states, references and bearings
+once each, builds the template once, takes every x0 and r_ref term by one
+matrix product and each bearing's projector once per graph edge, and hands
+each robot its problem with the instance attached.  A problem built alone
+is checked and instanced the same way, as a team of one.
 """
 
 from __future__ import annotations
@@ -97,10 +102,7 @@ class CostWeights:
 
 def bearing_projector(g: np.ndarray) -> np.ndarray:
     """Projector onto the complement of a unit bearing direction."""
-    g = np.asarray(g, dtype=float)
-    if abs(np.linalg.norm(g) - 1.0) > BEARING_UNIT_TOL:
-        raise InvalidInputError("bearing must be a unit vector")
-    return np.eye(len(g)) - np.outer(g, g)
+    return _projectors(1.0, _unit_rows([g], np.size(g), lambda k: "bearing"))[0]
 
 
 def bearing_cost(rbar, desired_bearings, neighbor_anchors, w_b: float) -> float:
@@ -120,7 +122,7 @@ def bearing_cost(rbar, desired_bearings, neighbor_anchors, w_b: float) -> float:
 
 @dataclass(frozen=True)
 class OcpProblem:
-    """One robot's tracking problem at one time step."""
+    """One robot's tracking problem at one time step; `team_problems` builds a team's at once."""
 
     model: object
     horizon: int
@@ -133,34 +135,113 @@ class OcpProblem:
     setpoint_region: ConvexRegion | None = None
 
     def __post_init__(self):
+        # validated as a team of one; own copies: a problem's instance is reused, so a caller's later write to an
+        # array must not reach it
         d = self.model.dim
         object.__setattr__(self, "horizon", _integer(self.horizon, "horizon", least=1))
-        x0 = _own_vector(self.x0, self.model.n_x, "x0")
-        if not self.model.state_bounds.contains(x0, tol=1e-9):
-            raise InvalidInputError("initial state violates the state box")
-        r_ref = _own_vector(self.r_ref, d, "r_ref")
-        anchors = {j: _own_vector(a, d, f"anchor of {j}") for j, a in self.neighbor_anchors.items()}
-        bearings = []
-        for j, g in self.desired_bearings:
-            g = _own_vector(g, d, f"desired bearing toward {j}")
-            if abs(np.linalg.norm(g) - 1.0) > BEARING_UNIT_TOL:
-                raise InvalidInputError(f"desired bearing toward {j} is not unit")
+        x0 = _states(self.model, [self.x0], lambda k: "")[0]
+        r_ref = _finite_rows([self.r_ref], d, lambda k: "r_ref")[0]
+        js = list(self.neighbor_anchors)
+        anchors = _finite_rows([self.neighbor_anchors[j] for j in js], d, lambda k: f"anchor of {js[k]}")
+        anchors = dict(zip(js, anchors))
+        toward = [j for j, _ in self.desired_bearings]
+        g = _unit_rows([g for _, g in self.desired_bearings], d, lambda k: f"desired bearing toward {toward[k]}")
+        for j in toward:
             if j not in anchors:
                 raise InvalidInputError(f"missing anchor for neighbor {j}")
-            bearings.append((int(j), g))
-        bearings.sort(key=lambda item: item[0])
-        # own copies: a problem's instance is reused, so a caller's later write to an array must not reach it
-        for name, value in dict(x0=x0, r_ref=r_ref, desired_bearings=tuple(bearings), neighbor_anchors=anchors).items():
+        bearings = tuple(sorted(((int(j), g_j) for j, g_j in zip(toward, g)), key=lambda item: item[0]))
+        for name, value in dict(x0=x0, r_ref=r_ref, desired_bearings=bearings, neighbor_anchors=anchors).items():
             object.__setattr__(self, name, value)
 
 
-def _own_vector(value, n: int, name: str) -> np.ndarray:
-    """A read-only copy of `value` as a finite float vector of shape (n,)."""
-    v = np.array(value, dtype=float)
-    if v.shape != (n,) or not all(map(math.isfinite, v)):
-        raise InvalidInputError(f"{name} must be a finite vector of shape ({n},)")
-    v.setflags(write=False)
-    return v
+def _finite_rows(value, width: int, name) -> np.ndarray:
+    """A read-only float copy of the rows `value`, each a finite vector of
+    length `width`; otherwise raises naming the first bad row k by `name(k)`."""
+    rows = _float_rows(value, width)
+    if rows is None:
+        k = next(k for k, v in enumerate(value) if _float_rows([v], width) is None)
+        raise InvalidInputError(f"{name(k)} must be a finite vector of shape ({width},)")
+    rows.setflags(write=False)
+    return rows
+
+
+def _float_rows(value, width: int):
+    """`value` as a new float array of finite rows of length `width`, or None."""
+    try:
+        rows = np.array(value, dtype=float) if len(value) else np.zeros((0, width))
+    except (TypeError, ValueError):  # ragged, or not numbers
+        return None
+    return rows if rows.shape[1:] == (width,) and np.isfinite(rows).all() else None
+
+
+def _unit_rows(value, width: int, name) -> np.ndarray:
+    """`_finite_rows` of unit vectors, checked in one pass."""
+    g = _finite_rows(value, width, name)
+    off = np.flatnonzero(np.abs(np.linalg.norm(g, axis=1) - 1.0) > BEARING_UNIT_TOL)
+    if len(off):
+        raise InvalidInputError(f"{name(off[0])} is not unit")
+    return g
+
+
+def _states(model, x0, who) -> np.ndarray:
+    """`_finite_rows` of initial states inside the model's state box; `who(k)` follows "x0" and "initial state"
+    in the error on row k."""
+    x0 = _finite_rows(x0, model.n_x, lambda k: f"x0{who(k)}")
+    sb = model.state_bounds
+    outside = np.flatnonzero(~((x0 >= sb.lower - 1e-9) & (x0 <= sb.upper + 1e-9)).all(axis=1))
+    if len(outside):
+        raise InvalidInputError(f"initial state{who(outside[0])} violates the state box")
+    return x0
+
+
+def team_problems(model, horizon, weights, terminal, setpoint_region, rows, x0, refs, bearings, ids) -> list:
+    """The problems of the team robots `rows` (ascending indices into the team), which share `model` and so one
+    template, validated and built at once.
+
+    Robot i = rows[k] starts at x0[k] and tracks refs[i]; `bearings` maps each edge (i, j), i < j, of the team's
+    graph to its desired unit bearing from i to j, so robot i holds it toward j, robot j its negation toward i, and
+    each takes the other's reference as its anchor.  Each stack is checked once; an error names the robot by
+    ids[i].  Every problem carries its instance, as `_workspace` would build it alone.
+    """
+    d = model.dim
+    horizon = _integer(horizon, "horizon", least=1)
+    rows = np.asarray(rows, dtype=int)
+    x0 = _states(model, x0, lambda k: f" of robot {ids[rows[k]]}")
+    refs = _finite_rows(refs, d, lambda i: f"r_ref of robot {ids[i]}")
+    edges = np.array(list(bearings), dtype=int).reshape(-1, 2)
+    if len(x0) != len(rows) or np.any(np.diff(rows) <= 0) or np.any((rows < 0) | (rows >= len(refs))):
+        raise InvalidInputError("rows must be ascending robots of the team, one per row of x0")
+    if np.any((edges[:, 0] < 0) | (edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= len(refs))):
+        raise InvalidInputError("bearing edges must be pairs (i, j) of robots of the team with i < j")
+    g = _unit_rows(list(bearings.values()), d,
+                   lambda e: f"desired bearing of robot {ids[edges[e, 0]]} toward robot {ids[edges[e, 1]]}")
+    # each bearing as both robots hold it, robot by robot, each robot's by neighbour
+    owner, toward = np.concatenate([edges, edges[:, ::-1]]).T
+    edge = np.tile(np.arange(len(edges)), 2)
+    order = np.lexsort((toward, owner))
+    order = order[np.isin(owner[order], rows)]
+    owner, toward, edge = owner[order], toward[order], edge[order]
+    g_held = np.concatenate([g, -g])[order]
+    g_held.setflags(write=False)
+    ends = np.cumsum(np.bincount(np.searchsorted(rows, owner), minlength=len(rows))).tolist()
+    spans = list(zip([0, *ends[:-1]], ends))  # robot k's bearings are [a, b) of each held array
+    toward_ids, g_rows, anchor_rows = toward.tolist(), list(g_held), list(refs)  # row views, taken once
+    problems = []
+    for x0_k, i, (a, b) in zip(x0, rows.tolist(), spans):
+        js = toward_ids[a:b]
+        problem = object.__new__(OcpProblem)  # checked above, so no __post_init__
+        vars(problem).update(
+            model=model, horizon=horizon, weights=weights, terminal=terminal, x0=x0_k, r_ref=anchor_rows[i],
+            desired_bearings=tuple(zip(js, g_rows[a:b])), neighbor_anchors={j: anchor_rows[j] for j in js},
+            setpoint_region=setpoint_region,
+        )
+        problems.append(problem)
+    if problems:
+        tpl = _template(problems[0])
+        P = _projectors(tpl.s_b, g)[edge]  # P_{-g} = P_g: one projector per edge
+        for problem, ws in zip(problems, _instances(tpl, x0, refs[rows], P, refs[toward], spans)):
+            vars(problem)["_instance"] = ws
+    return problems
 
 
 @dataclass(frozen=True)
@@ -419,25 +500,12 @@ class _Workspace:
     Adds what x0, r_ref and the bearings set: the offset f0 of the residual
     rows M_struct z + f0, the bearing rows Mb theta + fb, the theta-theta
     block H_thth of the cost Hessian (the template's plus 2 Mb'Mb) and the
-    Hessian's largest |entry| H_max.  Obtained through `_workspace`, which
-    keeps it on its problem.
+    Hessian's largest |entry| H_max.  Built by `_instances` for a team, or
+    for one problem by `_workspace`, and kept on its problem.
     """
 
-    def __init__(self, problem: OcpProblem):
-        tpl = _template(problem)
-        self.x0 = problem.x0
-        self.tpl = tpl
-        d = tpl.d
-        self.f0 = np.zeros(len(tpl.M_struct))
-        self.f0[: tpl.nx] = tpl.L_Q @ problem.x0
-        self.f0[-d:] = -tpl.s_ref * (tpl.L_S @ problem.r_ref)
-        g = np.reshape([g for _, g in problem.desired_bearings], (-1, d))
-        anchors = np.reshape([problem.neighbor_anchors[j] for j, _ in problem.desired_bearings], (-1, d, 1))
-        Pg = tpl.s_b * (np.eye(d) - g[:, :, None] * g[:, None, :])  # s_b P_g per bearing; OcpProblem checked g is unit
-        self.Mb = Pg.reshape(-1, d)
-        self.fb = -(Pg @ anchors).reshape(-1)
-        self.H_thth = tpl.H_thth + 2.0 * self.Mb.T @ self.Mb if len(self.Mb) else tpl.H_thth  # shared if no bearing
-        self.H_max = max(tpl.H_struct_max, float(np.max(np.abs(self.H_thth))))
+    def __init__(self, tpl: _Template, x0, f0, Mb, fb, H_thth, H_max):
+        self.tpl, self.x0, self.f0, self.Mb, self.fb, self.H_thth, self.H_max = tpl, x0, f0, Mb, fb, H_thth, H_max
         self.handoff = (None, None, None, None)  # (candidate, z, c, g) of the last shift_warm_start
 
     def unpack(self, z: np.ndarray):
@@ -473,13 +541,38 @@ class _Workspace:
         return linearize(self.tpl.model, x_seq[:-1], u_seq)
 
 
+def _projectors(s_b: float, g: np.ndarray) -> np.ndarray:
+    """s_b P_g (k, d, d) of unit bearings g (k, d)."""
+    return s_b * (np.eye(g.shape[1]) - g[:, :, None] * g[:, None, :])
+
+
+def _instances(tpl: _Template, x0: np.ndarray, r_ref: np.ndarray, P: np.ndarray, anchors: np.ndarray, spans) -> list:
+    """The instances of n problems of `tpl`, from their x0 (n, nx) and
+    r_ref (n, d) and their bearings' s_b P_g (K, d, d) and anchors (K, d),
+    problem i's the rows [a, b) of spans[i]."""
+    d = tpl.d
+    f0 = np.zeros((len(x0), len(tpl.M_struct)))
+    f0[:, : tpl.nx] = x0 @ tpl.L_Q.T
+    f0[:, -d:] = -tpl.s_ref * (r_ref @ tpl.L_S.T)
+    fb = -(P @ anchors.reshape(-1, d, 1)).reshape(-1, d)
+    Mb = [P[a:b].reshape(-1, d) for a, b in spans]
+    H_thth = [tpl.H_thth + 2.0 * M.T @ M if len(M) else tpl.H_thth for M in Mb]  # shared if no bearing
+    H_max = np.maximum(tpl.H_struct_max, np.abs(np.array(H_thth)).max(axis=(1, 2)))
+    return [
+        _Workspace(tpl, x0[i], f0[i], Mb[i], fb[a:b].reshape(-1), H_thth[i], float(H_max[i]))
+        for i, (a, b) in enumerate(spans)
+    ]
+
+
 def _workspace(problem: OcpProblem) -> _Workspace:
-    """The instance of a problem, built on first use and kept on the problem
-    (outside its fields): it lives as long as the problem, and every call on
-    the problem shares it."""
+    """The instance of a problem, built as a team of one on first use unless `team_problems` attached it, and kept
+    on the problem (outside its fields): it lives as long as the problem, and every call on the problem shares it."""
     ws = vars(problem).get("_instance")
     if ws is None:
-        ws = _Workspace(problem)
+        tpl = _template(problem)
+        g = np.reshape([g for _, g in problem.desired_bearings], (-1, tpl.d))
+        anchors = np.reshape([problem.neighbor_anchors[j] for j, _ in problem.desired_bearings], (-1, tpl.d))
+        ws = _instances(tpl, problem.x0[None], problem.r_ref[None], _projectors(tpl.s_b, g), anchors, [(0, len(g))])[0]
         object.__setattr__(problem, "_instance", ws)
     return ws
 

@@ -7,7 +7,8 @@ Each step runs three phases, and each returns what the next one reads:
   references when due, and measures H, the bearing error and the rigidity
   rank on that partition and on one bearing framework of the positions.
   It returns whether the references were updated, and the measurement.
-- ``_decentralized`` solves each robot's tracking problem in turn, warm
+- ``_decentralized`` sets up the tracking problems of each model's robots
+  at once (`team_problems`), then solves each robot's in turn, warm
   started from that robot's previous solution.  A solve reads only its
   problem and that solution, never another robot's result of the step.
 - ``_apply`` checks the input and state boxes, advances every robot by its
@@ -35,7 +36,7 @@ from .config import SimConfig
 from .coverage import centroid, coverage_cost, partition_update_due, voronoi_partition
 from .errors import InvalidInputError, NumericalBreakdownError
 from .graphs import Graph, laman_check
-from .mpc import OcpProblem, shift_warm_start, solve_ocp
+from .mpc import shift_warm_start, solve_ocp, team_problems
 from .recovery import apply_recovery, build_recovery_plan
 from .rigidity import (
     Configuration,
@@ -156,24 +157,24 @@ def _centralized(team: _Team, config: SimConfig, k: int, fault, events: list) ->
     return updated, measure
 
 
+def _model_rows(team: _Team, config: SimConfig) -> dict:
+    """Local indices of the live robots by model, ascending."""
+    groups: dict = {}
+    for li, oid in enumerate(team.alive):
+        groups.setdefault(config.models[oid], []).append(li)
+    return groups
+
+
 def _decentralized(team: _Team, config: SimConfig, terminals: dict, shrunk) -> list:
-    """Each robot's tracking problem, solved warm from its previous solution."""
-    g_des = team.g_des
+    """Each robot's tracking problem, built with its model's others, solved warm from its previous solution."""
+    problems = [None] * len(team.alive)
+    for model, rows in _model_rows(team, config).items():
+        built = team_problems(model, config.horizon, config.weights, terminals[model], shrunk,
+                              rows, team.states[rows], team.refs, team.g_des, team.alive)
+        for li, problem in zip(rows, built):
+            problems[li] = problem
     sols = []
-    for li, (oid, prev) in enumerate(zip(team.alive, team.prev_sols)):
-        model = config.models[oid]
-        neigh = team.graph.neighbors(li)
-        problem = OcpProblem(
-            model=model,
-            horizon=config.horizon,
-            weights=config.weights,
-            terminal=terminals[model],
-            x0=team.states[li],
-            r_ref=team.refs[li],
-            desired_bearings=tuple((j, g_des[(li, j)] if li < j else -g_des[(j, li)]) for j in neigh),
-            neighbor_anchors={j: team.refs[j] for j in neigh},
-            setpoint_region=shrunk,
-        )
+    for problem, prev in zip(problems, team.prev_sols):
         warm = shift_warm_start(problem, prev) if prev is not None else None
         sols.append(solve_ocp(problem, warm=warm, options=config.solver))
     return sols
@@ -200,12 +201,9 @@ def _apply(team: _Team, config: SimConfig, k: int, updated: bool, measure: _Meas
         solver_kkt=tuple(sol.kkt_residual for sol in sols),
     )
     # one step and one box check per model: both act row by row
-    groups: dict = {}
-    for li, oid in enumerate(alive):
-        groups.setdefault(config.models[oid], []).append(li)
     stepped = np.empty_like(team.states)
     inside = True
-    for model, rows in groups.items():
+    for model, rows in _model_rows(team, config).items():
         stepped[rows] = model.step(team.states[rows], inputs[rows])
         inside = (
             inside

@@ -6,6 +6,7 @@ from rigid_coverage.errors import InvalidInputError
 from rigid_coverage.geometry import (
     GEOM_EPS,
     ConvexRegion,
+    clip_floats,
     clip_polygon_halfplane,
     point_in_convex_polygon,
     polygon_area,
@@ -46,6 +47,16 @@ def test_clip_through_vertices_lists_each_once():
     assert clip_polygon_halfplane(SQUARE, np.array([0.0, 1.0]), 0.0).shape == (0, 2)
     assert clip_polygon_halfplane(SQUARE, np.array([1.0, 0.0]), 1.0).tolist() == SQUARE.tolist()
 
+
+
+def test_vertex_on_the_tolerance_is_kept_as_it_is():
+    # x <= 0 with a vertex whose side is exactly GEOM_EPS: it counts as on the
+    # line, so it is kept unmoved and the edges beside it add no crossing
+    poly = [(-1.0, -1.0), (1.0, -1.0), (GEOM_EPS, 1.0)]
+    assert 1.0 * GEOM_EPS + 0.0 * 1.0 - 0.0 == GEOM_EPS
+    out, _ = clip_floats(poly, 1.0, 0.0, 0.0)
+    assert out == [(-1.0, -1.0), (0.0, -1.0), (GEOM_EPS, 1.0)]
+    assert clip_polygon_halfplane(np.array(poly), np.array([1.0, 0.0]), 0.0).tolist() == [list(p) for p in out]
 
 def _numpy_clip(vertices, a, b, tol=GEOM_EPS):
     """The clipper as it was on numpy arrays, kept as the reference: its

@@ -1,5 +1,6 @@
 """Tracking OCP: cost terms, SQP solver, warm starts, offset optimum."""
 import gc
+import importlib.util
 import os
 import subprocess
 import sys
@@ -42,6 +43,7 @@ from rigid_coverage.mpc import (
 from rigid_coverage.terminal import TerminalSet, build_terminal_set
 
 from conftest import SCENARIO_Q, SCENARIO_R, SCENARIO_S, make_scenario
+from workspace_reference import instance_arrays
 
 
 def scenario_weights(mu=1.0, w_b=1.0):
@@ -813,6 +815,137 @@ class TestTemplateCache:
             sys.setswitchinterval(interval)
         assert all(results)
         assert len(mpc._templates) == mpc.TEMPLATE_CACHE_SIZE
+
+
+def _workload(name, seed, episode):
+    """Episode `episode` of a benchmark workload at `seed`, as perfbench/workloads.py draws it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return getattr(module, name)(seed, episode)
+
+
+def _held_bearings(bearings, li, neighbors):
+    """Robot li's bearings as sim held them one robot at a time: i -> j of edge (i, j), negated from j's side."""
+    return tuple((j, bearings[(li, j)] if li < j else -bearings[(j, li)]) for j in neighbors)
+
+
+def _assert_same_problem(built, alone):
+    for name in ("model", "horizon", "weights", "terminal", "setpoint_region"):
+        assert getattr(built, name) is getattr(alone, name) or getattr(built, name) == getattr(alone, name), name
+    assert built.x0.tobytes() == alone.x0.tobytes() and built.r_ref.tobytes() == alone.r_ref.tobytes()
+    assert [(j, g.tobytes()) for j, g in built.desired_bearings] == [
+        (j, g.tobytes()) for j, g in alone.desired_bearings]
+    assert {j: a.tobytes() for j, a in built.neighbor_anchors.items()} == {
+        j: a.tobytes() for j, a in alone.neighbor_anchors.items()}
+    for value in (built.x0, built.r_ref, *(g for _, g in built.desired_bearings), *built.neighbor_anchors.values()):
+        assert not value.flags.writeable
+
+
+def _assert_instance_is_the_reference(problem):
+    ws, want = mpc._workspace(problem), instance_arrays(problem)
+    for name in ("f0", "Mb", "fb", "H_thth"):
+        got = getattr(ws, name)
+        assert got.shape == want[name].shape and got.tobytes() == want[name].tobytes(), name
+    assert ws.H_max == want["H_max"]
+
+
+class TestTeamProblems:
+    """`team_problems` against the problems and instances sim built one robot at a time."""
+
+    def test_swarm96_step_matches_the_per_robot_build_bitwise(self, monkeypatch):
+        from rigid_coverage import sim
+
+        seen = {"problems": {}}
+        decentralized, build = sim._decentralized, sim.team_problems
+
+        def spied_step(team, config, terminals, shrunk):
+            seen["step"] = (list(team.alive), team.states.copy(), team.refs.copy(), dict(team.g_des), team.graph,
+                            config, terminals, shrunk)
+            return decentralized(team, config, terminals, shrunk)
+
+        def spied_build(*args):
+            built = build(*args)
+            seen["problems"].update(zip(args[5], built))
+            return built
+
+        monkeypatch.setattr(sim, "_decentralized", spied_step)
+        monkeypatch.setattr(sim, "team_problems", spied_build)
+        sim.run(config_from_dict(dict(_workload("swarm96", 0, 0), steps=1, faults=[])))
+        alive, states, refs, g_des, graph, config, terminals, shrunk = seen["step"]
+        assert sorted(seen["problems"]) == list(range(96)) and len(g_des) == graph.m
+        for li, problem in seen["problems"].items():
+            model = config.models[alive[li]]
+            alone = OcpProblem(
+                model=model, horizon=config.horizon, weights=config.weights, terminal=terminals[model],
+                x0=states[li], r_ref=refs[li], desired_bearings=_held_bearings(g_des, li, graph.neighbors(li)),
+                neighbor_anchors={j: refs[j] for j in graph.neighbors(li)}, setpoint_region=shrunk,
+            )
+            _assert_same_problem(problem, alone)
+            _assert_instance_is_the_reference(problem)
+
+    def test_mixed_team_with_a_lone_robot_matches_the_per_robot_build_bitwise(
+        self, double_integrator, drag_model, terminal_double, terminal_drag
+    ):
+        rng = np.random.default_rng(5)
+        n, ids = 7, [0, 2, 3, 5, 8, 9, 11]
+        models = [double_integrator, drag_model] * 3 + [drag_model]
+        terminals = {double_integrator: terminal_double, drag_model: terminal_drag}
+        states = np.column_stack([rng.uniform(0.1, 0.9, (n, 2)), rng.uniform(-0.3, 0.3, (n, 2))])
+        refs = rng.uniform(0.1, 0.9, (n, 2))
+        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 6), (4, 6)]  # robot 5 has no neighbour
+        bearings = {(i, j): (refs[j] - refs[i]) / np.linalg.norm(refs[j] - refs[i]) for i, j in edges}
+        weights, region = scenario_weights(mu=0.7), square_region()
+        built = {}
+        for model in (double_integrator, drag_model):
+            rows = [li for li in range(n) if models[li] is model]
+            problems = mpc.team_problems(model, 10, weights, terminals[model], region, rows, states[rows], refs,
+                                         bearings, ids)
+            built.update(zip(rows, problems))
+        assert sorted(built) == list(range(n)) and built[5].desired_bearings == ()
+        for li, problem in built.items():
+            neighbors = sorted(j for edge in edges if li in edge for j in edge if j != li)
+            alone = OcpProblem(
+                model=models[li], horizon=10, weights=weights, terminal=terminals[models[li]], x0=states[li],
+                r_ref=refs[li], desired_bearings=_held_bearings(bearings, li, neighbors),
+                neighbor_anchors={j: refs[j] for j in neighbors}, setpoint_region=region,
+            )
+            _assert_same_problem(problem, alone)
+            _assert_instance_is_the_reference(problem)
+            _assert_instance_is_the_reference(alone)  # a problem built alone is a team of one
+        # the stacks are own copies
+        states[:], refs[:] = 0.0, 0.0
+        assert built[0].x0.any() and built[0].r_ref.any() and built[1].neighbor_anchors[0].any()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"rows": [1, 0]}, "rows must be ascending"),
+        ({"rows": [0, 3]}, "rows must be ascending"),
+        ({"x0": np.zeros((3, 4))}, "rows must be ascending"),
+        ({"bearings": {(1, 0): np.array([1.0, 0.0])}}, "bearing edges must be pairs"),
+        ({"bearings": {(1, 3): np.array([1.0, 0.0])}}, "bearing edges must be pairs"),
+    ], ids=["descending rows", "row outside the team", "x0 longer than rows", "edge (j, i)", "edge outside the team"])
+    def test_malformed_team_raises_typed_errors(self, change, message, double_integrator, terminal_double):
+        kw = dict(rows=[0, 1], x0=np.zeros((2, 4)), refs=np.full((3, 2), 0.5), bearings={}, ids=[0, 1, 2])
+        kw.update(change)
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            mpc.team_problems(double_integrator, 10, scenario_weights(), terminal_double, None, **kw)
+
+    def test_a_team_problem_solves_as_its_problem_built_alone(self, double_integrator, terminal_double):
+        refs = np.array([[0.6, 0.5], [0.3, 0.7], [0.5, 0.2]])
+        edges = ((0, 1), (0, 2), (1, 2))
+        bearings = {(i, j): (refs[j] - refs[i]) / np.linalg.norm(refs[j] - refs[i]) for i, j in edges}
+        states = np.array([[0.2, 0.2, 0.0, 0.0], [0.4, 0.6, 0.1, 0.0], [0.7, 0.3, 0.0, -0.1]])
+        weights = scenario_weights(mu=0.7)
+        team = mpc.team_problems(double_integrator, 10, weights, terminal_double, square_region(), [0, 1, 2],
+                                 states, refs, bearings, [0, 1, 2])
+        for li, problem in enumerate(team):
+            alone = OcpProblem(
+                model=double_integrator, horizon=10, weights=weights, terminal=terminal_double, x0=states[li],
+                r_ref=refs[li], desired_bearings=_held_bearings(bearings, li, [j for j in range(3) if j != li]),
+                neighbor_anchors={j: refs[j] for j in range(3) if j != li}, setpoint_region=square_region(),
+            )
+            assert _solution_bytes(solve_ocp(problem)) == _solution_bytes(solve_ocp(alone))
 
 
 def _loop_linear_ineq(problem):

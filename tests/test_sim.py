@@ -1,5 +1,6 @@
 """Closed-loop simulation: trace contents, determinism, faults, export."""
 import json
+import re
 import subprocess
 import sys
 import types
@@ -262,6 +263,47 @@ def test_box_breach_names_the_first_robot(breaches, message):
     config, team, sols = _mixed_team_at_apply(velocities, inputs)
     with pytest.raises(NumericalBreakdownError, match=f"^{message}$"):
         sim._apply(team, config, 7, False, sim._Measure(None, 0.0, 0.0, None), sols)
+
+
+def _team_at_decentralized(alive):
+    """The robots `alive` of a 6-robot team of alternating models, at rest with references beside them and the
+    bearings of those references, with the config and terminal sets that sim.run hands to _decentralized."""
+    data = make_scenario(mu=0.7, steps=1)
+    kinds = ["double_integrator", "drag_double_integrator"] * 3
+    data["robots"] = [{"position": p, "model": kind} for p, kind in zip(data["robots"]["initial_positions"], kinds)]
+    config = config_from_dict(data)
+    graph = henneberg_generate(len(alive), seed=0).graph
+    team = sim._Team(list(alive), config.initial_states[alive], graph, [None] * len(alive))
+    team.refs = team.states[:, :2] + 0.05
+    team.g_des = sim._bearings(sim.Framework(graph, sim.Configuration(team.refs)))
+    weights = config.weights
+    terminals = {model: sim.build_terminal_set(model, weights.Q, weights.R) for model in dict.fromkeys(config.models)}
+    return config, team, terminals, config.region.shrink(config.epsilon)
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("NaN state", "x0 of robot 3 must be a finite vector of shape (4,)"),
+        ("state outside the box", "initial state of robot 5 violates the state box"),
+        ("NaN reference", "r_ref of robot 2 must be a finite vector of shape (2,)"),
+        ("non-unit bearing", "desired bearing of robot 2 toward robot 5 is not unit"),
+    ],
+)
+def test_team_input_errors_name_the_robot(kind, message):
+    # local robot k is original robot alive[k]: 2 -> 3, 3 -> 5
+    config, team, terminals, shrunk = _team_at_decentralized([0, 2, 3, 5])
+    if kind == "NaN state":
+        team.states[2, 1] = np.nan
+    elif kind == "state outside the box":
+        team.states[3, 2] = 0.8  # above v_max
+    elif kind == "NaN reference":
+        team.refs[1, 0] = np.nan
+    else:
+        assert (1, 3) in team.g_des
+        team.g_des[(1, 3)] = 1.5 * team.g_des[(1, 3)]
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        sim._decentralized(team, config, terminals, shrunk)
 
 
 def test_one_framework_per_step(monkeypatch):
